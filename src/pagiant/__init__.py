@@ -13,9 +13,7 @@ from .processes import (
     ProcessConfig,
     ProcessExhausted,
     ProcessState,
-    SamplingBudgetExceeded,
     Trajectory,
-    UrnState,
     rewiring_step,
     run_process,
     sample_birth_degrees,

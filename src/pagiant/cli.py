@@ -17,13 +17,14 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import oracle, stats, theory
 from .processes import (
+    CheckpointRecord,
     GeneralF,
     LinearAlpha,
     NegativeInteger,
@@ -119,6 +120,22 @@ def parse_weight_rule(d: dict, path: str = "weight_rule."):
     raise SpecError(f"{path}kind: unknown weight rule {kind!r}")
 
 
+def _theory_shape(rule) -> float | None:
+    """The theory's shape parameter for a rule: alpha, -r, or None for general f."""
+    if isinstance(rule, LinearAlpha):
+        return rule.alpha
+    if isinstance(rule, NegativeInteger):
+        return -rule.r
+    return None
+
+
+def _theory_record(cfg: ProcessConfig, eps: float | None) -> dict | None:
+    shape = _theory_shape(cfg.weight_rule)
+    if eps is None or shape is None:
+        return None
+    return theory.predict(shape, eps=eps, n=cfg.n).to_json_dict()
+
+
 def parse_spec(data: dict, seed_override: int | None = None,
                checkpoints_rel: bool = False) -> ExperimentSpec:
     if not isinstance(data, dict):
@@ -128,52 +145,58 @@ def parse_spec(data: dict, seed_override: int | None = None,
     mode = _need(data, "mode", str, "")
     m_max = _need(data, "m_max", int, "")
     raw_cps = _need(data, "checkpoints", list, "")
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw_cps):
+        raise SpecError("checkpoints: entries must be numbers")
     seed = seed_override
-    if seed is None:
-        seed = data.get("seed")
+    if seed is None and data.get("seed") is not None:
+        seed = _need(data, "seed", int, "")
     if seed is None:
         env = os.environ.get(ENV_SEED)
         seed = int(env) if env is not None else 0
-    rel = bool(data.get("checkpoints_rel", False)) or checkpoints_rel
-    if rel:
-        if isinstance(rule, LinearAlpha):
-            mc = theory.m_crit(rule.alpha, n)
-        elif isinstance(rule, NegativeInteger):
-            mc = theory.m_crit(-rule.r, n)
-        else:
-            raise SpecError("checkpoints: relative checkpoints need a linear or negative-integer rule")
-        cps = tuple(int(round(x * mc)) for x in raw_cps)
-    else:
-        cps = tuple(int(x) for x in raw_cps)
-    cfg = ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max,
-                        checkpoints=cps, seed=int(seed))
+    comparison = data.get("comparison")
+    comparison_eps = None
+    if isinstance(comparison, dict) and "eps" in comparison:
+        comparison_eps = _need(comparison, "eps", float, "comparison.")
     outputs = _need(data, "outputs", dict, "")
-    spec = ExperimentSpec(
-        config=cfg,
-        replicates=_need(data, "replicates", int, ""),
-        trajectory_csv=_need(outputs, "trajectory_csv", str, "outputs."),
-        degree_csv=_need(outputs, "degree_csv", str, "outputs."),
-        summary_json=_need(outputs, "summary_json", str, "outputs."),
-        comparison_eps=(
-            float(data["comparison"]["eps"]) if isinstance(data.get("comparison"), dict)
-            and "eps" in data["comparison"] else None
-        ),
-    )
+    replicates = _need(data, "replicates", int, "")
+    paths = [_need(outputs, key, str, "outputs.")
+             for key in ("trajectory_csv", "degree_csv", "summary_json")]
     try:
+        rule.validate()  # before m_crit, so a bad shape names its field
+        if bool(data.get("checkpoints_rel", False)) or checkpoints_rel:
+            shape = _theory_shape(rule)
+            if shape is None:
+                raise SpecError("checkpoints: relative checkpoints need a linear or negative-integer rule")
+            mc = theory.m_crit(shape, n)
+            cps = tuple(int(round(x * mc)) for x in raw_cps)
+        else:
+            cps = tuple(int(x) for x in raw_cps)
+        cfg = ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max,
+                            checkpoints=cps, seed=int(seed))
+        spec = ExperimentSpec(cfg, replicates, *paths, comparison_eps=comparison_eps)
         spec.validate()
     except ValueError as exc:
         raise SpecError(str(exc)) from None
+    try:
+        _theory_record(cfg, comparison_eps)  # the theory's own domain check, before any run
+    except ValueError as exc:
+        raise SpecError(f"comparison.eps: {exc}") from None
     return spec
+
+
+def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise SpecError(f"{path}: {exc.strerror}") from None
 
 
 def load_spec(path: str, seed_override: int | None = None,
               checkpoints_rel: bool = False) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON ({exc})") from None
-    return parse_spec(data, seed_override, checkpoints_rel)
+    return parse_spec(_load_json(path), seed_override, checkpoints_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +283,9 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
     }
     if spec.replicates >= 2 and prefix:
         summary["mc"] = stats.aggregate(trimmed, cfg.n).to_json_dict()
-    if spec.comparison_eps is not None:
-        if isinstance(cfg.weight_rule, LinearAlpha):
-            shape = cfg.weight_rule.alpha
-        elif isinstance(cfg.weight_rule, NegativeInteger):
-            shape = -cfg.weight_rule.r
-        else:
-            shape = None
-        if shape is not None:
-            summary["theory"] = theory.predict(
-                shape, eps=spec.comparison_eps, n=cfg.n
-            ).to_json_dict()
+    record = _theory_record(cfg, spec.comparison_eps)
+    if record is not None:
+        summary["theory"] = record
     (out / spec.summary_json).write_text(_json_dumps(summary), encoding="utf-8")
     return summary
 
@@ -280,45 +295,69 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _SweepKind:
+    grid_key: str
+    header: str
+    seed_offset: int
+    m_of: Callable[[float, int, float], float]  # (x, n, alpha) -> edge count
+    value: Callable[[CheckpointRecord, int], float]  # (record, n) -> statistic
+    predict: Callable[[float, float], float]  # (alpha, x) -> theory value
+
+
+_SWEEP_KINDS = {
+    "rho_vs_eps": _SweepKind(
+        "eps", "eps,m,l1_over_n_mean,l1_over_n_stderr,rho_theory", 10_000,
+        lambda eps, n, a: theory.m_crit(a, n) * (1 + eps),
+        lambda rec, n: rec.l1 / n, theory.rho),
+    "susceptibility_vs_t": _SweepKind(
+        "t", "t,m,s_mean,s_stderr,s_theory", 20_000,
+        lambda t, n, a: t * n,
+        lambda rec, n: rec.s, theory.susceptibility_closed),
+}
+
+
 def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     """Grid sweep: one CSV row per grid point with simulation and theory
-    side by side.  Kinds: rho_vs_eps, susceptibility_vs_t."""
-    kind = _need(sweep, "kind", str, "")
+    side by side.  Kinds: rho_vs_eps, susceptibility_vs_t.  Every grid
+    point and its theory value is checked before any simulation runs."""
+    if not isinstance(sweep, dict):
+        raise SpecError(": top level must be an object")
+    kind_name = _need(sweep, "kind", str, "")
+    kind = _SWEEP_KINDS.get(kind_name)
+    if kind is None:
+        raise SpecError(f"kind: unknown sweep kind {kind_name!r}")
     n = _need(sweep, "n", int, "")
     alpha = _need(sweep, "alpha", float, "")
     replicates = _need(sweep, "replicates", int, "")
-    seed = int(sweep.get("seed", 0))
+    seed = _need(sweep, "seed", int, "") if "seed" in sweep else 0
     mode = sweep.get("mode", "multigraph")
-    a = math.inf if alpha == math.inf else alpha
-    lines: list[str]
-    if kind == "rho_vs_eps":
-        grid = [float(x) for x in _need(sweep, "eps", list, "")]
-        lines = ["eps,m,l1_over_n_mean,l1_over_n_stderr,rho_theory"]
-        for i, eps in enumerate(grid):
-            m = int(round(theory.m_crit(a, n) * (1 + eps)))
-            cfg = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode,
-                                m_max=m, checkpoints=(m,), seed=seed)
-            trajs = run_replicates(cfg, replicate_seed(seed, 10_000 + i), replicates, jobs)
-            vals = [t.records[-1].l1 / n for t in trajs]
-            mean = sum(vals) / len(vals)
-            sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)) if len(vals) > 1 else 0.0
-            stderr = sd / math.sqrt(len(vals))
-            lines.append(f"{_fmt(eps)},{m},{_fmt(mean)},{_fmt(stderr)},{_fmt(theory.rho(a, eps))}")
-    elif kind == "susceptibility_vs_t":
-        grid = [float(x) for x in _need(sweep, "t", list, "")]
-        lines = ["t,m,s_mean,s_stderr,s_theory"]
-        for i, t in enumerate(grid):
-            m = int(round(t * n))
-            cfg = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode,
-                                m_max=m, checkpoints=(m,), seed=seed)
-            trajs = run_replicates(cfg, replicate_seed(seed, 20_000 + i), replicates, jobs)
-            vals = [t_.records[-1].s for t_ in trajs]
-            mean = sum(vals) / len(vals)
-            sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)) if len(vals) > 1 else 0.0
-            stderr = sd / math.sqrt(len(vals))
-            lines.append(f"{_fmt(t)},{m},{_fmt(mean)},{_fmt(stderr)},{_fmt(theory.susceptibility_closed(a, t))}")
-    else:
-        raise SpecError(f"kind: unknown sweep kind {kind!r}")
+    grid = _need(sweep, kind.grid_key, list, "")
+    if replicates < 1:
+        raise SpecError("replicates: must be >= 1")
+    base = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode, seed=seed)
+    try:
+        base.validate()
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    points = []
+    for i, x in enumerate(grid):
+        field = f"{kind.grid_key}[{i}]"
+        try:
+            x = float(x)
+            m = int(round(kind.m_of(x, n, alpha)))
+            if mode == "simple" and m > n * (n - 1) // 2:
+                raise ValueError(f"m = {m} exceeds the {n * (n - 1) // 2} pairs of a simple graph")
+            cfg = replace(base, m_max=m, checkpoints=(m,))
+            cfg.validate()
+            points.append((x, cfg, kind.predict(alpha, x)))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{field}: {exc}") from None
+    lines = [kind.header]
+    for i, (x, cfg, predicted) in enumerate(points):
+        trajs = run_replicates(cfg, replicate_seed(seed, kind.seed_offset + i), replicates, jobs)
+        stat = stats._mc_stat([kind.value(t.records[-1], n) for t in trajs])
+        lines.append(f"{_fmt(x)},{cfg.m_max},{_fmt(stat.mean)},{_fmt(stat.stderr)},{_fmt(predicted)}")
     Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return lines
 
@@ -563,10 +602,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(_json_dumps(pred.to_json_dict()), end="")
         return 0
     if args.command == "sweep":
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         try:
-            cmd_sweep(data, args.out, args.jobs)
+            cmd_sweep(_load_json(args.spec), args.out, args.jobs)
         except SpecError as exc:
             print(f"spec error: {exc}", file=sys.stderr)
             return 2

@@ -9,9 +9,10 @@ so equality assertions are exact.  Bounds are deliberately tiny.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
 GraphKey = tuple[tuple[int, int], ...]
@@ -74,6 +75,27 @@ def enumerate_process(n: int, m: int, alpha, mode: str = "multigraph") -> dict[G
                             nxt[canonical_key(key + ((v, w),))] += pr * 2 * wts[v] * wts[w] / norm
         dist = dict(nxt)
     return dist
+
+
+def enumerate_conditioned_degrees(n: int, m: int, alpha) -> dict[tuple[int, ...], Fraction]:
+    """Exact law of iid NB(alpha, p) degrees conditioned on total 2m.
+
+    P(x) is proportional to prod_i (alpha)_{x_i} / x_i!, for any p; this is
+    also the degree marginal of the m-step multigraph process.
+    """
+    if n > _MAX_PROCESS_N or m > _MAX_PROCESS_M or n < 1 or m < 0:
+        raise ValueError(f"instance out of oracle bounds: n={n}, m={m}")
+    a = Fraction(alpha)
+    if a <= 0:
+        raise ValueError("alpha must be positive")
+    # term[k] = (a)_k / k!
+    term = [Fraction(1)]
+    for k in range(2 * m):
+        term.append(term[-1] * (a + k) / (k + 1))
+    weights = {x: math.prod(term[k] for k in x)
+               for x in product(range(2 * m + 1), repeat=n) if sum(x) == 2 * m}
+    total = sum(weights.values())
+    return {x: w / total for x, w in weights.items()}
 
 
 def enumerate_cm(deg) -> dict[GraphKey, Fraction]:

@@ -16,6 +16,10 @@ Three step engines cover the weight rules:
 
 Simple mode always works by rejection of a proportional proposal, so the
 accepted edge has exactly the conditional law on addable pairs.
+
+The degree-sequence samplers are exact too: sample_conditioned_degrees
+draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
+it equals, with no rejection.
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ class ProcessExhausted(RuntimeError):
         super().__init__(message)
         self.m_reached = m_reached
         self.trajectory = trajectory
-
-
-class SamplingBudgetExceeded(RuntimeError):
-    """A rejection sampler exceeded its attempt budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,43 +157,14 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# urn
-# ---------------------------------------------------------------------------
-
-
-class UrnState:
-    """Sequential vertex draws with P(v) = (count of v in draws + alpha)/(i + alpha n)."""
-
-    __slots__ = ("n", "alpha", "draws")
-
-    def __init__(self, n: int, alpha: float, draws: list[int] | None = None):
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
-        self.n = n
-        self.alpha = alpha
-        self.draws = [] if draws is None else draws
-
-    def sample(self, rng: random.Random) -> int:
-        """One draw under the current history, without committing it."""
-        i = len(self.draws)
-        an = self.alpha * self.n
-        if rng.random() * (i + an) < an:
-            return int(rng.random() * self.n)
-        return self.draws[int(rng.random() * i)]
-
-    def draw(self, rng: random.Random) -> int:
-        v = self.sample(rng)
-        self.draws.append(v)
-        return v
-
-
-def urn_draw(urn: UrnState, rng: random.Random) -> int:
-    return urn.draw(rng)
-
-
-# ---------------------------------------------------------------------------
 # step engines
 # ---------------------------------------------------------------------------
+
+
+def _check_not_complete(g: MultiGraph):
+    """Simple mode: raise before a rejection loop that no pair can end."""
+    if g.num_distinct_pairs == g.n * (g.n - 1) // 2:
+        raise ProcessExhausted("graph is complete")
 
 
 class _UrnPairEngine:
@@ -222,8 +193,7 @@ class _UrnPairEngine:
                 j = int(rand() * (i + 1))
                 w = v if j == i else ends[j]
             return v, w
-        if g.num_distinct_pairs == n * (n - 1) // 2:
-            raise ProcessExhausted("graph is complete")
+        _check_not_complete(g)
         has_edge = g.has_edge
         t = i + an
         for _ in range(_REJECTION_CAP):
@@ -393,6 +363,7 @@ class _WeightTableEngine:
         if self.simple:
             if off_diag <= 0:
                 raise ProcessExhausted("no positive-weight pair remains")
+            _check_not_complete(self.g)
             has_edge = self.g.has_edge
             for _ in range(_REJECTION_CAP):
                 v = fen.sample(rand() * total)
@@ -460,24 +431,6 @@ class ProcessState:
         self.tracker.union(v, w)
         self.engine.sync(v, w)
         return v, w
-
-
-def step_multigraph(state: ProcessState, rng: random.Random) -> tuple[int, int]:
-    if state.cfg.mode != "multigraph":
-        raise ValueError("state is not in multigraph mode")
-    return state.step(rng)
-
-
-def step_simple(state: ProcessState, rng: random.Random) -> tuple[int, int]:
-    if state.cfg.mode != "simple":
-        raise ValueError("state is not in simple mode")
-    return state.step(rng)
-
-
-def step_general_f(state: ProcessState, rng: random.Random) -> tuple[int, int]:
-    if not isinstance(state.cfg.weight_rule, GeneralF):
-        raise ValueError("state does not use a general attachment function")
-    return state.step(rng)
 
 
 def _degree_pairs(deg: list[int]) -> tuple[tuple[int, int], ...]:
@@ -640,36 +593,20 @@ def sample_birth_degrees(n: int, alpha: float, t: float, rng: random.Random) -> 
     return out
 
 
-def sample_conditioned_degrees(n: int, alpha: float, m: int, rng: random.Random,
-                               max_attempts: int | None = None) -> list[int]:
-    """iid NB(alpha, p_n) conditioned on total 2m, by rejection.
+def sample_conditioned_degrees(n: int, alpha: float, m: int, rng: random.Random) -> list[int]:
+    """iid NB(alpha, p) conditioned on total 2m, drawn exactly.
 
-    p_n = 2m/(n alpha + 2m) centres the sum on 2m, so acceptance is
-    Theta(n^{-1/2}); the default budget is 10^4 sqrt(n) attempts.
+    For any p that law is Dirichlet-multinomial(2m; alpha, ..., alpha), the
+    degree count of 2m Polya-urn draws (Blackwell & MacQueen 1973), so it is
+    sampled as theta ~ Dirichlet(alpha, ..., alpha), then
+    Multinomial(2m, theta).  numpy is seeded from one rng.getrandbits(64).
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return [0] * n
-    if max_attempts is None:
-        max_attempts = int(10_000 * math.sqrt(n))
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    p = 2 * m / (n * alpha + 2 * m)
     npr = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-    target = 2 * m
-    chunk = max(1, min(max_attempts, 1 + (1 << 22) // n))
-    attempts = 0
-    while attempts < max_attempts:
-        b = min(chunk, max_attempts - attempts)
-        draws = npr.negative_binomial(alpha, 1 - p, size=(b, n))
-        sums = draws.sum(axis=1)
-        hits = np.nonzero(sums == target)[0]
-        if hits.size:
-            return [int(x) for x in draws[hits[0]]]
-        attempts += b
-    raise SamplingBudgetExceeded(
-        f"no sum-{target} sample in {max_attempts} attempts (n={n}, alpha={alpha}, m={m})"
-    )
+    theta = npr.dirichlet(np.full(n, float(alpha)))
+    return npr.multinomial(2 * m, theta).tolist()

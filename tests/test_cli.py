@@ -53,6 +53,14 @@ def test_spec_field_errors():
     bad["checkpoints"] = [0, 400]
     with pytest.raises(cli.SpecError, match="checkpoints"):
         cli.parse_spec(bad)
+    bad["checkpoints"] = [0.5, "one"]
+    bad["checkpoints_rel"] = True
+    with pytest.raises(cli.SpecError, match="checkpoints"):
+        cli.parse_spec(bad)
+    bad = json.loads(json.dumps(BASE_SPEC))
+    bad["seed"] = "x"
+    with pytest.raises(cli.SpecError, match="seed"):
+        cli.parse_spec(bad)
 
 
 def test_relative_checkpoints_resolve_against_m_c():
@@ -121,6 +129,21 @@ def test_simulate_rejects_bad_spec(tmp_path, capsys):
     spec_path = write_spec(tmp_path, data)
     assert cli.main(["simulate", "--spec", spec_path, "--out", str(tmp_path)]) == 2
     assert "replicates" in capsys.readouterr().err
+
+
+def test_simulate_rejects_eps_outside_theory_domain(tmp_path, capsys):
+    data = json.loads(json.dumps(BASE_SPEC))
+    data["weight_rule"] = {"kind": "negative_integer", "r": 3}
+    data["comparison"] = {"eps": 5}
+    spec_path = write_spec(tmp_path, data)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["simulate", "--spec", spec_path, "--out", str(out), "--jobs", "1"]) == 2
+    assert "comparison.eps" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    data["comparison"] = {"eps": "big"}
+    with pytest.raises(cli.SpecError, match="comparison.eps"):
+        cli.parse_spec(data)
 
 
 def test_theory_command(capsys):
@@ -227,6 +250,36 @@ def test_sweep_susceptibility_grid(tmp_path):
     for row in rows:
         t, _, mean, _, theo = row
         assert abs(float(mean) - float(theo)) < 0.1 * float(theo)
+
+
+@pytest.mark.parametrize("sweep, field", [
+    ({"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.1, 0.3], "n": 200,
+      "replicates": 2}, "t[1]"),
+    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [20], "n": 4, "replicates": 2,
+      "mode": "simple"}, "eps[0]"),
+])
+def test_sweep_rejects_bad_grid_before_compute(tmp_path, capsys, monkeypatch, sweep, field):
+    def no_runs(*args):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(cli, "run_replicates", no_runs)
+    spec_path = write_spec(tmp_path, sweep, "sweep.json")
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", "--spec", spec_path, "--out", str(out), "--jobs", "1"]) == 2
+    assert f"spec error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"kind": "rho_vs_eps", "eps": [0.1', "[1, 2]",
+                                  '{"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.5], '
+                                  '"n": 100, "replicates": 1, "seed": "x"}'])
+def test_sweep_rejects_malformed_spec(tmp_path, capsys, text):
+    path = tmp_path / "sweep.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+    assert "spec error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_quick_passes_and_perturbation_fails(capsys):

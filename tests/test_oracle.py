@@ -99,6 +99,17 @@ def test_conditional_equivalence_full_grid():
                 assert oracle.verify_conditional_equivalence(n, m, a).ok
 
 
+def test_conditioned_degrees_equal_process_degree_marginal():
+    for n in (1, 2, 3):
+        for m in (0, 1, 2):
+            for a in (F(1, 2), 1, 2):
+                marginal = {}
+                for key, pr in oracle.enumerate_process(n, m, a, "multigraph").items():
+                    deg = oracle.degrees_of(key, n)
+                    marginal[deg] = marginal.get(deg, 0) + pr
+                assert oracle.enumerate_conditioned_degrees(n, m, a) == marginal
+
+
 def test_rewiring_single_vertex_trivially_stationary():
     for m in (1, 2):
         assert oracle.verify_rewiring_stationarity(1, m, 1, "current").ok

@@ -16,44 +16,6 @@ def lin_cfg(n, alpha, mode, m_max, checkpoints=(), seed=0):
 
 
 # ---------------------------------------------------------------------------
-# urn law
-# ---------------------------------------------------------------------------
-
-
-def test_urn_first_draw_uniform():
-    rng = random.Random(0)
-    counts = Counter(P.UrnState(4, 1.0).sample(rng) for _ in range(40_000))
-    for v in range(4):
-        assert abs(counts[v] / 40_000 - 0.25) < 0.01
-
-
-def test_urn_conditional_law_after_history():
-    # with history (0,) at n=2, alpha=1 the next draw is 0 w.p. 2/3
-    rng = random.Random(1)
-    hits = sum(P.UrnState(2, 1.0, draws=[0]).sample(rng) == 0 for _ in range(60_000))
-    assert abs(hits / 60_000 - 2 / 3) < 0.01
-
-
-def test_urn_sequence_probability():
-    # P(draws == (0, 0)) = 1/3 at n=2, alpha=1
-    rng = random.Random(2)
-    hits = 0
-    for _ in range(60_000):
-        urn = P.UrnState(2, 1.0)
-        a = urn.draw(rng)
-        b = urn.draw(rng)
-        hits += (a, b) == (0, 0)
-    assert abs(hits / 60_000 - 1 / 3) < 0.01
-
-
-def test_urn_draw_commits():
-    urn = P.UrnState(3, 1.0)
-    rng = random.Random(3)
-    vals = [P.urn_draw(urn, rng) for _ in range(5)]
-    assert urn.draws == vals
-
-
-# ---------------------------------------------------------------------------
 # exact tiny-instance laws (the oracle is the reference)
 # ---------------------------------------------------------------------------
 
@@ -149,16 +111,6 @@ def test_config_validation_errors():
         P.ProcessConfig(n=4, weight_rule=P.NegativeInteger(3), mode="simple", m_max=7).validate()
 
 
-def test_step_wrappers_enforce_mode():
-    state = P.ProcessState(lin_cfg(3, 1.0, "multigraph", 2))
-    rng = random.Random(0)
-    P.step_multigraph(state, rng)
-    with pytest.raises(ValueError):
-        P.step_simple(state, rng)
-    with pytest.raises(ValueError):
-        P.step_general_f(state, rng)
-
-
 # ---------------------------------------------------------------------------
 # general attachment functions
 # ---------------------------------------------------------------------------
@@ -204,6 +156,16 @@ def test_general_f_exhausts_when_weights_vanish():
     # every vertex saturates at degree 1, so no third edge exists
     with pytest.raises(P.ProcessExhausted):
         P.run_process(cfg)
+
+
+def test_general_f_simple_reports_complete_graph():
+    # K3 holds three simple edges; the fourth step must not burn the
+    # rejection budget
+    cfg = P.ProcessConfig(n=3, weight_rule=P.GeneralF(table=(1.0,)), mode="simple",
+                          m_max=4, seed=15)
+    with pytest.raises(P.ProcessExhausted, match="complete") as err:
+        P.run_process(cfg)
+    assert err.value.m_reached == 3
 
 
 def test_general_f_rejects_bad_tables():
@@ -395,17 +357,15 @@ def test_conditioned_degrees_zero_edges():
     assert P.sample_conditioned_degrees(7, 1.0, 0, random.Random(0)) == [0] * 7
 
 
-def test_conditioned_degrees_tiny_exact_law():
-    # exact conditional law at n=2, alpha=1, m=1: all three splits carry 1/3
-    # (the geometric pmf makes every composition of 2 equally likely)
+@pytest.mark.parametrize("n, alpha, m", [(2, F(1), 1), (3, F(1, 2), 2), (3, F(2), 2)],
+                         ids=["n2_a1_m1", "n3_a0.5_m2", "n3_a2_m2"])
+def test_conditioned_degrees_tiny_exact_law(n, alpha, m):
     rng = random.Random(27)
-    counts = Counter()
-    for _ in range(60_000):
-        d = P.sample_conditioned_degrees(2, 1.0, 1, rng)
-        counts[tuple(d)] += 1
-    expected = {(2, 0): 1 / 3, (1, 1): 1 / 3, (0, 2): 1 / 3}
-    res = S.chi_square_counts(counts, expected)
-    assert res.pvalue > 1e-3
+    counts = Counter(tuple(P.sample_conditioned_degrees(n, float(alpha), m, rng))
+                     for _ in range(60_000))
+    exact = {k: float(v) for k, v in oracle.enumerate_conditioned_degrees(n, m, alpha).items()}
+    res = S.chi_square_counts(counts, exact)
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
 
 def test_conditioned_degrees_large_scale_marginal():
@@ -416,6 +376,7 @@ def test_conditioned_degrees_large_scale_marginal():
     assert S.tv_distance(hist, T.NegBinomial(1.0, 0.5)) < 0.01
 
 
-def test_conditioned_degrees_budget_error():
-    with pytest.raises(P.SamplingBudgetExceeded):
-        P.sample_conditioned_degrees(3, 1.0, 30, random.Random(1), max_attempts=1)
+def test_conditioned_degrees_reject_bad_alpha():
+    for alpha in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            P.sample_conditioned_degrees(3, alpha, 2, random.Random(0))
