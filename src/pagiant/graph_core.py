@@ -9,9 +9,10 @@ which the susceptibility S = sum |C|^2 / n is read off without a rescan.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 
 class SimpleGraphViolation(ValueError):
@@ -45,9 +46,6 @@ class MultiGraph:
     @property
     def num_distinct_pairs(self) -> int:
         return len(self._pairs)
-
-    def edge(self, i: int) -> tuple[int, int]:
-        return self.ends[2 * i], self.ends[2 * i + 1]
 
     def edges(self):
         ends = self.ends
@@ -118,9 +116,6 @@ class MultiGraph:
         if c:
             self.multi_edges += 1
 
-    def degree_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.deg).items()))
-
 
 class MergeInfo(NamedTuple):
     merged: bool
@@ -150,13 +145,6 @@ class ComponentTracker:
         self.size = [1] * n
         self.sum_sq = n
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     def union(self, v: int, w: int) -> MergeInfo:
         parent = self.parent
         while parent[v] != v:
@@ -176,25 +164,14 @@ class ComponentTracker:
         self.sum_sq += 2 * s1 * s2
         return MergeInfo(True, s1, s2)
 
-    def component_size(self, v: int) -> int:
-        return self.size[self.find(v)]
-
     def component_stats(self) -> ComponentStats:
         """Scan roots for (L1, L2, S, census).  L2 is 0 when one component."""
-        parent = self.parent
-        size = self.size
-        l1 = l2 = 0
-        census: Counter[int] = Counter()
-        n_components = 0
-        for i in range(self.n):
-            if parent[i] == i:
-                s = size[i]
-                census[s] += 1
-                n_components += 1
-                if s >= l1:
-                    l1, l2 = s, l1
-                elif s > l2:
-                    l2 = s
-        if n_components == 1:
-            l2 = 0
-        return ComponentStats(l1, l2, Fraction(self.sum_sq, self.n), dict(sorted(census.items())))
+        roots = np.flatnonzero(np.asarray(self.parent) == np.arange(self.n))
+        sizes, counts = np.unique(np.asarray(self.size)[roots], return_counts=True)
+        l1 = int(sizes[-1])
+        if counts[-1] > 1:
+            l2 = l1
+        else:
+            l2 = int(sizes[-2]) if len(sizes) > 1 else 0
+        census = dict(zip(sizes.tolist(), counts.tolist()))
+        return ComponentStats(l1, l2, Fraction(self.sum_sq, self.n), census)

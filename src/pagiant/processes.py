@@ -10,9 +10,10 @@ Three step engines cover the weight rules:
     r stubs, a step pairs two uniform distinct stubs (multigraph), or
     rejects loops/duplicates (simple), with an exact endgame enumeration
     once few stubs remain.
-  * GeneralF -- per-vertex weights f(d_v) in a prefix-sum tree; loop mass
-    f(d_v) f(d_v+1) is kept in a second tree so the multigraph step law is
-    sampled exactly by branching between loop and non-loop mass.
+  * GeneralF -- one member list per occupied degree class: an endpoint is
+    a class k drawn with weight N_k f(k), then a uniform member, and the
+    multigraph step law is sampled exactly by branching between the loop
+    mass sum N_k f(k) f(k+1) and the non-loop mass.
 
 Simple mode always works by rejection of a proportional proposal, so the
 accepted edge has exactly the conditional law on addable pairs.
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -245,6 +248,7 @@ class _StubEngine:
             return v, w
         if s <= _STUB_EXACT_THRESHOLD:
             return self._sample_exact(rng)
+        _check_not_complete(self.g)
         has_edge = self.g.has_edge
         for _ in range(_REJECTION_CAP):
             a = int(rand() * s)
@@ -286,120 +290,105 @@ class _StubEngine:
         pass
 
 
-class _SumTree:
-    """Flat binary indexed sum tree over float weights; O(log n) update/sample."""
+class _DegreeClassEngine:
+    """GeneralF steps over degree classes.
 
-    __slots__ = ("size", "tree")
+    f(d_v) depends only on the degree, so vertices of one degree are
+    interchangeable: an endpoint is a class k drawn with weight N_k f(k)
+    (N_k f(k) f(k+1) for a loop), then a uniform member of that class.
+    members[k] lists the vertices of degree k and pos[v] is v's index in
+    its list.  The masses are summed from the class sizes on every draw, so
+    no round-off accumulates over a run.
+    """
 
-    def __init__(self, weights: Sequence[float]):
-        size = 1
-        while size < len(weights):
-            size *= 2
-        tree = [0.0] * (2 * size)
-        tree[size:size + len(weights)] = [float(x) for x in weights]
-        for i in range(size - 1, 0, -1):
-            tree[i] = tree[2 * i] + tree[2 * i + 1]
-        self.size = size
-        self.tree = tree
-
-    @property
-    def total(self) -> float:
-        return self.tree[1]
-
-    def get(self, i: int) -> float:
-        return self.tree[self.size + i]
-
-    def set(self, i: int, w: float):
-        tree = self.tree
-        i += self.size
-        tree[i] = w
-        i //= 2
-        while i:
-            tree[i] = tree[2 * i] + tree[2 * i + 1]
-            i //= 2
-
-    def sample(self, u: float) -> int:
-        """Index of the leaf whose cumulative-weight interval contains u."""
-        tree = self.tree
-        size = self.size
-        i = 1
-        while i < size:
-            i *= 2
-            left = tree[i]
-            if u >= left:
-                u -= left
-                i += 1
-        leaf = i - size
-        if tree[i] <= 0.0:
-            # float round-off pushed u past the last positive leaf
-            for j in range(2 * size - 1, size - 1, -1):
-                if tree[j] > 0.0:
-                    return j - size
-            raise ProcessExhausted("all weights vanished")
-        return leaf
-
-
-class _WeightTableEngine:
-    """GeneralF steps; keeps f(d_v) and the loop mass f(d_v) f(d_v+1) in trees."""
-
-    __slots__ = ("g", "rule", "simple", "fen", "loopfen", "sumsq")
+    __slots__ = ("g", "weight", "simple", "members", "pos", "fk")
 
     def __init__(self, g: MultiGraph, rule: GeneralF, simple: bool):
         self.g = g
-        self.rule = rule
+        self.weight = rule.weight
         self.simple = simple
-        w0 = rule.weight(0)
-        self.fen = _SumTree([w0] * g.n)
-        self.sumsq = g.n * w0 * w0
-        self.loopfen = None if simple else _SumTree([w0 * rule.weight(1)] * g.n)
+        self.members = {0: list(range(g.n))}
+        self.pos = list(range(g.n))
+        # fk[k] = f(k), filled up to the top degree + 1 as classes appear
+        self.fk = [rule.weight(0), rule.weight(1)]
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
-        fen = self.fen
-        total = fen.total
-        off_diag = total * total - self.sumsq
-        if off_diag < 0:
-            off_diag = 0.0
+        members = self.members
+        fk = self.fk
+        classes = []
+        cum = []
+        total = sumsq = loop_mass = 0.0
+        for k, vs in members.items():
+            f = fk[k]
+            a = len(vs) * f
+            total += a
+            sumsq += a * f
+            loop_mass += a * fk[k + 1]
+            classes.append(vs)
+            cum.append(total)
+        off_diag = total * total - sumsq
         rand = rng.random
+
+        def pick(cum: list[float]) -> int:
+            i = bisect_right(cum, rand() * cum[-1])
+            if i == len(cum):
+                # round-off carried the draw past the end: take the last
+                # class of positive weight, never a zero-weight one
+                i = bisect_left(cum, cum[-1])
+            vs = classes[i]
+            return vs[int(rand() * len(vs))]
+
         if self.simple:
             if off_diag <= 0:
                 raise ProcessExhausted("no positive-weight pair remains")
             _check_not_complete(self.g)
             has_edge = self.g.has_edge
             for _ in range(_REJECTION_CAP):
-                v = fen.sample(rand() * total)
-                w = fen.sample(rand() * total)
+                v = pick(cum)
+                w = pick(cum)
                 if v != w and not has_edge(v, w):
                     return v, w
             raise ProcessExhausted("rejection budget exhausted in simple mode")
-        loop_mass = self.loopfen.total
         z = off_diag + loop_mass
         if z <= 0:
             raise ProcessExhausted("all step weights are zero")
         if rand() * z < loop_mass:
-            v = self.loopfen.sample(rand() * loop_mass)
+            v = pick(list(accumulate(len(vs) * fk[k] * fk[k + 1] for k, vs in members.items())))
             return v, v
         for _ in range(_REJECTION_CAP):
-            v = fen.sample(rand() * total)
-            w = fen.sample(rand() * total)
+            v = pick(cum)
+            w = pick(cum)
             if v != w:
                 return v, w
         raise ProcessExhausted("rejection budget exhausted")
 
-    def _sync_vertex(self, v: int):
-        weight = self.rule.weight
-        d = self.g.deg[v]
-        old = self.fen.get(v)
-        new = weight(d)
-        if new != old:
-            self.fen.set(v, new)
-            self.sumsq += new * new - old * old
-        if self.loopfen is not None:
-            self.loopfen.set(v, new * weight(d + 1))
+    def _move(self, v: int, old: int, new: int):
+        members = self.members
+        pos = self.pos
+        vs = members[old]
+        i = pos[v]
+        last = vs.pop()
+        if i < len(vs):
+            vs[i] = last
+            pos[last] = i
+        elif not vs:
+            del members[old]
+        dest = members.get(new)
+        if dest is None:
+            dest = members[new] = []
+            fk = self.fk
+            while len(fk) <= new + 1:
+                fk.append(self.weight(len(fk)))
+        pos[v] = len(dest)
+        dest.append(v)
 
     def sync(self, v: int, w: int):
-        self._sync_vertex(v)
-        if w != v:
-            self._sync_vertex(w)
+        deg = self.g.deg
+        if v == w:
+            self._move(v, deg[v] - 2, deg[v])
+        else:
+            self._move(v, deg[v] - 1, deg[v])
+            self._move(w, deg[w] - 1, deg[w])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +412,7 @@ class ProcessState:
         elif isinstance(rule, NegativeInteger):
             self.engine = _StubEngine(self.graph, rule.r, simple)
         else:
-            self.engine = _WeightTableEngine(self.graph, rule, simple)
+            self.engine = _DegreeClassEngine(self.graph, rule, simple)
 
     def step(self, rng: random.Random) -> tuple[int, int]:
         v, w = self.engine.sample(rng)

@@ -227,16 +227,6 @@ def limit_edge_probability(a, eps: float) -> float:
     return (1 + eps) / (a + 2 + eps)
 
 
-def degree_model_at(a, eps: float) -> DegreeModel:
-    """The limiting degree model at m = m_c(1+eps)."""
-    a = _check_shape(a)
-    if a == INF:
-        return Poisson(1 + eps)
-    if a < 0:
-        return Binomial(int(-a), limit_edge_probability(a, eps))
-    return NegBinomial(a, limit_edge_probability(a, eps))
-
-
 def _check_supercritical(a, eps: float) -> float:
     a = _check_shape(a)
     if not eps > 0:

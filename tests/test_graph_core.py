@@ -127,8 +127,10 @@ def test_sum_sq_matches_recompute_under_random_unions():
         assert sum(sizes) == n
         assert t.sum_sq == sum(s * s for s in sizes)
         l1, l2, s, census = t.component_stats()
-        assert l1 + l2 <= n
-        assert sum(k * c for k, c in census.items()) == n
+        top = sorted(sizes, reverse=True) + [0]
+        assert (l1, l2) == (top[0], top[1])
+        assert census == dict(sorted(Counter(sizes).items()))
+        assert list(census) == sorted(census)
         assert s == Fraction(t.sum_sq, n)
 
 

@@ -3,8 +3,10 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pagiant import oracle, processes as P, stats as S, theory as T
 from pagiant.graph_core import MultiGraph
@@ -124,13 +126,14 @@ def test_uniform_rule_first_edge_uniform_over_pairs():
         assert abs(counts[pair] / 60_000 - 1 / 3) < 0.01
 
 
-def test_affine_table_matches_linear_rule_law():
-    # f(k) = k + 1 must reproduce the alpha = 1 multigraph law
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+def test_affine_table_matches_linear_rule_law(mode):
+    # f(k) = k + 1 must reproduce the alpha = 1 law in either mode
     rng = random.Random(12)
     cfg = P.ProcessConfig(n=3, weight_rule=P.GeneralF(fn=lambda k: k + 1.0),
-                          mode="multigraph", m_max=2)
+                          mode=mode, m_max=2)
     counts = P.sample_process_outcomes(cfg, 300_000, rng)
-    exact = {k: float(v) for k, v in oracle.enumerate_process(3, 2, 1, "multigraph").items()}
+    exact = {k: float(v) for k, v in oracle.enumerate_process(3, 2, 1, mode).items()}
     res = S.chi_square_counts(counts, exact)
     assert res.pvalue > 1e-3
 
@@ -166,6 +169,45 @@ def test_general_f_simple_reports_complete_graph():
     with pytest.raises(P.ProcessExhausted, match="complete") as err:
         P.run_process(cfg)
     assert err.value.m_reached == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=6),
+       n=st.integers(1, 40), steps=st.integers(0, 60),
+       mode=st.sampled_from(["multigraph", "simple"]), seed=st.integers(0, 2 ** 32))
+def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
+    # every vertex sits in the class of its degree, at the index pos says
+    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
+                                           mode=mode, m_max=steps))
+    engine = state.engine
+    rng = random.Random(seed)
+    for _ in range(steps):
+        try:
+            state.step(rng)
+        except P.ProcessExhausted:
+            break
+        assert all(vs for vs in engine.members.values())
+        assert sum(len(vs) for vs in engine.members.values()) == n
+        for k, vs in engine.members.items():
+            for i, v in enumerate(vs):
+                assert state.graph.deg[v] == k
+                assert engine.pos[v] == i
+
+
+def test_class_draw_past_the_end_skips_zero_weight_classes():
+    # a class draw at the very top of the cumulative mass (float round-off)
+    # must fall back to the last positive-weight class, never to degree 3
+    # where f = 0, even when that class comes last
+    state = P.ProcessState(P.ProcessConfig(n=4, weight_rule=P.GeneralF(table=(3.0, 2.0, 1.0, 0.0)),
+                                           mode="multigraph", m_max=3))
+    for v, w in ((0, 1), (0, 0)):
+        state.graph.add_edge(v, w)
+        state.engine.sync(v, w)
+    assert list(state.engine.members) == [0, 1, 3]
+    # non-loop branch; v: class draw 1.0, then member 0; w: class 0, member 0
+    draws = iter([0.99, 1.0, 0.0, 0.0, 0.0])
+    v, w = state.engine.sample(SimpleNamespace(random=draws.__next__))
+    assert state.graph.deg[v] == 1 and state.graph.deg[w] == 0
 
 
 def test_general_f_rejects_bad_tables():
@@ -210,6 +252,15 @@ def test_stub_rule_simple_tiny_instance_exhausts():
     with pytest.raises(P.ProcessExhausted) as err:
         P.run_process(cfg)
     assert err.value.m_reached == 3
+
+
+def test_stub_rule_simple_reports_complete_graph():
+    # r = 30 on 20 vertices reaches K20 at m = 190 with 220 stubs still free
+    cfg = P.ProcessConfig(n=20, weight_rule=P.NegativeInteger(30), mode="simple",
+                          m_max=300, seed=18)
+    with pytest.raises(P.ProcessExhausted, match="complete") as err:
+        P.run_process(cfg)
+    assert err.value.m_reached == 190
 
 
 def test_stub_rule_matches_linear_negative_shape_law():
