@@ -5,7 +5,7 @@ closed-form/fixed-point predictions for the giant component, and exact
 tiny-instance oracles backing the test suite.
 """
 
-from .graph_core import ComponentTracker, MergeInfo, MultiGraph, SimpleGraphViolation
+from .graph_core import ComponentTracker, MultiGraph, SimpleGraphViolation
 from .processes import (
     GeneralF,
     LinearAlpha,

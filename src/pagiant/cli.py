@@ -270,18 +270,16 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
 
     exhausted = {str(r): t.m_reached for r, t in enumerate(trajectories) if t.exhausted}
     # aggregate over the longest schedule shared by every replicate
-    schedules = [[rec.m for rec in t.records] for t in trajectories]
-    common = min(range(len(schedules)), key=lambda i: len(schedules[i]))
-    prefix = schedules[common]
+    prefix_len = min(len(t.records) for t in trajectories)
     trimmed = [
-        Trajectory(tuple(t.records[: len(prefix)]), t.m_reached, t.exhausted)
+        Trajectory(tuple(t.records[:prefix_len]), t.m_reached, t.exhausted)
         for t in trajectories
     ]
     summary: dict[str, Any] = {
         "spec": spec.to_dict(),
         "exhausted": exhausted,
     }
-    if spec.replicates >= 2 and prefix:
+    if spec.replicates >= 2 and prefix_len:
         summary["mc"] = stats.aggregate(trimmed, cfg.n).to_json_dict()
     record = _theory_record(cfg, spec.comparison_eps)
     if record is not None:
@@ -374,7 +372,7 @@ class CheckResult:
     detail: str
 
 
-def _theory_checks(rho_fn: Callable[[Any, float], float]) -> list[CheckResult]:
+def _theory_checks() -> list[CheckResult]:
     out = []
 
     # the two closed forms of the giant fraction agree on a parameter grid
@@ -382,7 +380,7 @@ def _theory_checks(rho_fn: Callable[[Any, float], float]) -> list[CheckResult]:
     for a in (0.1, 1.0, 10.0, math.inf):
         for eps in (1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 10.0):
             xi = theory.solve_xi(a, eps)
-            power = rho_fn(a, eps)
+            power = theory.rho(a, eps)
             if a == math.inf:
                 product = 1 - xi
             else:
@@ -391,7 +389,7 @@ def _theory_checks(rho_fn: Callable[[Any, float], float]) -> list[CheckResult]:
     for a in (-3.0, -5.0):
         for eps in (1e-3, 1e-2, 0.1, min(0.9, -a - 2.1)):
             xi = theory.solve_xi(a, eps)
-            power = rho_fn(a, eps)
+            power = theory.rho(a, eps)
             product = (1 - xi) * (1 - (1 + eps) * xi / (a + 1))
             worst = max(worst, abs(power - product))
     out.append(CheckResult("rho_forms_agree", worst < 1e-10, f"max |power-product| = {worst:.2e}"))
@@ -400,7 +398,7 @@ def _theory_checks(rho_fn: Callable[[Any, float], float]) -> list[CheckResult]:
     ok = True
     for a in (0.1, 1.0, 10.0, math.inf):
         for eps in (1e-3, 0.1, 1.0, 10.0):
-            r = rho_fn(a, eps)
+            r = theory.rho(a, eps)
             ok = ok and 0 < r < 2 * eps
     out.append(CheckResult("rho_bounds", ok, "0 < rho < 2 eps on positive-shape grid"))
 
@@ -412,7 +410,7 @@ def _theory_checks(rho_fn: Callable[[Any, float], float]) -> list[CheckResult]:
             c = (1 + eps) * c_a
             cstar = theory.pittel_cstar(a, c)
             lhs = -math.expm1(a * (math.log(a + cstar) - math.log(a + c)))
-            worst = max(worst, abs(lhs - rho_fn(a, eps)))
+            worst = max(worst, abs(lhs - theory.rho(a, eps)))
     out.append(CheckResult("pittel_equivalence", worst < 1e-8, f"max residual = {worst:.2e}"))
 
     # kinetic-theory time change matches near the critical point
@@ -420,7 +418,7 @@ def _theory_checks(rho_fn: Callable[[Any, float], float]) -> list[CheckResult]:
     worst = 0.0
     for eps in (1e-3, 1e-2, 1e-1):
         t = theory.bnk_map(4.0, 1.0 + eps)  # m = (1+eps) n/4 with n = 4
-        dev = abs(theory.bnk_giant(t) - rho_fn(1.0, eps))
+        dev = abs(theory.bnk_giant(t) - theory.rho(1.0, eps))
         worst = max(worst, dev / eps ** 2)
         ok = ok and dev < 10 * eps ** 2
     out.append(CheckResult("bnk_compatibility", ok, f"max dev / eps^2 = {worst:.2f}"))
@@ -520,15 +518,11 @@ def _statistical_checks(seed: int) -> list[CheckResult]:
     return out
 
 
-def cmd_verify(level: str = "quick", seed: int = 0,
-               rho_perturbation: float = 1.0) -> tuple[int, dict]:
+def cmd_verify(level: str = "quick", seed: int = 0) -> tuple[int, dict]:
     """Run the oracle/theory suites (quick) plus statistical suites (full)."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
-    rho_fn: Callable[[Any, float], float] = theory.rho
-    if rho_perturbation != 1.0:
-        rho_fn = lambda a, eps: rho_perturbation * theory.rho(a, eps)  # noqa: E731
-    checks = _oracle_checks() + _theory_checks(rho_fn)
+    checks = _oracle_checks() + _theory_checks()
     if level == "full":
         checks += _statistical_checks(seed)
     report = {
@@ -579,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--level", choices=("quick", "full"), default="quick")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--json", default=None, help="also write the report to this path")
-    ver.add_argument("--perturb-rho", type=float, default=1.0, help=argparse.SUPPRESS)
     return parser
 
 
@@ -610,7 +603,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.command == "verify":
         started = time.monotonic()
-        code, report = cmd_verify(args.level, args.seed, args.perturb_rho)
+        code, report = cmd_verify(args.level, args.seed)
         for check in report["checks"]:
             status = "PASS" if check["ok"] else "FAIL"
             print(f"{status} {check['name']}: {check['detail']}")

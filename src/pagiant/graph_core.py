@@ -26,7 +26,7 @@ class MultiGraph:
     the degree of its endpoint.
     """
 
-    __slots__ = ("n", "ends", "deg", "loops", "multi_edges", "_pairs")
+    __slots__ = ("n", "ends", "deg", "loops", "_pairs")
 
     def __init__(self, n: int):
         if n < 1:
@@ -35,7 +35,6 @@ class MultiGraph:
         self.ends: list[int] = []
         self.deg = [0] * n
         self.loops = 0
-        self.multi_edges = 0
         # normalized pair key (min*n + max) -> multiplicity
         self._pairs: dict[int, int] = {}
 
@@ -47,6 +46,11 @@ class MultiGraph:
     def num_distinct_pairs(self) -> int:
         return len(self._pairs)
 
+    @property
+    def multi_edges(self) -> int:
+        """Edges beyond the first copy of each pair (loops included)."""
+        return self.num_edges - len(self._pairs)
+
     def edges(self):
         ends = self.ends
         for i in range(0, len(ends), 2):
@@ -55,10 +59,6 @@ class MultiGraph:
     def has_edge(self, v: int, w: int) -> bool:
         key = v * self.n + w if v <= w else w * self.n + v
         return key in self._pairs
-
-    def multiplicity(self, v: int, w: int) -> int:
-        key = v * self.n + w if v <= w else w * self.n + v
-        return self._pairs.get(key, 0)
 
     def add_edge(self, v: int, w: int, allow_multi: bool = True) -> None:
         n = self.n
@@ -78,10 +78,7 @@ class MultiGraph:
         else:
             self.deg[v] += 1
             self.deg[w] += 1
-        c = self._pairs.get(key, 0)
-        self._pairs[key] = c + 1
-        if c:
-            self.multi_edges += 1
+        self._pairs[key] = self._pairs.get(key, 0) + 1
 
     def replace_edge(self, i: int, v: int, w: int) -> None:
         """Swap edge i for (v, w), keeping the edge count fixed (rewiring)."""
@@ -93,7 +90,6 @@ class MultiGraph:
         c = self._pairs[old_key] - 1
         if c:
             self._pairs[old_key] = c
-            self.multi_edges -= 1
         else:
             del self._pairs[old_key]
         if a == b:
@@ -111,16 +107,7 @@ class MultiGraph:
             self.deg[v] += 1
             self.deg[w] += 1
         new_key = v * n + w if v <= w else w * n + v
-        c = self._pairs.get(new_key, 0)
-        self._pairs[new_key] = c + 1
-        if c:
-            self.multi_edges += 1
-
-
-class MergeInfo(NamedTuple):
-    merged: bool
-    size_a: int
-    size_b: int
+        self._pairs[new_key] = self._pairs.get(new_key, 0) + 1
 
 
 class ComponentStats(NamedTuple):
@@ -145,7 +132,13 @@ class ComponentTracker:
         self.size = [1] * n
         self.sum_sq = n
 
-    def union(self, v: int, w: int) -> MergeInfo:
+    def union(self, v: int, w: int) -> tuple[bool, int, int]:
+        """Merge the components of v and w.
+
+        Returns (merged, size_a, size_b) with the sizes before the merge;
+        when v and w already share a component, both are its size.  A plain
+        tuple, because it is built on every step.
+        """
         parent = self.parent
         while parent[v] != v:
             parent[v] = parent[parent[v]]
@@ -155,19 +148,21 @@ class ComponentTracker:
             w = parent[w]
         size = self.size
         if v == w:
-            return MergeInfo(False, size[v], size[v])
+            return False, size[v], size[v]
         s1, s2 = size[v], size[w]
         if s1 < s2:
             v, w = w, v
         parent[w] = v
         size[v] = s1 + s2
         self.sum_sq += 2 * s1 * s2
-        return MergeInfo(True, s1, s2)
+        return True, s1, s2
 
     def component_stats(self) -> ComponentStats:
         """Scan roots for (L1, L2, S, census).  L2 is 0 when one component."""
-        roots = np.flatnonzero(np.asarray(self.parent) == np.arange(self.n))
-        sizes, counts = np.unique(np.asarray(self.size)[roots], return_counts=True)
+        n = self.n
+        # fromiter reads a list of ints about a third faster than asarray
+        roots = np.flatnonzero(np.fromiter(self.parent, np.int64, n) == np.arange(n))
+        sizes, counts = np.unique(np.fromiter(self.size, np.int64, n)[roots], return_counts=True)
         l1 = int(sizes[-1])
         if counts[-1] > 1:
             l2 = l1

@@ -38,10 +38,13 @@ def degrees_of(key: GraphKey, n: int) -> tuple[int, ...]:
 def enumerate_process(n: int, m: int, alpha, mode: str = "multigraph") -> dict[GraphKey, Fraction]:
     """Exact outcome distribution of the m-step attachment process.
 
-    Multigraph mode uses the one-step law with normalizer
-    (2i+an)(2i+an+1); simple mode restricts to non-adjacent pairs with
-    normalizer (2i+an)^2 - Q(G_i), where Q sums the weights of the
-    unavailable ordered pairs.
+    Vertex weights are d_v + alpha.  Multigraph mode uses the one-step law
+    with normalizer (2i+an)(2i+an+1); simple mode restricts to non-adjacent
+    pairs with normalizer (2i+an)^2 - Q(G_i), where Q sums the weights of
+    the unavailable ordered pairs.  alpha is positive, or an integer -r <= -3
+    for the r-stub rule: every weight d_v - r is then <= 0, the signs cancel
+    in each product, and the loop term (d_v - r)(d_v - r + 1) counts the
+    ordered stub pairs of v.  Outcomes of probability 0 are left out.
     """
     if n > _MAX_PROCESS_N or m > _MAX_PROCESS_M or n < 1 or m < 0:
         raise ValueError(f"instance out of oracle bounds: n={n}, m={m}")
@@ -50,8 +53,8 @@ def enumerate_process(n: int, m: int, alpha, mode: str = "multigraph") -> dict[G
     if mode == "simple" and m > n * (n - 1) // 2:
         raise ValueError(f"a simple graph on {n} vertices cannot reach {m} edges")
     a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    if not (a > 0 or (a.denominator == 1 and a <= -3)):
+        raise ValueError("alpha must be positive or an integer <= -3")
     an = a * n
     dist: dict[GraphKey, Fraction] = {(): Fraction(1)}
     for i in range(m):
@@ -61,19 +64,19 @@ def enumerate_process(n: int, m: int, alpha, mode: str = "multigraph") -> dict[G
             wts = [deg[v] + a for v in range(n)]
             if mode == "multigraph":
                 norm = (2 * i + an) * (2 * i + an + 1)
-                for v in range(n):
-                    nxt[canonical_key(key + ((v, v),))] += pr * wts[v] * (deg[v] + 1 + a) / norm
-                    for w in range(v + 1, n):
-                        nxt[canonical_key(key + ((v, w),))] += pr * 2 * wts[v] * wts[w] / norm
             else:
                 present = set(key)
                 q = 2 * sum(wts[x] * wts[y] for x, y in key) + sum(t * t for t in wts)
                 norm = (2 * i + an) ** 2 - q
-                for v in range(n):
-                    for w in range(v + 1, n):
-                        if (v, w) not in present:
-                            nxt[canonical_key(key + ((v, w),))] += pr * 2 * wts[v] * wts[w] / norm
-        dist = dict(nxt)
+            if norm == 0:
+                raise ValueError(f"no positive-weight addable pair at step {i + 1} from {key}")
+            for v in range(n):
+                if mode == "multigraph":
+                    nxt[canonical_key(key + ((v, v),))] += pr * wts[v] * (deg[v] + 1 + a) / norm
+                for w in range(v + 1, n):
+                    if mode == "multigraph" or (v, w) not in present:
+                        nxt[canonical_key(key + ((v, w),))] += pr * 2 * wts[v] * wts[w] / norm
+        dist = {k: p for k, p in nxt.items() if p}
     return dist
 
 

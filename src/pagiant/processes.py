@@ -8,15 +8,18 @@ Three step engines cover the weight rules:
     P(v) = (d_v(i) + alpha)/(i + alpha*n) in O(1) amortized time.
   * NegativeInteger(r) -- the free half-edge formulation: every vertex owns
     r stubs, a step pairs two uniform distinct stubs (multigraph), or
-    rejects loops/duplicates (simple), with an exact endgame enumeration
-    once few stubs remain.
+    rejects loops/duplicates (simple).
   * GeneralF -- one member list per occupied degree class: an endpoint is
     a class k drawn with weight N_k f(k), then a uniform member, and the
     multigraph step law is sampled exactly by branching between the loop
     mass sum N_k f(k) f(k+1) and the non-loop mass.
 
 Simple mode always works by rejection of a proportional proposal, so the
-accepted edge has exactly the conditional law on addable pairs.
+accepted edge has exactly the conditional law on addable pairs.  When few
+candidates remain (few free stubs, or few positive-weight vertices after a
+long run of rejections under a general f), _sample_addable_pair enumerates
+the addable pairs instead: the same law, and an empty enumeration is
+reported as true exhaustion, not as a spent rejection budget.
 
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
@@ -36,9 +39,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph_core import ComponentTracker, MultiGraph
+from .oracle import canonical_key
 
 _REJECTION_CAP = 10 ** 6
-_STUB_EXACT_THRESHOLD = 64
+# enumerate addable pairs once at most this many stubs (r-stub rule) or
+# positive-weight vertices (general f) remain
+_EXACT_THRESHOLD = 64
+# general-f simple mode checks for that endgame after this many rejections
+_EXACT_AFTER_REJECTIONS = 1000
 
 
 class ProcessExhausted(RuntimeError):
@@ -170,6 +178,35 @@ def _check_not_complete(g: MultiGraph):
         raise ProcessExhausted("graph is complete")
 
 
+def _sample_addable_pair(g: MultiGraph, weight: dict[int, float],
+                         rng: random.Random) -> tuple[int, int]:
+    """Enumerate the addable pairs among the vertices of `weight` and sample
+    one with probability proportional to weight[v] * weight[w].
+
+    This is the law that simple-mode rejection accepts from, so it is exact;
+    and an empty enumeration detects true exhaustion.  One rng.random().
+    """
+    verts = sorted(weight)
+    has_edge = g.has_edge
+    cumulative: list[tuple[int, int, float]] = []
+    total = 0.0
+    for i, v in enumerate(verts):
+        sv = weight[v]
+        for w in verts[i + 1:]:
+            if not has_edge(v, w):
+                total += sv * weight[w]
+                cumulative.append((v, w, total))
+    if not cumulative:
+        raise ProcessExhausted("no addable pair remains")
+    u = rng.random() * total
+    v, w = cumulative[-1][:2]
+    for cv, cw, acc in cumulative:
+        if u < acc:
+            v, w = cv, cw
+            break
+    return v, w
+
+
 class _UrnPairEngine:
     """LinearAlpha steps; the endpoint history is the graph's own list."""
 
@@ -246,8 +283,10 @@ class _StubEngine:
             v, w = stubs[a], stubs[b]
             self._pop_two(a, b)
             return v, w
-        if s <= _STUB_EXACT_THRESHOLD:
-            return self._sample_exact(rng)
+        if s <= _EXACT_THRESHOLD:
+            v, w = _sample_addable_pair(self.g, Counter(stubs), rng)
+            self._pop_two(stubs.index(v), stubs.index(w))
+            return v, w
         _check_not_complete(self.g)
         has_edge = self.g.has_edge
         for _ in range(_REJECTION_CAP):
@@ -260,31 +299,6 @@ class _StubEngine:
                 self._pop_two(a, b)
                 return v, w
         raise ProcessExhausted("rejection budget exhausted in simple mode")
-
-    def _sample_exact(self, rng: random.Random) -> tuple[int, int]:
-        """Enumerate the addable pairs among remaining stub owners and sample
-        one with weight s_v * s_w; exact, and detects true exhaustion."""
-        counts = Counter(self.stubs)
-        verts = sorted(counts)
-        has_edge = self.g.has_edge
-        cumulative: list[tuple[int, int, float]] = []
-        total = 0.0
-        for i, v in enumerate(verts):
-            sv = counts[v]
-            for w in verts[i + 1:]:
-                if not has_edge(v, w):
-                    total += sv * counts[w]
-                    cumulative.append((v, w, total))
-        if not cumulative:
-            raise ProcessExhausted("no addable pair among remaining half-edges")
-        u = rng.random() * total
-        v, w = cumulative[-1][:2]
-        for cv, cw, acc in cumulative:
-            if u < acc:
-                v, w = cv, cw
-                break
-        self._pop_two(self.stubs.index(v), self.stubs.index(w))
-        return v, w
 
     def sync(self, v: int, w: int):
         pass
@@ -343,7 +357,14 @@ class _DegreeClassEngine:
                 raise ProcessExhausted("no positive-weight pair remains")
             _check_not_complete(self.g)
             has_edge = self.g.has_edge
-            for _ in range(_REJECTION_CAP):
+            for tries in range(_REJECTION_CAP):
+                if tries == _EXACT_AFTER_REJECTIONS:
+                    # rejection is memoryless, so switching to the exact
+                    # enumeration now leaves the law unchanged
+                    live = [(vs, fk[k]) for k, vs in members.items() if fk[k] > 0]
+                    if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
+                        return _sample_addable_pair(
+                            self.g, {x: f for vs, f in live for x in vs}, rng)
                 v = pick(cum)
                 w = pick(cum)
                 if v != w and not has_edge(v, w):
@@ -422,8 +443,9 @@ class ProcessState:
         return v, w
 
 
-def _degree_pairs(deg: list[int]) -> tuple[tuple[int, int], ...]:
-    counts = np.bincount(np.asarray(deg, dtype=np.int64))
+def _degree_pairs(deg: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(degree, count) for every occupied degree, in increasing order."""
+    counts = np.bincount(np.fromiter(deg, np.int64, len(deg)))
     return tuple((int(k), int(c)) for k, c in enumerate(counts) if c)
 
 
@@ -434,7 +456,7 @@ def _checkpoint_record(state: ProcessState, m: int) -> CheckpointRecord:
         m=m,
         l1=l1,
         l2=l2,
-        s=state.tracker.sum_sq / state.tracker.n,
+        s=float(s),
         loops=g.loops,
         multi_edges=g.multi_edges,
         degree_hist=_degree_pairs(g.deg),
@@ -475,8 +497,8 @@ def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Traject
 def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -> Counter:
     """Repeatedly run a tiny process and count final edge multisets.
 
-    Used by the statistical equivalence suites; the keys match the oracle's
-    canonical encoding.
+    Used by the statistical equivalence suites; outcomes are keyed by
+    oracle.canonical_key, like the oracle's exact laws.
     """
     out: Counter = Counter()
     m_max = cfg.m_max
@@ -485,12 +507,7 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
         step = state.step
         for _ in range(m_max):
             step(rng)
-        ends = state.graph.ends
-        key = tuple(sorted(
-            (ends[i], ends[i + 1]) if ends[i] <= ends[i + 1] else (ends[i + 1], ends[i])
-            for i in range(0, len(ends), 2)
-        ))
-        out[key] += 1
+        out[canonical_key(state.graph.edges())] += 1
     return out
 
 

@@ -16,7 +16,8 @@ where xi is within O(eps) of 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 INF = math.inf
 
@@ -266,31 +267,40 @@ def _survival_gap_prime(a: float, eps: float, u: float) -> float:
     return 1 + math.exp(k) * kp
 
 
+def _bisect_newton(f: Callable[[float], float], fprime: Callable[[float], float],
+                   lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi], with f < 0 below the root and f >= 0 above it.
+
+    Bisects until the bracket is below tol/4, then polishes the midpoint
+    with at most three Newton steps, each kept only if it stays inside the
+    final bracket.
+    """
+    while hi - lo > 0.25 * tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        d = fprime(x)
+        if d == 0:
+            break
+        nxt = x - f(x) / d
+        if not lo <= nxt <= hi:
+            break
+        x = nxt
+    return x
+
+
 def _solve_u(a, eps: float, tol: float = _XI_TOL) -> float:
     """Root of the survival gap in u = 1 - xi, bracketed then polished."""
     a = _check_supercritical(a, eps)
     lo, hi = 1e-16, 1.0
-    g_lo = _survival_gap(a, eps, lo)
-    g_hi = _survival_gap(a, eps, hi)
-    if not (g_lo < 0 < g_hi):
+    if not (_survival_gap(a, eps, lo) < 0 < _survival_gap(a, eps, hi)):
         raise SolverError(f"survival-gap bracket failed for a={a}, eps={eps}")
-    while hi - lo > 0.25 * tol:
-        mid = 0.5 * (lo + hi)
-        if _survival_gap(a, eps, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    for _ in range(3):
-        gp = _survival_gap_prime(a, eps, u)
-        if gp == 0:
-            break
-        step = _survival_gap(a, eps, u) / gp
-        nxt = u - step
-        if not lo <= nxt <= hi:
-            break
-        u = nxt
-    return u
+    return _bisect_newton(lambda u: _survival_gap(a, eps, u),
+                          lambda u: _survival_gap_prime(a, eps, u), lo, hi, tol)
 
 
 def solve_xi(a, eps: float, tol: float = _XI_TOL) -> float:
@@ -369,23 +379,8 @@ def pittel_cstar(alpha: float, c: float, tol: float = 1e-12) -> float:
         return math.log(t) - (alpha + 2) * math.log(alpha + t)
 
     target = log_phi(c)
-    lo, hi = 1e-300, c_a
-    while hi - lo > 0.25 * tol:
-        mid = 0.5 * (lo + hi)
-        if log_phi(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        deriv = 1 / x - (alpha + 2) / (alpha + x)
-        if deriv == 0:
-            break
-        nxt = x - (log_phi(x) - target) / deriv
-        if not lo <= nxt <= hi:
-            break
-        x = nxt
-    return x
+    return _bisect_newton(lambda x: log_phi(x) - target,
+                          lambda x: 1 / x - (alpha + 2) / (alpha + x), 1e-300, c_a, tol)
 
 
 def bnk_map(n: float, m: float) -> float:
@@ -512,25 +507,13 @@ class TheoryPrediction:
     c_k: dict[int, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        alpha = "inf" if self.alpha == INF else self.alpha
-        return {
-            "alpha": alpha,
-            "eps": self.eps,
-            "n": self.n,
-            "m": self.m,
-            "m_c": self.m_c,
-            "m_c_over_n": self.m_c_over_n,
-            "p_n": self.p_n,
-            "p_limit": self.p_limit,
-            "ed": self.ed,
-            "edd2": self.edd2,
-            "xi": self.xi,
-            "rho": self.rho,
-            "rho_slope": self.rho_slope,
-            "critical_constant": self.critical_constant,
-            "c_star": self.c_star,
-            "c_k": {str(k): v for k, v in sorted(self.c_k.items())},
-        }
+        """JSON-ready fields: alpha inf as "inf", c_k keyed by str(k).
+        Writers dump with sort_keys=True."""
+        out = asdict(self)
+        if self.alpha == INF:
+            out["alpha"] = "inf"
+        out["c_k"] = {str(k): v for k, v in self.c_k.items()}
+        return out
 
 
 def predict(alpha, *, eps: float | None = None, m: float | None = None,

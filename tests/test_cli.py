@@ -282,11 +282,13 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, text):
     assert not out.exists()
 
 
-def test_verify_quick_passes_and_perturbation_fails(capsys):
+def test_verify_quick_passes_and_perturbation_fails(capsys, monkeypatch):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "OK" in out and "FAIL" not in out.replace("FAILED", "")
-    assert cli.main(["verify", "--level", "quick", "--perturb-rho", "1.01"]) == 1
+    rho = T.rho
+    monkeypatch.setattr(T, "rho", lambda a, eps: 1.01 * rho(a, eps))
+    assert cli.main(["verify", "--level", "quick"]) == 1
 
 
 def test_verify_writes_json_report(tmp_path):

@@ -39,8 +39,10 @@ def test_multiplicity_tracking():
     g.add_edge(0, 1)
     g.add_edge(1, 0)
     g.add_edge(0, 1)
-    assert g.multiplicity(0, 1) == 3
-    assert g.multi_edges == 2
+    g.add_edge(2, 2)
+    g.add_edge(2, 2)
+    assert g.num_distinct_pairs == 2
+    assert g.multi_edges == 3
 
 
 def test_endpoint_bounds_checked():
@@ -63,8 +65,8 @@ def test_union_merge_delta():
     t.union(2, 3)
     t.union(3, 4)
     base = t.sum_sq
-    info = t.union(0, 2)  # sizes 2 and 3
-    assert info.merged and {info.size_a, info.size_b} == {2, 3}
+    merged, size_a, size_b = t.union(0, 2)  # sizes 2 and 3
+    assert merged and {size_a, size_b} == {2, 3}
     assert t.sum_sq - base == 2 * 2 * 3
 
 
@@ -72,8 +74,7 @@ def test_union_within_component_is_noop():
     t = ComponentTracker(4)
     t.union(0, 1)
     before = t.sum_sq
-    info = t.union(1, 0)
-    assert not info.merged
+    assert t.union(1, 0) == (False, 2, 2)
     assert t.sum_sq == before
 
 

@@ -49,6 +49,34 @@ def test_second_simple_step_is_symmetric():
     assert probs[oracle.canonical_key([(0, 1), (1, 2)])] == F(1, 2)
 
 
+def test_stub_rule_first_step_two_vertices():
+    # a = -3: three stubs each, so a loop takes 3*2 of the 6*5 ordered stub
+    # pairs and the edge 2*3*3 of them
+    d = oracle.enumerate_process(2, 1, -3, "multigraph")
+    assert d == {((0, 0),): F(1, 5), ((1, 1),): F(1, 5), ((0, 1),): F(3, 5)}
+
+
+def test_stub_rule_law_sums_to_one_and_respects_the_cap():
+    for mode in ("multigraph", "simple"):
+        for n, m, a in ((3, 2, -3), (4, 2, -3), (3, 3, -4), (4, 3, -3)):
+            d = oracle.enumerate_process(n, m, a, mode)
+            assert sum(d.values()) == 1
+            assert all(0 < p for p in d.values())
+            assert all(max(oracle.degrees_of(k, n)) <= -a for k in d)
+
+
+def test_stub_rule_without_an_addable_pair_raises():
+    # one vertex with three stubs: after a loop only one stub is left
+    with pytest.raises(ValueError, match="addable pair"):
+        oracle.enumerate_process(1, 2, -3)
+
+
+def test_shape_must_be_positive_or_an_integer_at_most_minus_three():
+    for a in (0, -1, -2, F(-7, 2)):
+        with pytest.raises(ValueError):
+            oracle.enumerate_process(2, 1, a)
+
+
 def test_bounds_enforced():
     with pytest.raises(ValueError):
         oracle.enumerate_process(5, 1, 1)

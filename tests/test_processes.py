@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -171,6 +172,35 @@ def test_general_f_simple_reports_complete_graph():
     assert err.value.m_reached == 3
 
 
+def test_general_f_simple_endgame_matches_oracle(monkeypatch):
+    # the exact enumeration that ends a run of rejections, taken at once
+    monkeypatch.setattr(P, "_EXACT_AFTER_REJECTIONS", 0)
+    rng = random.Random(30)
+    cfg = P.ProcessConfig(n=4, weight_rule=P.GeneralF(table=(1.0, 2.0, 3.0)),
+                          mode="simple", m_max=2)
+    counts = P.sample_process_outcomes(cfg, 200_000, rng)
+    exact = {k: float(v) for k, v in oracle.enumerate_process(4, 2, 1, "simple").items()}
+    res = S.chi_square_counts(counts, exact)
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
+def test_general_f_simple_reports_no_addable_pair_without_spending_the_budget():
+    # f = (1, 1, 0) on five vertices: some runs reach a state whose only two
+    # positive-weight vertices are adjacent; after a short run of rejections
+    # the exact enumeration must report it, not the rejection budget
+    started = time.monotonic()
+    stuck = 0
+    for seed in range(40):
+        cfg = P.ProcessConfig(n=5, weight_rule=P.GeneralF(table=(1.0, 1.0, 0.0)),
+                              mode="simple", m_max=6, seed=seed)
+        with pytest.raises(P.ProcessExhausted) as err:
+            P.run_process(cfg)
+        assert "budget" not in str(err.value)
+        stuck += "no addable pair" in str(err.value)
+    assert stuck > 0
+    assert time.monotonic() - started < 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(table=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=6),
        n=st.integers(1, 40), steps=st.integers(0, 60),
@@ -268,9 +298,22 @@ def test_stub_rule_matches_linear_negative_shape_law():
     rng = random.Random(19)
     cfg = P.ProcessConfig(n=3, weight_rule=P.NegativeInteger(3), mode="multigraph", m_max=2)
     counts = P.sample_process_outcomes(cfg, 300_000, rng)
-    exact = _negative_shape_two_step_law(3, 3, 2)
+    exact = {k: float(v) for k, v in oracle.enumerate_process(3, 2, -3).items()}
     res = S.chi_square_counts(counts, exact)
     assert res.pvalue > 1e-3
+
+
+@pytest.mark.parametrize("threshold", [P._EXACT_THRESHOLD, 0], ids=["enumeration", "rejection"])
+def test_stub_rule_simple_matches_oracle(monkeypatch, threshold):
+    # simple mode takes an addable pair with weight s_v s_w (free stubs), by
+    # the exact enumeration at this size, or by rejection when it is off
+    monkeypatch.setattr(P, "_EXACT_THRESHOLD", threshold)
+    rng = random.Random(29)
+    cfg = P.ProcessConfig(n=4, weight_rule=P.NegativeInteger(3), mode="simple", m_max=2)
+    counts = P.sample_process_outcomes(cfg, 200_000, rng)
+    exact = {k: float(v) for k, v in oracle.enumerate_process(4, 2, -3, "simple").items()}
+    res = S.chi_square_counts(counts, exact)
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
 
 def test_capped_table_matches_stub_rule_law():
@@ -279,32 +322,9 @@ def test_capped_table_matches_stub_rule_law():
     cfg = P.ProcessConfig(n=3, weight_rule=P.GeneralF(table=(3.0, 2.0, 1.0, 0.0)),
                           mode="multigraph", m_max=2)
     counts = P.sample_process_outcomes(cfg, 300_000, rng)
-    exact = _negative_shape_two_step_law(3, 3, 2)
+    exact = {k: float(v) for k, v in oracle.enumerate_process(3, 2, -3).items()}
     res = S.chi_square_counts(counts, exact)
     assert res.pvalue > 1e-3
-
-
-def _negative_shape_two_step_law(n, r, m):
-    """Exact two-step law with weights (r - d_v), loops (r-d_v)(r-d_v-1)."""
-    dist = {(): F(1)}
-    for _ in range(m):
-        nxt = Counter()
-        for key, pr in dist.items():
-            deg = [0] * n
-            for v, w in key:
-                deg[v] += 1
-                deg[w] += 1
-            s = [r - d for d in deg]
-            total = sum(s)
-            norm = total * (total - 1)
-            for v in range(n):
-                if s[v] >= 2:
-                    nxt[oracle.canonical_key(key + ((v, v),))] += pr * F(s[v] * (s[v] - 1), norm)
-                for w in range(v + 1, n):
-                    if s[v] and s[w]:
-                        nxt[oracle.canonical_key(key + ((v, w),))] += pr * F(2 * s[v] * s[w], norm)
-        dist = dict(nxt)
-    return {k: float(v) for k, v in dist.items()}
 
 
 # ---------------------------------------------------------------------------
