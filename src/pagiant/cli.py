@@ -235,6 +235,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over
+    path, so a failed write never leaves a partial file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_trajectory_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
     lines = ["replicate,m,L1,L2,S,loops,multi_edges"]
     for rep, traj in enumerate(trajectories):
@@ -242,7 +253,7 @@ def write_trajectory_csv(path: Path, trajectories: Sequence[Trajectory]) -> None
             lines.append(
                 f"{rep},{rec.m},{rec.l1},{rec.l2},{_fmt(rec.s)},{rec.loops},{rec.multi_edges}"
             )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_degree_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
@@ -251,7 +262,7 @@ def write_degree_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
         for rec in traj.records:
             for degree, count in rec.degree_hist:
                 lines.append(f"{rep},{rec.m},{degree},{count}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _json_dumps(data: dict) -> str:
@@ -259,15 +270,15 @@ def _json_dumps(data: dict) -> str:
 
 
 def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dict:
-    """Run the experiment and write the three output files; returns the summary."""
+    """Run the experiment and write the three output files; returns the summary.
+
+    The summary is built before anything is written, so a run that fails
+    writes nothing, and each file is written atomically, so none is ever
+    left half-written.
+    """
     spec.validate()
     cfg = spec.config
     trajectories = run_replicates(cfg, cfg.seed, spec.replicates, jobs)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out / spec.trajectory_csv, trajectories)
-    write_degree_csv(out / spec.degree_csv, trajectories)
-
     exhausted = {str(r): t.m_reached for r, t in enumerate(trajectories) if t.exhausted}
     # aggregate over the longest schedule shared by every replicate
     prefix_len = min(len(t.records) for t in trajectories)
@@ -284,7 +295,11 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
     record = _theory_record(cfg, spec.comparison_eps)
     if record is not None:
         summary["theory"] = record
-    (out / spec.summary_json).write_text(_json_dumps(summary), encoding="utf-8")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(out / spec.trajectory_csv, trajectories)
+    write_degree_csv(out / spec.degree_csv, trajectories)
+    _write_atomic(out / spec.summary_json, _json_dumps(summary))
     return summary
 
 
@@ -356,7 +371,7 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
         trajs = run_replicates(cfg, replicate_seed(seed, kind.seed_offset + i), replicates, jobs)
         stat = stats._mc_stat([kind.value(t.records[-1], n) for t in trajs])
         lines.append(f"{_fmt(x)},{cfg.m_max},{_fmt(stat.mean)},{_fmt(stat.stderr)},{_fmt(predicted)}")
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(Path(out_path), "\n".join(lines) + "\n")
     return lines
 
 
@@ -610,7 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{'OK' if code == 0 else 'FAILED'} ({len(report['checks'])} checks, "
               f"{time.monotonic() - started:.1f}s)")
         if args.json:
-            Path(args.json).write_text(_json_dumps(report), encoding="utf-8")
+            _write_atomic(Path(args.json), _json_dumps(report))
         return code
     raise AssertionError("unreachable")
 

@@ -5,6 +5,10 @@ a flat endpoint list, so that the endpoint list doubles as the draw history
 of the attachment samplers.  A ComponentTracker is a size-weighted
 union-find that maintains the running sum of squared component sizes, from
 which the susceptibility S = sum |C|^2 / n is read off without a rescan.
+
+merge_labels is the array counterpart for a whole batch of edges at once,
+and size_stats turns any array of component sizes into (L1, L2, sum |C|^2),
+the one statistic every checkpoint record is built from.
 """
 
 from __future__ import annotations
@@ -157,16 +161,72 @@ class ComponentTracker:
         self.sum_sq += 2 * s1 * s2
         return True, s1, s2
 
-    def component_stats(self) -> ComponentStats:
-        """Scan roots for (L1, L2, S, census).  L2 is 0 when one component."""
+    def component_sizes(self) -> np.ndarray:
+        """Sizes of the components, one entry per root, in root order."""
         n = self.n
         # fromiter reads a list of ints about a third faster than asarray
         roots = np.flatnonzero(np.fromiter(self.parent, np.int64, n) == np.arange(n))
-        sizes, counts = np.unique(np.fromiter(self.size, np.int64, n)[roots], return_counts=True)
-        l1 = int(sizes[-1])
-        if counts[-1] > 1:
-            l2 = l1
-        else:
-            l2 = int(sizes[-2]) if len(sizes) > 1 else 0
-        census = dict(zip(sizes.tolist(), counts.tolist()))
-        return ComponentStats(l1, l2, Fraction(self.sum_sq, self.n), census)
+        return np.fromiter(self.size, np.int64, n)[roots]
+
+    def component_stats(self) -> ComponentStats:
+        """Scan roots for (L1, L2, S, census).  L2 is 0 when one component."""
+        sizes = self.component_sizes()
+        l1, l2, sum_sq = size_stats(sizes)
+        values, counts = np.unique(sizes, return_counts=True)
+        census = dict(zip(values.tolist(), counts.tolist()))
+        return ComponentStats(l1, l2, Fraction(sum_sq, self.n), census)
+
+
+def size_stats(sizes: np.ndarray) -> tuple[int, int, int]:
+    """(L1, L2, sum of squares) of a nonempty array of component sizes.
+
+    L2 is the second entry of the sizes sorted in decreasing order, so it
+    equals L1 when two components tie for the largest, and it is 0 when
+    there is only one component.
+    """
+    i = int(sizes.argmax())
+    l2 = max(sizes[:i].max(initial=0), sizes[i + 1:].max(initial=0))
+    return int(sizes[i]), int(l2), int(np.dot(sizes, sizes))
+
+
+def merge_labels(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join, in place, the components of every edge (a[i], b[i]).
+
+    label[v] must be the smallest vertex of v's component (np.arange(n) for
+    the empty graph), and it is again on return.  Each round hooks the
+    larger root of every edge that still spans two components onto the
+    smaller one; a label only ever moves down, so no cycle can form.  Only
+    the hooked roots are relabelled during the rounds, and every other
+    vertex follows its old root once at the end.
+    """
+    ra = label[a]
+    rb = label[b]
+    hooked = []
+    while True:
+        split = ra != rb
+        if not split.any():
+            break
+        ra = ra[split]
+        rb = rb[split]
+        hi = np.maximum(ra, rb)
+        np.minimum.at(label, hi, np.minimum(ra, rb))
+        hooked.append(hi)
+        _jump(label, hi)
+        ra = label[ra]
+        rb = label[rb]
+    if hooked:
+        # roots hooked in an early round may point to roots hooked later
+        _jump(label, np.concatenate(hooked))
+        label[:] = label[label]
+
+
+def _jump(label: np.ndarray, h: np.ndarray) -> None:
+    """Point label[h] at roots, when every label chain from h runs through
+    h to a root."""
+    cur = label[h]
+    while True:
+        up = label[cur]
+        if np.array_equal(up, cur):
+            return
+        label[h] = up
+        cur = up

@@ -21,6 +21,18 @@ long run of rejections under a general f), _sample_addable_pair enumerates
 the addable pairs instead: the same law, and an empty enumeration is
 reported as true exhaustion, not as a spent rejection budget.
 
+run_process takes the linear-alpha multigraph rule in bulk, with no step
+loop.  There a step makes exactly four rng.random() calls, and numpy's
+MT19937 draws the very same doubles as CPython's random once it holds the
+same state, so all 4 m_max draws come out of one numpy call and the
+advanced state is handed back to rng.  Endpoint p, with its two draws
+(u_a, u_b), is the fresh vertex floor(u_b n) if u_a (p + alpha n) <
+alpha n, and otherwise a copy of endpoint floor(u_b p): the same float
+operations as _UrnPairEngine.sample, so the edges, the records and the
+state rng is left in are identical to stepping ProcessState.  Components
+at each checkpoint come from graph_core.merge_labels over the edges added
+since the previous one.  The other rules, and simple mode, step.
+
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
 it equals, with no rejection.
@@ -38,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph_core import ComponentTracker, MultiGraph
+from .graph_core import ComponentTracker, MultiGraph, merge_labels, size_stats
 from .oracle import canonical_key
 
 _REJECTION_CAP = 10 ** 6
@@ -443,35 +455,106 @@ class ProcessState:
         return v, w
 
 
-def _degree_pairs(deg: Sequence[int]) -> tuple[tuple[int, int], ...]:
+def _degree_pairs(deg: np.ndarray | Sequence[int]) -> tuple[tuple[int, int], ...]:
     """(degree, count) for every occupied degree, in increasing order."""
-    counts = np.bincount(np.fromiter(deg, np.int64, len(deg)))
-    return tuple((int(k), int(c)) for k, c in enumerate(counts) if c)
+    return tuple((k, c) for k, c in enumerate(np.bincount(deg).tolist()) if c)
 
 
 def _checkpoint_record(state: ProcessState, m: int) -> CheckpointRecord:
-    l1, l2, s, _ = state.tracker.component_stats()
+    l1, l2, sum_sq = size_stats(state.tracker.component_sizes())
     g = state.graph
     return CheckpointRecord(
         m=m,
         l1=l1,
         l2=l2,
-        s=float(s),
+        s=sum_sq / g.n,
         loops=g.loops,
         multi_edges=g.multi_edges,
-        degree_hist=_degree_pairs(g.deg),
+        degree_hist=_degree_pairs(np.fromiter(g.deg, np.int64, g.n)),
     )
+
+
+def _mt_uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """The next k values of rng.random(), drawn by numpy; rng is advanced
+    past them.
+
+    Both generators are MT19937 and both build a double from two 32-bit
+    outputs as ((a >> 5) * 2^26 + (b >> 6)) / 2^53, so with rng's state
+    copied in, numpy draws the same values and leaves the same state.
+    """
+    version, internal, gauss = rng.getstate()
+    bitgen = np.random.MT19937(0)
+    bitgen.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.fromiter(internal, np.uint32, 624), "pos": internal[624]}}
+    u = np.random.Generator(bitgen).random(k)
+    state = bitgen.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss))
+    return u
+
+
+def _urn_endpoints(n: int, an: float, m: int, rng: random.Random) -> np.ndarray:
+    """The 2m endpoints of the first m linear-alpha multigraph edges, in the
+    order of MultiGraph.ends, from the draws _UrnPairEngine.sample makes."""
+    u = _mt_uniforms(rng, 4 * m)
+    ua, ub = u[0::2], u[1::2]
+    pos = np.arange(2 * m)
+    p = pos.astype(np.float64)
+    # src[p] is the endpoint that p copies, or p itself for a fresh vertex;
+    # it always lies before p, so pointer doubling reaches a fresh one
+    src = np.where(ua * (p + an) < an, pos, (ub * p).astype(np.int64))
+    while True:
+        up = src[src]
+        if np.array_equal(up, src):
+            break
+        src = up
+    return (ub * n).astype(np.int64)[src]
+
+
+def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
+    """run_process for the linear-alpha multigraph rule, without a step loop."""
+    n = cfg.n
+    ends = _urn_endpoints(n, cfg.weight_rule.alpha * n, cfg.m_max, rng)
+    v, w = ends[0::2], ends[1::2]
+    loops = np.cumsum(v == w)
+    # first[j] < m exactly when the j-th distinct pair is among the first m edges
+    first = np.sort(np.unique(np.minimum(v, w) * n + np.maximum(v, w), return_index=True)[1])
+    label = np.arange(n)
+    deg = np.zeros(n, np.int64)
+    records: list[CheckpointRecord] = []
+    done = 0
+    for m in cfg.checkpoints:
+        merge_labels(label, v[done:m], w[done:m])
+        deg += np.bincount(ends[2 * done:2 * m], minlength=n)
+        done = m
+        sizes = np.bincount(label)
+        l1, l2, sum_sq = size_stats(sizes[sizes > 0])
+        records.append(CheckpointRecord(
+            m=m,
+            l1=l1,
+            l2=l2,
+            s=sum_sq / n,
+            loops=int(loops[m - 1]) if m else 0,
+            multi_edges=m - int(np.searchsorted(first, m)),
+            degree_hist=_degree_pairs(deg),
+        ))
+    return Trajectory(tuple(records), cfg.m_max, False)
 
 
 def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Trajectory:
     """Run to m_max, recording stats at each checkpoint.
 
     Deterministic given (cfg, seed).  If the process exhausts first, a
-    ProcessExhausted is raised carrying the truncated trajectory.
+    ProcessExhausted is raised carrying the truncated trajectory.  The
+    linear-alpha multigraph rule runs in bulk (see the module docstring)
+    when rng is a plain random.Random, whose random() numpy reproduces.
     """
-    state = ProcessState(cfg)
     if rng is None:
         rng = random.Random(cfg.seed)
+    if (isinstance(cfg.weight_rule, LinearAlpha) and cfg.mode == "multigraph"
+            and type(rng) is random.Random):
+        cfg.validate()
+        return _run_urn_multigraph(cfg, rng)
+    state = ProcessState(cfg)
     records: list[CheckpointRecord] = []
     cps = cfg.checkpoints
     ci = 0

@@ -123,6 +123,32 @@ def test_simulate_records_exhausted_replicates(tmp_path):
     assert summary["exhausted"] == {"0": 3, "1": 3}
 
 
+def test_simulate_writes_nothing_when_the_summary_fails(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("aggregate failed")
+
+    monkeypatch.setattr(cli.stats, "aggregate", fail)
+    spec_path = write_spec(tmp_path, BASE_SPEC)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="aggregate failed"):
+        cli.main(["simulate", "--spec", spec_path, "--out", str(out), "--jobs", "1"])
+    for name in ("traj.csv", "deg.csv", "summary.json"):
+        assert not (out / name).exists()
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # the rename onto a directory fails; neither target nor temporary remains
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        cli._write_atomic(target, "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+    cli._write_atomic(tmp_path / "ok.csv", "a,b\n")
+    assert (tmp_path / "ok.csv").read_text() == "a,b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv", "taken"]
+
+
 def test_simulate_rejects_bad_spec(tmp_path, capsys):
     data = json.loads(json.dumps(BASE_SPEC))
     data["replicates"] = 0

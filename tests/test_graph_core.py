@@ -2,9 +2,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pagiant.graph_core import ComponentTracker, MultiGraph, SimpleGraphViolation
+from pagiant.graph_core import (ComponentTracker, MultiGraph, SimpleGraphViolation, merge_labels,
+                                size_stats)
 
 
 def test_first_edge_degrees():
@@ -133,6 +136,40 @@ def test_sum_sq_matches_recompute_under_random_unions():
         assert census == dict(sorted(Counter(sizes).items()))
         assert list(census) == sorted(census)
         assert s == Fraction(t.sum_sq, n)
+
+
+def test_size_stats_ties_and_single_component():
+    assert size_stats(np.array([7])) == (7, 0, 49)
+    assert size_stats(np.array([1, 3, 3, 2])) == (3, 3, 23)
+    assert size_stats(np.array([2, 5, 1])) == (5, 2, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 25),
+       batches=st.lists(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=30),
+                        max_size=6))
+def test_merge_labels_matches_union_find(n, batches):
+    # small n makes loops and repeated edges common; batches may be empty
+    label = np.arange(n)
+    tracker = ComponentTracker(n)
+    for batch in batches:
+        edges = [(v % n, w % n) for v, w in batch]
+        merge_labels(label, np.array([v for v, _ in edges], np.int64),
+                     np.array([w for _, w in edges], np.int64))
+        for v, w in edges:
+            tracker.union(v, w)
+        root = []
+        for v in range(n):
+            while tracker.parent[v] != v:
+                v = tracker.parent[v]
+            root.append(v)
+        # the same partition, each class labelled by its smallest vertex
+        assert len(set(zip(label.tolist(), root))) == len(set(root)) == len(set(label.tolist()))
+        assert all(label[v] == min(u for u in range(n) if root[u] == root[v]) for v in range(n))
+        sizes = np.bincount(label)
+        assert sorted(sizes[sizes > 0].tolist()) == sorted(tracker.component_sizes().tolist())
+        assert size_stats(sizes[sizes > 0]) == size_stats(tracker.component_sizes())
+        assert size_stats(tracker.component_sizes())[2] == tracker.sum_sq
 
 
 def test_replace_edge_bookkeeping_matches_rebuild():

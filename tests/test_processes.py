@@ -37,6 +37,73 @@ def test_tiny_instance_law_matches_oracle(alpha, mode):
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
 
+# ---------------------------------------------------------------------------
+# bulk linear-alpha multigraph runs (run_process without a step loop)
+# ---------------------------------------------------------------------------
+
+
+def _stepped(cfg, rng):
+    """run_process by hand: ProcessState steps plus a record per checkpoint."""
+    state = P.ProcessState(cfg)
+    cps = set(cfg.checkpoints)
+    records = [P._checkpoint_record(state, 0)] if 0 in cps else []
+    for m in range(1, cfg.m_max + 1):
+        state.step(rng)
+        if m in cps:
+            records.append(P._checkpoint_record(state, m))
+    return records
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 10.0, 1e6])
+@pytest.mark.parametrize("n, m_max", [(1, 6), (2, 6), (3, 6), (50, 80), (1000, 700),
+                                      (100_000, 20_000)])
+def test_bulk_run_matches_stepping(n, m_max, alpha):
+    dense = tuple(range(0, m_max + 1, max(1, m_max // 20)))
+    for m, cps in ((m_max, ()), (m_max, (0,)), (m_max, dense), (0, ()), (0, (0,))):
+        cfg = lin_cfg(n, alpha, "multigraph", m, cps)
+        bulk_rng = random.Random(f"bulk:{n}:{alpha}:{len(cps)}")
+        step_rng = random.Random(f"bulk:{n}:{alpha}:{len(cps)}")
+        traj = P.run_process(cfg, bulk_rng)
+        stepped = _stepped(cfg, step_rng)
+        assert traj.m_reached == m and not traj.exhausted
+        assert len(traj.records) == len(stepped)
+        for got, want in zip(traj.records, stepped):
+            assert got == want
+        assert bulk_rng.getstate() == step_rng.getstate()
+
+
+def test_numpy_draws_continue_the_python_stream():
+    rng = random.Random(2024)
+    rng.gauss(0.0, 1.0)  # leaves a cached normal in the state, which must survive
+    ref = random.Random()
+    ref.setstate(rng.getstate())
+    u = P._mt_uniforms(rng, 100_000)
+    assert u.tolist() == [ref.random() for _ in range(100_000)]
+    assert rng.getstate() == ref.getstate()
+    assert rng.random() == ref.random()
+
+
+def _record_key(rec):
+    return rec.degree_hist, rec.loops, rec.multi_edges, rec.l1, rec.l2
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(2)])
+def test_bulk_run_final_record_matches_oracle(alpha):
+    # the oracle's edge-multiset law, mapped through the checkpoint record
+    exact = Counter()
+    for key, pr in oracle.enumerate_process(3, 2, alpha).items():
+        state = P.ProcessState(lin_cfg(3, float(alpha), "multigraph", 2))
+        for v, w in key:
+            state.graph.add_edge(v, w)
+            state.tracker.union(v, w)
+        exact[_record_key(P._checkpoint_record(state, 2))] += float(pr)
+    rng = random.Random(20_260_500 + int(alpha * 4))
+    cfg = lin_cfg(3, float(alpha), "multigraph", 2, checkpoints=(2,))
+    counts = Counter(_record_key(P.run_process(cfg, rng).records[-1]) for _ in range(4000))
+    res = S.chi_square_counts(counts, dict(exact))
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
 def test_single_vertex_only_loops():
     traj = P.run_process(lin_cfg(1, 1.0, "multigraph", 5, checkpoints=(5,)))
     rec = traj.records[-1]
