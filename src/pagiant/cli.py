@@ -97,14 +97,27 @@ class ExperimentSpec:
         return out
 
 
+def _number(x, field: str) -> float:
+    """A spec number (an int or a float, never a bool) as a float; every
+    number in a spec must fit a double."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SpecError(f"{field}: expected a number, got {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise SpecError(f"{field}: integer too large for a double") from None
+
+
 def _need(d: dict, key: str, kind, path: str):
     if key not in d:
         raise SpecError(f"{path}{key}: missing")
     val = d[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+    if kind is float:
+        return _number(val, f"{path}{key}")
     if not isinstance(val, kind) or isinstance(val, bool):
         raise SpecError(f"{path}{key}: expected {kind.__name__}, got {type(val).__name__}")
+    if kind is int:
+        _number(val, f"{path}{key}")
     return val
 
 
@@ -116,7 +129,7 @@ def parse_weight_rule(d: dict, path: str = "weight_rule."):
         return NegativeInteger(_need(d, "r", int, path))
     if kind == "general_f":
         table = _need(d, "table", list, path)
-        return GeneralF(table=tuple(float(x) for x in table))
+        return GeneralF(table=tuple(_number(x, f"{path}table[{i}]") for i, x in enumerate(table)))
     raise SpecError(f"{path}kind: unknown weight rule {kind!r}")
 
 
@@ -145,14 +158,18 @@ def parse_spec(data: dict, seed_override: int | None = None,
     mode = _need(data, "mode", str, "")
     m_max = _need(data, "m_max", int, "")
     raw_cps = _need(data, "checkpoints", list, "")
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw_cps):
-        raise SpecError("checkpoints: entries must be numbers")
+    for i, x in enumerate(raw_cps):
+        if not math.isfinite(_number(x, f"checkpoints[{i}]")):
+            raise SpecError(f"checkpoints[{i}]: must be finite")
     seed = seed_override
     if seed is None and data.get("seed") is not None:
         seed = _need(data, "seed", int, "")
     if seed is None:
-        env = os.environ.get(ENV_SEED)
-        seed = int(env) if env is not None else 0
+        env = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise SpecError(f"{ENV_SEED}: expected an integer, got {env!r}") from None
     comparison = data.get("comparison")
     comparison_eps = None
     if isinstance(comparison, dict) and "eps" in comparison:
@@ -167,8 +184,10 @@ def parse_spec(data: dict, seed_override: int | None = None,
             shape = _theory_shape(rule)
             if shape is None:
                 raise SpecError("checkpoints: relative checkpoints need a linear or negative-integer rule")
-            mc = theory.m_crit(shape, n)
-            cps = tuple(int(round(x * mc)) for x in raw_cps)
+            scaled = [x * theory.m_crit(shape, n) for x in raw_cps]
+            if not all(math.isfinite(x) for x in scaled):
+                raise SpecError("checkpoints: relative entries times m_c must be finite")
+            cps = tuple(int(round(x)) for x in scaled)
         else:
             cps = tuple(int(x) for x in raw_cps)
         cfg = ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max,
@@ -179,7 +198,7 @@ def parse_spec(data: dict, seed_override: int | None = None,
         raise SpecError(str(exc)) from None
     try:
         _theory_record(cfg, comparison_eps)  # the theory's own domain check, before any run
-    except ValueError as exc:
+    except (ValueError, theory.SolverError) as exc:
         raise SpecError(f"comparison.eps: {exc}") from None
     return spec
 
@@ -217,13 +236,16 @@ def run_replicate(cfg: ProcessConfig, seed: int, replicate: int) -> Trajectory:
         return exc.trajectory
 
 
-def run_replicates(cfg: ProcessConfig, seed: int, replicates: int,
-                   jobs: int = 1) -> list[Trajectory]:
-    if jobs <= 1 or replicates == 1:
-        return [run_replicate(cfg, seed, r) for r in range(replicates)]
+def run_replicates(batches: Sequence[tuple[ProcessConfig, int, int]],
+                   jobs: int = 1) -> list[list[Trajectory]]:
+    """Replicates 0..k-1 of every (cfg, seed, k) batch, in batch order;
+    with jobs > 1 they all share one process pool."""
+    if jobs <= 1 or sum(k for _, _, k in batches) <= 1:
+        return [[run_replicate(cfg, seed, r) for r in range(k)] for cfg, seed, k in batches]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_replicate, cfg, seed, r) for r in range(replicates)]
-        return [f.result() for f in futures]
+        futures = [[pool.submit(run_replicate, cfg, seed, r) for r in range(k)]
+                   for cfg, seed, k in batches]
+        return [[f.result() for f in batch] for batch in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +300,7 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
     """
     spec.validate()
     cfg = spec.config
-    trajectories = run_replicates(cfg, cfg.seed, spec.replicates, jobs)
+    trajectories = run_replicates([(cfg, cfg.seed, spec.replicates)], jobs)[0]
     exhausted = {str(r): t.m_reached for r, t in enumerate(trajectories) if t.exhausted}
     # aggregate over the longest schedule shared by every replicate
     prefix_len = min(len(t.records) for t in trajectories)
@@ -366,9 +388,10 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
             points.append((x, cfg, kind.predict(alpha, x)))
         except (TypeError, ValueError) as exc:
             raise SpecError(f"{field}: {exc}") from None
+    runs = run_replicates([(cfg, replicate_seed(seed, kind.seed_offset + i), replicates)
+                           for i, (_, cfg, _) in enumerate(points)], jobs)
     lines = [kind.header]
-    for i, (x, cfg, predicted) in enumerate(points):
-        trajs = run_replicates(cfg, replicate_seed(seed, kind.seed_offset + i), replicates, jobs)
+    for (x, cfg, predicted), trajs in zip(points, runs):
         stat = stats._mc_stat([kind.value(t.records[-1], n) for t in trajs])
         lines.append(f"{_fmt(x)},{cfg.m_max},{_fmt(stat.mean)},{_fmt(stat.stderr)},{_fmt(predicted)}")
     _write_atomic(Path(out_path), "\n".join(lines) + "\n")

@@ -33,6 +33,18 @@ state rng is left in are identical to stepping ProcessState.  Components
 at each checkpoint come from graph_core.merge_labels over the edges added
 since the previous one.  The other rules, and simple mode, step.
 
+sample_process_outcomes runs many tiny processes, and batches the rules
+whose multigraph steps make a fixed number of rng.random() calls: four for
+linear alpha, two for r stubs (one draw for each stub index, which depends
+only on the s = rn - 2i free stubs left).  R runs therefore read
+consecutive blocks of one MT19937 stream, so the draws of a chunk of runs
+come from one numpy call, reshaped to one row per run.  Linear-alpha rows
+share _urn_endpoints; r-stub rows make the swap-removes of _StubEngine on
+a (runs, rn) stub array, one step at a time for all rows.  The float
+operations are the step engines' own, so the outcome counts, their order
+of first appearance and the state rng is left in equal stepping.  Simple
+mode and general f, whose draw counts vary, step ProcessState run by run.
+
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
 it equals, with no rejection.
@@ -40,6 +52,7 @@ it equals, with no rejection.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -59,6 +72,9 @@ _REJECTION_CAP = 10 ** 6
 _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
+# sample_process_outcomes draws this many batched runs at a time: enough to
+# amortize numpy's per-call cost, few enough that a chunk's arrays stay small
+_OUTCOME_CHUNK = 1 << 13
 
 
 class ProcessExhausted(RuntimeError):
@@ -114,8 +130,8 @@ class GeneralF:
         if self.table is not None:
             if len(self.table) == 0:
                 raise ValueError("weight_rule.table: must be nonempty")
-            if any(x < 0 for x in self.table):
-                raise ValueError("weight_rule.table: weights must be nonnegative")
+            if not all(0 <= x < math.inf for x in self.table):
+                raise ValueError("weight_rule.table: weights must be finite and nonnegative")
 
     def weight(self, k: int) -> float:
         if self.fn is not None:
@@ -474,6 +490,13 @@ def _checkpoint_record(state: ProcessState, m: int) -> CheckpointRecord:
     )
 
 
+@functools.cache
+def _mt19937() -> np.random.Generator:
+    """One numpy MT19937 per process; _mt_uniforms overwrites its state on
+    every use, so it never carries anything from one call to the next."""
+    return np.random.Generator(np.random.MT19937(0))
+
+
 def _mt_uniforms(rng: random.Random, k: int) -> np.ndarray:
     """The next k values of rng.random(), drawn by numpy; rng is advanced
     past them.
@@ -483,37 +506,64 @@ def _mt_uniforms(rng: random.Random, k: int) -> np.ndarray:
     copied in, numpy draws the same values and leaves the same state.
     """
     version, internal, gauss = rng.getstate()
-    bitgen = np.random.MT19937(0)
-    bitgen.state = {"bit_generator": "MT19937",
-                    "state": {"key": np.fromiter(internal, np.uint32, 624), "pos": internal[624]}}
-    u = np.random.Generator(bitgen).random(k)
-    state = bitgen.state["state"]
+    gen = _mt19937()
+    bitgen = gen.bit_generator
+    with bitgen.lock:
+        bitgen.state = {"bit_generator": "MT19937",
+                        "state": {"key": np.fromiter(internal, np.uint32, 624), "pos": internal[624]}}
+        u = gen.random(k)
+        state = bitgen.state["state"]
     rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss))
     return u
 
 
-def _urn_endpoints(n: int, an: float, m: int, rng: random.Random) -> np.ndarray:
-    """The 2m endpoints of the first m linear-alpha multigraph edges, in the
-    order of MultiGraph.ends, from the draws _UrnPairEngine.sample makes."""
-    u = _mt_uniforms(rng, 4 * m)
-    ua, ub = u[0::2], u[1::2]
-    pos = np.arange(2 * m)
+def _urn_endpoints(n: int, an: float, u: np.ndarray) -> np.ndarray:
+    """Linear-alpha multigraph endpoints from the draws _UrnPairEngine.sample
+    makes: row j of u holds the 4m draws of one run, and row j of the result
+    its 2m endpoints in the order of MultiGraph.ends."""
+    runs, k = u.shape
+    ua, ub = u[:, 0::2], u[:, 1::2]
+    pos = np.arange(k // 2)
     p = pos.astype(np.float64)
     # src[p] is the endpoint that p copies, or p itself for a fresh vertex;
-    # it always lies before p, so pointer doubling reaches a fresh one
+    # it always lies before p in the same run, so pointer doubling over the
+    # flattened runs reaches a fresh one
     src = np.where(ua * (p + an) < an, pos, (ub * p).astype(np.int64))
+    src = (src + (k // 2) * np.arange(runs)[:, None]).ravel()
     while True:
         up = src[src]
         if np.array_equal(up, src):
             break
         src = up
-    return (ub * n).astype(np.int64)[src]
+    return (ub * n).astype(np.int64).ravel()[src].reshape(runs, k // 2)
+
+
+def _stub_endpoints(n: int, r: int, u: np.ndarray) -> np.ndarray:
+    """r-stub multigraph endpoints from the draws _StubEngine.sample makes,
+    one run per row of u (2m draws), with its swap-remove done row-wise."""
+    runs, k = u.shape
+    rows = np.arange(runs)
+    stubs = np.tile(np.repeat(np.arange(n), r), (runs, 1))
+    ends = np.empty((runs, k), np.int64)
+    for i in range(k // 2):
+        s = r * n - 2 * i
+        a = (u[:, 2 * i] * s).astype(np.int64)
+        b = (u[:, 2 * i + 1] * (s - 1)).astype(np.int64)
+        b += b >= a
+        ends[:, 2 * i] = stubs[rows, a]
+        ends[:, 2 * i + 1] = stubs[rows, b]
+        stubs[rows, np.maximum(a, b)] = stubs[:, s - 1]
+        stubs[rows, np.minimum(a, b)] = stubs[:, s - 2]
+    return ends
 
 
 def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
     """run_process for the linear-alpha multigraph rule, without a step loop."""
     n = cfg.n
-    ends = _urn_endpoints(n, cfg.weight_rule.alpha * n, cfg.m_max, rng)
+    # no name holds the draws, so they are freed before the record arrays
+    # are allocated (holding them cost about 1 ms per replicate at n = 10^5)
+    ends = _urn_endpoints(n, cfg.weight_rule.alpha * n,
+                          _mt_uniforms(rng, 4 * cfg.m_max)[None, :])[0]
     v, w = ends[0::2], ends[1::2]
     loops = np.cumsum(v == w)
     # first[j] < m exactly when the j-th distinct pair is among the first m edges
@@ -577,14 +627,50 @@ def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Traject
     return Trajectory(tuple(records), m, False)
 
 
+def _count_outcomes(ends: np.ndarray, n: int, out: Counter) -> None:
+    """Add the canonical edge multiset of every run (a row of 2m endpoints)
+    to out, in the order of first appearance, as stepping would."""
+    runs, k = ends.shape
+    v, w = ends[:, 0::2], ends[:, 1::2]
+    pairs = np.sort(np.minimum(v, w) * n + np.maximum(v, w), axis=1)
+    if (n * n) ** (k // 2) < 2 ** 63:
+        code = np.zeros(runs, np.int64)
+        for j in range(k // 2):
+            code = code * (n * n) + pairs[:, j]
+        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    else:
+        _, first, counts = np.unique(pairs, axis=0, return_index=True, return_counts=True)
+    for i in np.argsort(first):
+        key = pairs[first[i]].tolist()
+        out[tuple((x // n, x % n) for x in key)] += int(counts[i])
+
+
 def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -> Counter:
     """Repeatedly run a tiny process and count final edge multisets.
 
     Used by the statistical equivalence suites; outcomes are keyed by
-    oracle.canonical_key, like the oracle's exact laws.
+    oracle.canonical_key, like the oracle's exact laws.  The linear-alpha
+    and r-stub multigraph rules, whose steps make a fixed number of
+    rng.random() calls, run in batches (see the module docstring) when rng
+    is a plain random.Random; the others step ProcessState run by run.
     """
     out: Counter = Counter()
     m_max = cfg.m_max
+    rule = cfg.weight_rule
+    if (isinstance(rule, (LinearAlpha, NegativeInteger)) and cfg.mode == "multigraph"
+            and type(rng) is random.Random):
+        cfg.validate()
+        n = cfg.n
+        for done in range(0, runs, _OUTCOME_CHUNK):
+            chunk = min(_OUTCOME_CHUNK, runs - done)
+            if isinstance(rule, LinearAlpha):
+                u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
+                ends = _urn_endpoints(n, rule.alpha * n, u)
+            else:
+                u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
+                ends = _stub_endpoints(n, rule.r, u)
+            _count_outcomes(ends, n, out)
+        return out
     for _ in range(runs):
         state = ProcessState(cfg)
         step = state.step

@@ -22,13 +22,15 @@ from typing import Callable
 INF = math.inf
 
 _XI_TOL = 1e-12
+# the survival gap is solved for u = 1 - xi in [_U_LO, 1]
+_U_LO = 1e-16
 _KCORE_GRID_POINTS = 200
 _KCORE_MU_LO = 1e-6
 _KCORE_MU_HI = 1e3
 
 
 class SolverError(RuntimeError):
-    """A bracketed solve failed to converge (should be unreachable)."""
+    """A solved fixed point failed a cross-check of the giant fraction."""
 
 
 def _check_shape(a) -> float:
@@ -229,12 +231,20 @@ def limit_edge_probability(a, eps: float) -> float:
 
 
 def _check_supercritical(a, eps: float) -> float:
+    """The shape, once (a, eps) is known to lie in the solver's domain."""
     a = _check_shape(a)
     if not eps > 0:
         raise ValueError(f"eps must be positive: {eps}")
     if a < 0 and not eps < -a - 2:
         # binomial parameter (1+eps)/(r-1) must stay below 1
         raise ValueError(f"eps must be below {-a - 2} when the shape is {a}")
+    if not _survival_gap(a, eps, _U_LO) < 0 < _survival_gap(a, eps, 1.0):
+        # in double precision the root leaves [_U_LO, 1]: xi = 1 - u
+        # underflows for eps far above criticality, and (1+eps) u / (a+1)
+        # underflows for a near the largest float
+        raise ValueError(f"(shape {a}, eps {eps}) is outside the solver's domain: "
+                         f"the survival gap does not change sign on [{_U_LO}, 1] "
+                         "in double precision")
     return a
 
 
@@ -296,11 +306,8 @@ def _bisect_newton(f: Callable[[float], float], fprime: Callable[[float], float]
 def _solve_u(a, eps: float, tol: float = _XI_TOL) -> float:
     """Root of the survival gap in u = 1 - xi, bracketed then polished."""
     a = _check_supercritical(a, eps)
-    lo, hi = 1e-16, 1.0
-    if not (_survival_gap(a, eps, lo) < 0 < _survival_gap(a, eps, hi)):
-        raise SolverError(f"survival-gap bracket failed for a={a}, eps={eps}")
     return _bisect_newton(lambda u: _survival_gap(a, eps, u),
-                          lambda u: _survival_gap_prime(a, eps, u), lo, hi, tol)
+                          lambda u: _survival_gap_prime(a, eps, u), _U_LO, 1.0, tol)
 
 
 def solve_xi(a, eps: float, tol: float = _XI_TOL) -> float:

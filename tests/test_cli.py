@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pagiant import cli, theory as T
 from pagiant.processes import LinearAlpha, NegativeInteger
@@ -63,6 +65,61 @@ def test_spec_field_errors():
         cli.parse_spec(bad)
 
 
+# valid specs, one per rule family, with each field the property test replaces
+_FIELDS = [("n",), ("weight_rule",), ("weight_rule", "kind"), ("mode",), ("m_max",),
+           ("checkpoints",), ("checkpoints", 1), ("checkpoints_rel",), ("seed",),
+           ("replicates",), ("outputs",), ("outputs", "degree_csv"), ("comparison",),
+           ("comparison", "eps")]
+SPEC_FIELDS = [
+    (dict(BASE_SPEC, checkpoints=[0.5, 1.0], checkpoints_rel=True), field)
+    for field in _FIELDS + [("weight_rule", "alpha")]
+] + [
+    (dict(BASE_SPEC, weight_rule={"kind": "general_f", "table": [1.0, 2.0]}), field)
+    for field in _FIELDS + [("weight_rule", "table"), ("weight_rule", "table", 1)]
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 400), 10 ** 400)
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(SPEC_FIELDS), value=JSON_VALUES)
+def test_parse_spec_gives_a_spec_or_a_spec_error(case, value):
+    base, field = case
+    data = copy.deepcopy(base)
+    parent = data
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    try:
+        spec = cli.parse_spec(data)
+    except cli.SpecError:
+        return
+    spec.validate()
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"weight_rule": {"kind": "general_f", "table": [1, None]}}, "weight_rule.table[1]"),
+    ({"weight_rule": {"kind": "general_f", "table": [1, "NaN"]}}, "weight_rule.table"),
+    ({"checkpoints": [0, "1e999"]}, "checkpoints"),
+    ({"comparison": {"eps": "1e30"}}, "comparison.eps"),
+    ({"weight_rule": {"kind": "linear_alpha", "alpha": "1e308"}}, "comparison.eps"),
+])
+def test_spec_repros_exit_2_and_write_nothing(tmp_path, capsys, change, field):
+    # the quoted numbers go into the file unquoted, as JSON parses 1e999 to inf
+    text = json.dumps(dict(BASE_SPEC, **change))
+    for number in ("NaN", "1e999", "1e30", "1e308"):
+        text = text.replace(f'"{number}"', number)
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--spec", str(path), "--out", str(out), "--jobs", "1"]) == 2
+    assert f"spec error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_relative_checkpoints_resolve_against_m_c():
     data = json.loads(json.dumps(BASE_SPEC))
     data["checkpoints"] = [0.8, 1.0, 1.5]
@@ -78,6 +135,9 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_SEED, "777")
     spec = cli.parse_spec(data)
     assert spec.config.seed == 777
+    monkeypatch.setenv(cli.ENV_SEED, "seven")
+    with pytest.raises(cli.SpecError, match=cli.ENV_SEED):
+        cli.parse_spec(data)
     monkeypatch.delenv(cli.ENV_SEED)
     assert cli.parse_spec(data).config.seed == 0
 
@@ -194,6 +254,12 @@ def test_theory_command_domain_error(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, eps", [("1", "1e30"), ("1e308", "0.2")])
+def test_theory_command_rejects_what_the_solver_cannot_bracket(capsys, alpha, eps):
+    assert cli.main(["theory", "--alpha", alpha, "--eps", eps]) == 2
+    assert "outside the solver's domain" in capsys.readouterr().err
+
+
 def test_sweep_rho_grid(tmp_path):
     sweep = {
         "kind": "rho_vs_eps",
@@ -258,6 +324,16 @@ def test_sweep_tracks_uniform_limit(tmp_path):
         eps, sim, theo = float(row[0]), float(row[2]), float(row[4])
         assert abs(theo - T.rho(math.inf, eps)) < 1e-4
         assert abs(sim - theo) < 0.05
+
+
+def test_sweep_csv_does_not_depend_on_jobs(tmp_path):
+    sweep = {"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, 0.5, 1.0], "n": 2000,
+             "replicates": 2, "seed": 3}
+    spec_path = write_spec(tmp_path, sweep, "sweep.json")
+    for jobs in ("1", "2"):
+        assert cli.main(["sweep", "--spec", spec_path, "--out", str(tmp_path / f"{jobs}.csv"),
+                         "--jobs", jobs]) == 0
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 def test_sweep_susceptibility_grid(tmp_path):

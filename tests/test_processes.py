@@ -83,6 +83,31 @@ def test_numpy_draws_continue_the_python_stream():
     assert rng.random() == ref.random()
 
 
+class _SteppedRandom(random.Random):
+    """A subclass may override random(), so sample_process_outcomes steps it."""
+
+
+@pytest.mark.parametrize("rule", [P.LinearAlpha(0.5), P.LinearAlpha(1.0), P.LinearAlpha(2.0),
+                                  P.LinearAlpha(1e6), P.NegativeInteger(3), P.NegativeInteger(4)],
+                         ids=lambda rule: repr(rule))
+def test_batched_outcomes_match_stepping(rule):
+    cases = [(n, m, runs) for n in (1, 2, 3, 5) for m in (0, 1, 2, 4) for runs in (0, 1, 3, 500)]
+    # more runs than one chunk, the last chunk partial; and (n^2)^m past 2^63,
+    # where the outcome codes no longer fit an int64
+    cases += [(3, 2, P._OUTCOME_CHUNK + 5), (8, 11, 200)]
+    for n, m, runs in cases:
+        if isinstance(rule, P.NegativeInteger) and m > rule.r * n // 2:
+            continue
+        cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m)
+        seed = f"outcomes:{rule}:{n}:{m}:{runs}"
+        batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+        batched = P.sample_process_outcomes(cfg, runs, batched_rng)
+        stepped = P.sample_process_outcomes(cfg, runs, stepped_rng)
+        # the same counts, first seen in the same order, and the same state after
+        assert list(batched.items()) == list(stepped.items()), (n, m, runs)
+        assert batched_rng.getstate() == stepped_rng.getstate(), (n, m, runs)
+
+
 def _record_key(rec):
     return rec.degree_hist, rec.loops, rec.multi_edges, rec.l1, rec.l2
 
@@ -308,8 +333,9 @@ def test_class_draw_past_the_end_skips_zero_weight_classes():
 
 
 def test_general_f_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        P.GeneralF(table=(1.0, -0.5)).validate()
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            P.GeneralF(table=(1.0, bad)).validate()
     with pytest.raises(ValueError):
         P.GeneralF().validate()
     with pytest.raises(ValueError):

@@ -176,6 +176,10 @@ def test_solve_xi_domain_errors():
         T.solve_xi(-2, 0.1)
     with pytest.raises(ValueError):
         T.solve_xi(-3, 1.5)  # binomial parameter would exceed 1
+    # past what double precision can bracket: xi underflows, or (1+eps)u/(a+1) does
+    for a, eps in ((1.0, 1e30), (INF, 1e3), (1e308, 0.2)):
+        with pytest.raises(ValueError, match="outside the solver's domain"):
+            T.predict(a, eps=eps)
 
 
 def test_negative_shape_closed_form():
