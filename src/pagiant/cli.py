@@ -17,7 +17,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -386,7 +386,7 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
             cfg = replace(base, m_max=m, checkpoints=(m,))
             cfg.validate()
             points.append((x, cfg, kind.predict(alpha, x)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError, theory.SolverError) as exc:
             raise SpecError(f"{field}: {exc}") from None
     runs = run_replicates([(cfg, replicate_seed(seed, kind.seed_offset + i), replicates)
                            for i, (_, cfg, _) in enumerate(points)], jobs)
@@ -408,10 +408,27 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float
+
+
+def _stopwatch() -> Callable[[], float]:
+    """A clock that returns the seconds since it last did, or since it was
+    made: a suite reads it as it records each check, so each check gets
+    the time it took to compute."""
+    last = time.perf_counter()
+
+    def lap() -> float:
+        nonlocal last
+        now = time.perf_counter()
+        took, last = now - last, now
+        return took
+
+    return lap
 
 
 def _theory_checks() -> list[CheckResult]:
     out = []
+    lap = _stopwatch()
 
     # the two closed forms of the giant fraction agree on a parameter grid
     worst = 0.0
@@ -430,7 +447,7 @@ def _theory_checks() -> list[CheckResult]:
             power = theory.rho(a, eps)
             product = (1 - xi) * (1 - (1 + eps) * xi / (a + 1))
             worst = max(worst, abs(power - product))
-    out.append(CheckResult("rho_forms_agree", worst < 1e-10, f"max |power-product| = {worst:.2e}"))
+    out.append(CheckResult("rho_forms_agree", worst < 1e-10, f"max |power-product| = {worst:.2e}", lap()))
 
     # 0 < rho < 2 eps for positive shapes
     ok = True
@@ -438,7 +455,7 @@ def _theory_checks() -> list[CheckResult]:
         for eps in (1e-3, 0.1, 1.0, 10.0):
             r = theory.rho(a, eps)
             ok = ok and 0 < r < 2 * eps
-    out.append(CheckResult("rho_bounds", ok, "0 < rho < 2 eps on positive-shape grid"))
+    out.append(CheckResult("rho_bounds", ok, "0 < rho < 2 eps on positive-shape grid", lap()))
 
     # Pittel's root gives the same giant fraction
     worst = 0.0
@@ -449,7 +466,7 @@ def _theory_checks() -> list[CheckResult]:
             cstar = theory.pittel_cstar(a, c)
             lhs = -math.expm1(a * (math.log(a + cstar) - math.log(a + c)))
             worst = max(worst, abs(lhs - theory.rho(a, eps)))
-    out.append(CheckResult("pittel_equivalence", worst < 1e-8, f"max residual = {worst:.2e}"))
+    out.append(CheckResult("pittel_equivalence", worst < 1e-8, f"max residual = {worst:.2e}", lap()))
 
     # kinetic-theory time change matches near the critical point
     ok = True
@@ -459,7 +476,7 @@ def _theory_checks() -> list[CheckResult]:
         dev = abs(theory.bnk_giant(t) - theory.rho(1.0, eps))
         worst = max(worst, dev / eps ** 2)
         ok = ok and dev < 10 * eps ** 2
-    out.append(CheckResult("bnk_compatibility", ok, f"max dev / eps^2 = {worst:.2f}"))
+    out.append(CheckResult("bnk_compatibility", ok, f"max dev / eps^2 = {worst:.2f}", lap()))
 
     # closed susceptibility satisfies its ODE
     worst = 0.0
@@ -470,39 +487,43 @@ def _theory_checks() -> list[CheckResult]:
             t = frac * tc
             num = (theory.susceptibility_closed(a, t + h) - theory.susceptibility_closed(a, t - h)) / (2 * h)
             worst = max(worst, abs(num - theory.susceptibility_ode_rhs(a, t, theory.susceptibility_closed(a, t))))
-    out.append(CheckResult("susceptibility_ode", worst < 1e-6, f"max residual = {worst:.2e}"))
+    out.append(CheckResult("susceptibility_ode", worst < 1e-6, f"max residual = {worst:.2e}", lap()))
 
     # k-core thresholds increase with k
     cks = [theory.kcore_threshold(1.0, k) for k in (3, 4, 5)]
     out.append(CheckResult("kcore_monotone", cks[0] < cks[1] < cks[2],
-                           f"c_3..c_5 = {cks[0]:.3f}, {cks[1]:.3f}, {cks[2]:.3f}"))
+                           f"c_3..c_5 = {cks[0]:.3f}, {cks[1]:.3f}, {cks[2]:.3f}", lap()))
     return out
 
 
 def _oracle_checks() -> list[CheckResult]:
     out = []
+    lap = _stopwatch()
     ok = True
     for n in (2, 3):
         for m in (1, 2):
             for a in (Fraction(1, 2), 1, 2):
                 ok = ok and oracle.verify_conditional_equivalence(n, m, a).ok
-    out.append(CheckResult("conditional_equivalence", ok, "exact over the tiny grid"))
+    out.append(CheckResult("conditional_equivalence", ok, "exact over the tiny grid", lap()))
 
     ok = True
     for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
         for a in (Fraction(1, 2), 1, 2):
             ok = ok and oracle.verify_rewiring_stationarity(n, m, a, "current").ok
-    out.append(CheckResult("rewiring_stationarity", ok, "pi P = pi exactly (current-degree convention)"))
+    out.append(CheckResult("rewiring_stationarity", ok,
+                           "pi P = pi exactly (current-degree convention)", lap()))
 
     d = oracle.enumerate_process(2, 1, 1, "multigraph")
     third = Fraction(1, 3)
     ok = d == {((0, 0),): third, ((0, 1),): third, ((1, 1),): third}
-    out.append(CheckResult("first_step_law", ok, "n=2 alpha=1 first edge is uniform over 3 outcomes"))
+    out.append(CheckResult("first_step_law", ok,
+                           "n=2 alpha=1 first edge is uniform over 3 outcomes", lap()))
     return out
 
 
 def _statistical_checks(seed: int) -> list[CheckResult]:
     out = []
+    lap = _stopwatch()
     rng = random.Random(replicate_seed(seed, 42))
 
     # tiny-instance law versus the exact oracle, both modes
@@ -512,7 +533,7 @@ def _statistical_checks(seed: int) -> list[CheckResult]:
         exact = {k: float(v) for k, v in oracle.enumerate_process(3, 2, 1, mode).items()}
         res = stats.chi_square_counts(counts, exact)
         out.append(CheckResult(f"tiny_law_{mode}", res.pvalue > 1e-3,
-                               f"chi2 p = {res.pvalue:.4f} over 1e6 runs"))
+                               f"chi2 p = {res.pvalue:.4f} over 1e6 runs", lap()))
 
     # degree law at n = 1e5
     n = 100_000
@@ -522,7 +543,7 @@ def _statistical_checks(seed: int) -> list[CheckResult]:
     traj = run_process(cfg, random.Random(replicate_seed(seed, 1)))
     hist = stats.DegreeHistogram.from_counts(dict(traj.records[-1].degree_hist))
     tv = stats.tv_distance(hist, theory.NegBinomial(1.0, 0.5))
-    out.append(CheckResult("degree_law_tv", tv < 0.01, f"TV = {tv:.4f} vs NB(1, 1/2)"))
+    out.append(CheckResult("degree_law_tv", tv < 0.01, f"TV = {tv:.4f} vs NB(1, 1/2)", lap()))
 
     # uniform attachment reproduces the Poisson degree law
     cfg = ProcessConfig(n=n, weight_rule=GeneralF(table=(1.0,)), mode="multigraph",
@@ -530,20 +551,20 @@ def _statistical_checks(seed: int) -> list[CheckResult]:
     traj = run_process(cfg, random.Random(replicate_seed(seed, 2)))
     hist = stats.DegreeHistogram.from_counts(dict(traj.records[-1].degree_hist))
     tv = stats.tv_distance(hist, theory.Poisson(1.0))
-    out.append(CheckResult("uniform_rule_poisson_tv", tv < 0.01, f"TV = {tv:.4f} vs Poisson(1)"))
+    out.append(CheckResult("uniform_rule_poisson_tv", tv < 0.01, f"TV = {tv:.4f} vs Poisson(1)", lap()))
 
     # birth-process marginal
     degs = sample_birth_degrees(n, 1.0, math.log(2), random.Random(replicate_seed(seed, 3)))
     hist = stats.DegreeHistogram.from_degrees(degs)
     res = stats.chi_square(hist, theory.NegBinomial(1.0, 0.5))
-    out.append(CheckResult("birth_degrees", res.pvalue > 1e-3, f"chi2 p = {res.pvalue:.4f}"))
+    out.append(CheckResult("birth_degrees", res.pvalue > 1e-3, f"chi2 p = {res.pvalue:.4f}", lap()))
 
     # conditioned degrees: exact total and near-NB marginal
     degs = sample_conditioned_degrees(n, 1.0, m, random.Random(replicate_seed(seed, 4)))
     hist = stats.DegreeHistogram.from_degrees(degs)
     tv = stats.tv_distance(hist, theory.NegBinomial(1.0, 0.5))
     out.append(CheckResult("conditioned_degrees", sum(degs) == 2 * m and tv < 0.01,
-                           f"sum = 2m exactly, TV = {tv:.4f}"))
+                           f"sum = 2m exactly, TV = {tv:.4f}", lap()))
 
     # rewiring long run from a star
     g = MultiGraph(200)
@@ -552,7 +573,7 @@ def _statistical_checks(seed: int) -> list[CheckResult]:
     acc = rewiring_degree_average(g, 1.0, 200_000, random.Random(replicate_seed(seed, 5)))
     hist = stats.DegreeHistogram.from_counts(acc)
     tv = stats.tv_distance(hist, theory.NegBinomial(1.0, 0.5))
-    out.append(CheckResult("rewiring_long_run", tv < 0.05, f"TV = {tv:.4f}"))
+    out.append(CheckResult("rewiring_long_run", tv < 0.05, f"TV = {tv:.4f}", lap()))
     return out
 
 
@@ -566,7 +587,7 @@ def cmd_verify(level: str = "quick", seed: int = 0) -> tuple[int, dict]:
     report = {
         "level": level,
         "ok": all(c.ok for c in checks),
-        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+        "checks": [asdict(c) for c in checks],
     }
     return (0 if report["ok"] else 1), report
 
@@ -629,6 +650,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             pred = theory.predict(args.alpha, eps=args.eps, m=args.m, n=args.n, ks=args.k)
         except ValueError as exc:
             print(f"domain error: {exc}", file=sys.stderr)
+            return 2
+        except theory.SolverError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
             return 2
         print(_json_dumps(pred.to_json_dict()), end="")
         return 0

@@ -21,17 +21,21 @@ long run of rejections under a general f), _sample_addable_pair enumerates
 the addable pairs instead: the same law, and an empty enumeration is
 reported as true exhaustion, not as a spent rejection budget.
 
-run_process takes the linear-alpha multigraph rule in bulk, with no step
-loop.  There a step makes exactly four rng.random() calls, and numpy's
-MT19937 draws the very same doubles as CPython's random once it holds the
-same state, so all 4 m_max draws come out of one numpy call and the
-advanced state is handed back to rng.  Endpoint p, with its two draws
-(u_a, u_b), is the fresh vertex floor(u_b n) if u_a (p + alpha n) <
-alpha n, and otherwise a copy of endpoint floor(u_b p): the same float
-operations as _UrnPairEngine.sample, so the edges, the records and the
-state rng is left in are identical to stepping ProcessState.  Components
-at each checkpoint come from graph_core.merge_labels over the edges added
-since the previous one.  The other rules, and simple mode, step.
+run_process takes the linear-alpha rule in bulk, with no step loop.  A
+multigraph step makes exactly four rng.random() calls, and numpy's MT19937
+draws the very same doubles as CPython's random once it holds the same
+state, so all 4 m_max draws come out of one numpy call and the advanced
+state is handed back to rng.  Endpoint p, with its two draws (u_a, u_b), is
+the fresh vertex floor(u_b n) if u_a (p + alpha n) < alpha n, and otherwise
+a copy of endpoint floor(u_b p): the same float operations as
+_UrnPairEngine.sample (_urn_pick), so the edges, the records and the state
+rng is left in are identical to stepping ProcessState.  A simple-mode
+proposal also makes four calls, with both endpoints drawn from the 2j
+accepted ones, so simple runs go in speculative batches that assume every
+proposal is accepted and keep the prefix before the first rejection
+(_run_urn_simple); a dense run steps on from where a batch accepted few.
+Components at each checkpoint come from graph_core.merge_labels over the
+edges added since the previous one.  The r-stub and general-f rules step.
 
 sample_process_outcomes runs many tiny processes, and batches the rules
 whose multigraph steps make a fixed number of rng.random() calls: four for
@@ -40,10 +44,14 @@ only on the s = rn - 2i free stubs left).  R runs therefore read
 consecutive blocks of one MT19937 stream, so the draws of a chunk of runs
 come from one numpy call, reshaped to one row per run.  Linear-alpha rows
 share _urn_endpoints; r-stub rows make the swap-removes of _StubEngine on
-a (runs, rn) stub array, one step at a time for all rows.  The float
+a (runs, rn) stub array, one step at a time for all rows.  Linear-alpha
+simple runs read a chunk of four-draw proposals: the run that would start
+at each proposal is resolved for all of them at once, and the runs from
+the first proposal on follow one another (_urn_simple_chunk).  The float
 operations are the step engines' own, so the outcome counts, their order
-of first appearance and the state rng is left in equal stepping.  Simple
-mode and general f, whose draw counts vary, step ProcessState run by run.
+of first appearance and the state rng is left in equal stepping.  The
+r-stub simple rule and general f, whose draw counts vary, step
+ProcessState run by run.
 
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
@@ -72,9 +80,12 @@ _REJECTION_CAP = 10 ** 6
 _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
-# sample_process_outcomes draws this many batched runs at a time: enough to
-# amortize numpy's per-call cost, few enough that a chunk's arrays stay small
+# sample_process_outcomes draws this many batched runs (multigraph) or
+# proposals (simple) at a time: enough to amortize numpy's per-call cost,
+# few enough that a chunk's arrays stay small
 _OUTCOME_CHUNK = 1 << 13
+# a bulk linear-alpha simple run steps on once a batch accepts fewer proposals
+_HANDOVER = 64
 
 
 class ProcessExhausted(RuntimeError):
@@ -517,25 +528,37 @@ def _mt_uniforms(rng: random.Random, k: int) -> np.ndarray:
     return u
 
 
+def _urn_pick(n: int, an: float, p, ua: np.ndarray, ub: np.ndarray):
+    """The float operations _UrnPairEngine.sample makes for one endpoint
+    from its draws (u_a, u_b), with p endpoints before it in its weight
+    total p + an: whether it is a fresh vertex, the fresh vertex, and the
+    earlier endpoint it copies otherwise."""
+    return ua * (p + an) < an, (ub * n).astype(np.int64), (ub * p).astype(np.int64)
+
+
+def _roots(src: np.ndarray) -> np.ndarray:
+    """Follow src (each entry points at itself or at an earlier entry) to
+    its fixed points, by pointer doubling."""
+    while True:
+        up = src[src]
+        if np.array_equal(up, src):
+            return src
+        src = up
+
+
 def _urn_endpoints(n: int, an: float, u: np.ndarray) -> np.ndarray:
     """Linear-alpha multigraph endpoints from the draws _UrnPairEngine.sample
     makes: row j of u holds the 4m draws of one run, and row j of the result
     its 2m endpoints in the order of MultiGraph.ends."""
     runs, k = u.shape
-    ua, ub = u[:, 0::2], u[:, 1::2]
     pos = np.arange(k // 2)
-    p = pos.astype(np.float64)
+    fresh, vertex, source = _urn_pick(n, an, pos.astype(np.float64), u[:, 0::2], u[:, 1::2])
     # src[p] is the endpoint that p copies, or p itself for a fresh vertex;
-    # it always lies before p in the same run, so pointer doubling over the
+    # it always lies before p in the same run, so following it over the
     # flattened runs reaches a fresh one
-    src = np.where(ua * (p + an) < an, pos, (ub * p).astype(np.int64))
-    src = (src + (k // 2) * np.arange(runs)[:, None]).ravel()
-    while True:
-        up = src[src]
-        if np.array_equal(up, src):
-            break
-        src = up
-    return (ub * n).astype(np.int64).ravel()[src].reshape(runs, k // 2)
+    src = np.where(fresh, pos, source) + (k // 2) * np.arange(runs)[:, None]
+    del fresh, source  # freed before the doubling allocates its own arrays
+    return vertex.ravel()[_roots(src.ravel())].reshape(runs, k // 2)
 
 
 def _stub_endpoints(n: int, r: int, u: np.ndarray) -> np.ndarray:
@@ -557,13 +580,9 @@ def _stub_endpoints(n: int, r: int, u: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
-    """run_process for the linear-alpha multigraph rule, without a step loop."""
-    n = cfg.n
-    # no name holds the draws, so they are freed before the record arrays
-    # are allocated (holding them cost about 1 ms per replicate at n = 10^5)
-    ends = _urn_endpoints(n, cfg.weight_rule.alpha * n,
-                          _mt_uniforms(rng, 4 * cfg.m_max)[None, :])[0]
+def _urn_records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[CheckpointRecord]:
+    """The checkpoint records of the run whose endpoints, in the order of
+    MultiGraph.ends, are `ends`; every checkpoint is at most its length."""
     v, w = ends[0::2], ends[1::2]
     loops = np.cumsum(v == w)
     # first[j] < m exactly when the j-th distinct pair is among the first m edges
@@ -572,7 +591,7 @@ def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
     deg = np.zeros(n, np.int64)
     records: list[CheckpointRecord] = []
     done = 0
-    for m in cfg.checkpoints:
+    for m in checkpoints:
         merge_labels(label, v[done:m], w[done:m])
         deg += np.bincount(ends[2 * done:2 * m], minlength=n)
         done = m
@@ -587,7 +606,96 @@ def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
             multi_edges=m - int(np.searchsorted(first, m)),
             degree_hist=_degree_pairs(deg),
         ))
-    return Trajectory(tuple(records), cfg.m_max, False)
+    return records
+
+
+def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
+    """run_process for the linear-alpha multigraph rule, without a step loop."""
+    n = cfg.n
+    # no name holds the draws, so they are freed before the record arrays
+    # are allocated (holding them cost about 1 ms per replicate at n = 10^5)
+    ends = _urn_endpoints(n, cfg.weight_rule.alpha * n,
+                          _mt_uniforms(rng, 4 * cfg.m_max)[None, :])[0]
+    return Trajectory(tuple(_urn_records(n, ends, cfg.checkpoints)), cfg.m_max, False)
+
+
+def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
+    """run_process for the linear-alpha simple rule, in speculative batches.
+
+    A batch resolves its proposals as if every one were accepted: proposal
+    k then makes its endpoints with 2(j + k) accepted endpoints before it,
+    j being the accepted count at the start of the batch.  The prefix before
+    the first loop, repeat of an accepted pair or repeat of an earlier
+    proposal of the batch is exactly what stepping accepts, and that
+    proposal is a rejection, so the next batch starts after its four draws.
+    Once a batch accepts fewer than _HANDOVER proposals the run is dense,
+    and the rest steps a ProcessState rebuilt from the accepted edges.  A
+    step makes at most two proposals in the batches, so no batch reaches
+    _REJECTION_CAP.
+    """
+    n, m_max = cfg.n, cfg.m_max
+    an = cfg.weight_rule.alpha * n
+    pairs = n * (n - 1) // 2
+    ends = np.empty(2 * min(m_max, pairs), np.int64)
+    keys = np.empty(0, np.int64)
+    j = 0
+    size = m_max
+    # the state and draw count at which the current step's first proposal starts
+    start = rng.getstate(), 0
+    while j < min(m_max, pairs):
+        b = min(size, m_max - j)
+        saved = rng.getstate()
+        u = _mt_uniforms(rng, 4 * b).reshape(b, 2, 2)
+        fresh, vertex, source = _urn_pick(n, an, 2.0 * np.arange(j, j + b)[:, None],
+                                          u[:, :, 0], u[:, :, 1])
+        fresh, vertex, source = fresh.ravel(), vertex.ravel(), source.ravel()
+        # copies of accepted endpoints are known; the others point into the batch
+        known = fresh | (source < 2 * j)
+        vertex[~fresh & known] = ends[source[~fresh & known]]
+        src = np.where(known, np.arange(2 * b), source - 2 * j)
+        new = vertex[_roots(src)]
+        v, w = new[0::2], new[1::2]
+        key = np.minimum(v, w) * n + np.maximum(v, w)
+        bad = (v == w) | np.isin(key, keys)
+        order = np.argsort(key, kind="stable")
+        bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        k = int(np.argmax(bad)) if bad.any() else b
+        ends[2 * j:2 * (j + k)] = new[:2 * k]
+        keys = np.concatenate((keys, key[:k]))
+        j += k
+        if k:
+            start = saved, 4 * k
+        if k < _HANDOVER:
+            # the stepped tail makes the current step's proposals again, so
+            # its rejection cap counts the ones the batches rejected
+            rng.setstate(start[0])
+            _mt_uniforms(rng, start[1])
+            break
+        # stepping draws no proposal once the graph is complete
+        used = k if k == b or j == pairs else k + 1
+        if used < b:
+            rng.setstate(saved)
+            _mt_uniforms(rng, 4 * used)
+        size = 2 * k
+    reason = None
+    if j < m_max:
+        state = ProcessState(cfg)
+        g = state.graph
+        for v, w in ends[:2 * j].reshape(j, 2).tolist():
+            g.add_edge(v, w, False)
+        sample = state.engine.sample
+        try:
+            while j < m_max:
+                v, w = sample(rng)
+                g.add_edge(v, w, False)
+                j += 1
+        except ProcessExhausted as exc:
+            reason = str(exc)
+        ends = np.array(g.ends, np.int64)
+    records = tuple(_urn_records(n, ends[:2 * j], [c for c in cfg.checkpoints if c <= j]))
+    if reason is not None:
+        raise ProcessExhausted(reason, m_reached=j, trajectory=Trajectory(records, j, True))
+    return Trajectory(records, j, False)
 
 
 def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Trajectory:
@@ -595,15 +703,16 @@ def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Traject
 
     Deterministic given (cfg, seed).  If the process exhausts first, a
     ProcessExhausted is raised carrying the truncated trajectory.  The
-    linear-alpha multigraph rule runs in bulk (see the module docstring)
-    when rng is a plain random.Random, whose random() numpy reproduces.
+    linear-alpha rule runs in bulk (see the module docstring) when rng is a
+    plain random.Random, whose random() numpy reproduces.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    if (isinstance(cfg.weight_rule, LinearAlpha) and cfg.mode == "multigraph"
-            and type(rng) is random.Random):
+    if isinstance(cfg.weight_rule, LinearAlpha) and type(rng) is random.Random:
         cfg.validate()
-        return _run_urn_multigraph(cfg, rng)
+        if cfg.mode == "multigraph":
+            return _run_urn_multigraph(cfg, rng)
+        return _run_urn_simple(cfg, rng)
     state = ProcessState(cfg)
     records: list[CheckpointRecord] = []
     cps = cfg.checkpoints
@@ -645,38 +754,148 @@ def _count_outcomes(ends: np.ndarray, n: int, out: Counter) -> None:
         out[tuple((x // n, x % n) for x in key)] += int(counts[i])
 
 
+def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,
+                      want: int) -> tuple[np.ndarray, int]:
+    """Up to `want` consecutive linear-alpha simple runs of m >= 1 edges
+    from the proposal draws u (one row of four per proposal): their
+    endpoints, one row per run, and the number of proposals they use.
+
+    The run that would start at each proposal is worked out, all at once.
+    At step 0 both endpoints are fresh (t = an), so that run's first edge
+    is the next proposal with two distinct vertices, and runs are kept by
+    that proposal.  Step j searches on from each run's last edge, past
+    loops and repeats of the run's own accepted pairs, while the runs it
+    would leave the chunk with drop out.  The runs from proposal 0 on then
+    follow one another.
+    """
+    rows = len(u)
+    # row 0 of each: the first endpoint of every proposal, row 1 the second
+    ua, ub = u[:, 0::2].T, u[:, 1::2].T
+    vertex = _urn_pick(n, an, 0.0, ua, ub)[1]
+    starts = np.flatnonzero(vertex[0] != vertex[1])
+    width = 2 * m
+    ends = np.empty((len(starts), width), np.int64)
+    v, w = vertex[0, starts], vertex[1, starts]
+    ends[:, 0], ends[:, 1] = v, w
+    keys = np.empty((m, len(starts)), np.int64)
+    keys[0] = np.minimum(v, w) * n + np.maximum(v, w)
+    nxt = starts + 1
+    alive = np.ones(len(starts), bool)
+    flat = ends.reshape(-1)
+    for j in range(1, m):
+        fresh, vertex, source = _urn_pick(n, an, 2.0 * j, ua, ub)
+        runs = np.flatnonzero(alive)
+        at = nxt[runs]
+        while len(runs):
+            fits = at < rows
+            if not fits.all():
+                alive[runs[~fits]] = False
+                runs, at = runs[fits], at[fits]
+            base = runs * width
+            v = np.where(fresh[0, at], vertex[0, at], flat[base + source[0, at]])
+            w = np.where(fresh[1, at], vertex[1, at], flat[base + source[1, at]])
+            key = np.minimum(v, w) * n + np.maximum(v, w)
+            ok = v != w
+            for c in range(j):
+                ok &= keys[c, runs] != key
+            flat[base[ok] + 2 * j] = v[ok]
+            flat[base[ok] + 2 * j + 1] = w[ok]
+            keys[j, runs[ok]] = key[ok]
+            nxt[runs[ok]] = at[ok] + 1
+            runs, at = runs[~ok], at[~ok] + 1
+    following = np.searchsorted(starts, nxt).tolist()
+    alive = alive.tolist()
+    chain: list[int] = []
+    i = 0
+    while len(chain) < want and i < len(alive) and alive[i]:
+        chain.append(i)
+        i = following[i]
+    return ends[chain], int(nxt[chain[-1]]) if chain else 0
+
+
+def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter) -> None:
+    """sample_process_outcomes for the linear-alpha simple rule with m_max
+    at most the n(n-1)/2 pairs, in chunks of proposals: each chunk is drawn
+    at once, and rng is then set to just after the proposals its runs used.
+    A chunk that holds no whole run is drawn again twice as long, and a run
+    longer than the longest chunk steps."""
+    n, m = cfg.n, cfg.m_max
+    if m == 0:
+        if runs:
+            out[()] += runs
+        return
+    an = cfg.weight_rule.alpha * n
+    # so no step of a chunk can reach the rejection cap
+    longest = min(_OUTCOME_CHUNK, _REJECTION_CAP)
+    done = used_total = 0
+    grow = 1
+    while done < runs:
+        # 5% over the proposals per run so far, for the runs left
+        per_run = used_total / done if done else m
+        size = min(grow * math.ceil(1.05 * per_run * (runs - done)), longest)
+        saved = rng.getstate()
+        ends, used = _urn_simple_chunk(n, an, m, _mt_uniforms(rng, 4 * size).reshape(size, 4),
+                                       runs - done)
+        if not used:
+            rng.setstate(saved)
+            if size < longest:
+                grow *= 2
+            else:
+                _stepped_outcomes(cfg, 1, rng, out)
+                done += 1
+            continue
+        grow = 1
+        if used < size:
+            rng.setstate(saved)
+            _mt_uniforms(rng, 4 * used)
+        _count_outcomes(ends, n, out)
+        done += len(ends)
+        used_total += used
+
+
+def _stepped_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter) -> None:
+    for _ in range(runs):
+        state = ProcessState(cfg)
+        step = state.step
+        for _ in range(cfg.m_max):
+            step(rng)
+        out[canonical_key(state.graph.edges())] += 1
+
+
 def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -> Counter:
     """Repeatedly run a tiny process and count final edge multisets.
 
     Used by the statistical equivalence suites; outcomes are keyed by
     oracle.canonical_key, like the oracle's exact laws.  The linear-alpha
-    and r-stub multigraph rules, whose steps make a fixed number of
-    rng.random() calls, run in batches (see the module docstring) when rng
-    is a plain random.Random; the others step ProcessState run by run.
+    rule, and the r-stub multigraph rule, run in batches (see the module
+    docstring) when rng is a plain random.Random; the others step
+    ProcessState run by run, as does a simple run that asks for more edges
+    than there are pairs (its first run ends in ProcessExhausted).
     """
     out: Counter = Counter()
     m_max = cfg.m_max
     rule = cfg.weight_rule
-    if (isinstance(rule, (LinearAlpha, NegativeInteger)) and cfg.mode == "multigraph"
-            and type(rng) is random.Random):
-        cfg.validate()
-        n = cfg.n
-        for done in range(0, runs, _OUTCOME_CHUNK):
-            chunk = min(_OUTCOME_CHUNK, runs - done)
-            if isinstance(rule, LinearAlpha):
-                u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
-                ends = _urn_endpoints(n, rule.alpha * n, u)
-            else:
-                u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
-                ends = _stub_endpoints(n, rule.r, u)
-            _count_outcomes(ends, n, out)
+    n = cfg.n
+    multigraph = cfg.mode == "multigraph"
+    batched = type(rng) is random.Random and (
+        isinstance(rule, LinearAlpha) and (multigraph or m_max <= n * (n - 1) // 2)
+        or isinstance(rule, NegativeInteger) and multigraph)
+    if not batched:
+        _stepped_outcomes(cfg, runs, rng, out)
         return out
-    for _ in range(runs):
-        state = ProcessState(cfg)
-        step = state.step
-        for _ in range(m_max):
-            step(rng)
-        out[canonical_key(state.graph.edges())] += 1
+    cfg.validate()
+    if not multigraph:
+        _urn_simple_outcomes(cfg, runs, rng, out)
+        return out
+    for done in range(0, runs, _OUTCOME_CHUNK):
+        chunk = min(_OUTCOME_CHUNK, runs - done)
+        if isinstance(rule, LinearAlpha):
+            u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
+            ends = _urn_endpoints(n, rule.alpha * n, u)
+        else:
+            u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
+            ends = _stub_endpoints(n, rule.r, u)
+        _count_outcomes(ends, n, out)
     return out
 
 

@@ -1,12 +1,14 @@
 import copy
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pagiant import cli, theory as T
-from pagiant.processes import LinearAlpha, NegativeInteger
+from pagiant.processes import CheckpointRecord, LinearAlpha, NegativeInteger, Trajectory
 
 
 BASE_SPEC = {
@@ -260,6 +262,14 @@ def test_theory_command_rejects_what_the_solver_cannot_bracket(capsys, alpha, ep
     assert "outside the solver's domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, eps", [("1", "1e-15"), ("0.5", "1e10")])
+def test_theory_command_reports_solver_errors(capsys, alpha, eps):
+    # the solve succeeds but a cross-check of its giant fraction fails
+    assert cli.main(["theory", "--alpha", alpha, "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error: ") and not captured.out
+
+
 def test_sweep_rho_grid(tmp_path):
     sweep = {
         "kind": "rho_vs_eps",
@@ -372,6 +382,47 @@ def test_sweep_rejects_bad_grid_before_compute(tmp_path, capsys, monkeypatch, sw
     assert not out.exists()
 
 
+SWEEPS = [
+    {"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, 0.5], "n": 2000, "replicates": 2,
+     "mode": "simple", "seed": 3},
+    {"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.05, 0.15], "n": 2000,
+     "replicates": 2},
+]
+SWEEP_FIELDS = [(sweep, field) for sweep in SWEEPS
+                for field in [(key,) for key in sweep] + [("eps" if "eps" in sweep else "t", 1)]]
+_MISSING = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(SWEEP_FIELDS), value=JSON_VALUES | st.just(_MISSING))
+def test_sweep_gives_a_csv_or_a_spec_error(case, value):
+    # a valid grid point, even a huge one, runs no simulation here: each
+    # gets two one-record trajectories at its edge count, whatever the
+    # replicate count
+    def fake_runs(batches, jobs):
+        return [[Trajectory((CheckpointRecord(cfg.m_max, 1, 0, 1.0, 0, 0, ()),), cfg.m_max)] * 2
+                for cfg, _, _ in batches]
+
+    base, field = case
+    data = copy.deepcopy(base)
+    parent = data
+    for key in field[:-1]:
+        parent = parent[key]
+    if value is _MISSING:
+        del parent[field[-1]]
+    else:
+        parent[field[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_replicates", fake_runs)
+        spec_path = os.path.join(tmp, "sweep.json")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out = os.path.join(tmp, "grid.csv")
+        code = cli.main(["sweep", "--spec", spec_path, "--out", out, "--jobs", "1"])
+        assert code in (0, 2)
+        assert os.path.exists(out) == (code == 0)
+
+
 @pytest.mark.parametrize("text", ['{"kind": "rho_vs_eps", "eps": [0.1', "[1, 2]",
                                   '{"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.5], '
                                   '"n": 100, "replicates": 1, "seed": "x"}'])
@@ -401,6 +452,13 @@ def test_verify_writes_json_report(tmp_path):
     assert any(c["name"] == "conditional_equivalence" for c in report["checks"])
 
 
+def test_verify_report_times_every_check(tmp_path):
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--level", "quick", "--json", str(path)]) == 0
+    checks = json.loads(path.read_text())["checks"]
+    assert checks and all(math.isfinite(c["seconds"]) and c["seconds"] >= 0 for c in checks)
+
+
 def test_verify_full_passes_within_budget():
     import time
 
@@ -411,4 +469,5 @@ def test_verify_full_passes_within_budget():
     names = {c["name"] for c in report["checks"]}
     assert {"tiny_law_multigraph", "tiny_law_simple", "degree_law_tv",
             "rewiring_long_run"} <= names
+    assert all(0 <= c["seconds"] < math.inf for c in report["checks"])
     assert elapsed < 600

@@ -38,38 +38,83 @@ def test_tiny_instance_law_matches_oracle(alpha, mode):
 
 
 # ---------------------------------------------------------------------------
-# bulk linear-alpha multigraph runs (run_process without a step loop)
+# bulk linear-alpha runs (run_process and sample_process_outcomes without a
+# step loop)
 # ---------------------------------------------------------------------------
 
 
-def _stepped(cfg, rng):
-    """run_process by hand: ProcessState steps plus a record per checkpoint."""
-    state = P.ProcessState(cfg)
-    cps = set(cfg.checkpoints)
-    records = [P._checkpoint_record(state, 0)] if 0 in cps else []
-    for m in range(1, cfg.m_max + 1):
-        state.step(rng)
-        if m in cps:
-            records.append(P._checkpoint_record(state, m))
-    return records
+class _SteppedRandom(random.Random):
+    """A subclass may override random(), so run_process and
+    sample_process_outcomes step it."""
+
+
+def _outcome(run, cfg, *args):
+    """What a run gives: its result, or the exhaustion it ends in."""
+    try:
+        return run(cfg, *args)
+    except P.ProcessExhausted as exc:
+        return "exhausted", str(exc), exc.m_reached, exc.trajectory
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 10.0, 1e6])
 @pytest.mark.parametrize("n, m_max", [(1, 6), (2, 6), (3, 6), (50, 80), (1000, 700),
                                       (100_000, 20_000)])
 def test_bulk_run_matches_stepping(n, m_max, alpha):
+    # both modes; the simple runs on n <= 3 reach the complete graph
     dense = tuple(range(0, m_max + 1, max(1, m_max // 20)))
-    for m, cps in ((m_max, ()), (m_max, (0,)), (m_max, dense), (0, ()), (0, (0,))):
-        cfg = lin_cfg(n, alpha, "multigraph", m, cps)
-        bulk_rng = random.Random(f"bulk:{n}:{alpha}:{len(cps)}")
-        step_rng = random.Random(f"bulk:{n}:{alpha}:{len(cps)}")
-        traj = P.run_process(cfg, bulk_rng)
-        stepped = _stepped(cfg, step_rng)
-        assert traj.m_reached == m and not traj.exhausted
-        assert len(traj.records) == len(stepped)
-        for got, want in zip(traj.records, stepped):
-            assert got == want
+    for mode in ("multigraph", "simple"):
+        for m, cps in ((m_max, ()), (m_max, (0,)), (m_max, dense), (0, ()), (0, (0,))):
+            cfg = lin_cfg(n, alpha, mode, m, cps)
+            seed = f"bulk:{n}:{alpha}:{len(cps)}" + (":simple" if mode == "simple" else "")
+            bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+            bulk = _outcome(P.run_process, cfg, bulk_rng)
+            assert bulk == _outcome(P.run_process, cfg, step_rng), (mode, m, cps)
+            assert bulk_rng.getstate() == step_rng.getstate(), (mode, m, cps)
+            if mode == "multigraph":
+                assert bulk.m_reached == m and not bulk.exhausted
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1e6])
+@pytest.mark.parametrize("n, m_max", [(4, 6), (12, 66), (20, 250), (30, 300), (200, 4000)])
+def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alpha):
+    # dense runs accept short batches, so they step on from a rebuilt
+    # ProcessState; K12 is reached exactly, and K20 before m_max
+    built = []
+    process_state = P.ProcessState
+
+    def counting(cfg):
+        built.append(cfg)
+        return process_state(cfg)
+
+    monkeypatch.setattr(P, "ProcessState", counting)
+    cps = tuple(range(0, m_max + 1, max(1, m_max // 10)))
+    for m, checkpoints in ((m_max, cps), (m_max, ())):
+        cfg = lin_cfg(n, alpha, "simple", m, checkpoints)
+        seed = f"handover:{n}:{alpha}:{len(checkpoints)}"
+        bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+        built.clear()
+        bulk = _outcome(P.run_process, cfg, bulk_rng)
+        assert len(built) == 1
+        assert bulk == _outcome(P.run_process, cfg, step_rng)
         assert bulk_rng.getstate() == step_rng.getstate()
+        if m_max > n * (n - 1) // 2:
+            assert bulk[:3] == ("exhausted", "graph is complete", n * (n - 1) // 2)
+
+
+def test_bulk_simple_run_keeps_the_rejection_cap(monkeypatch):
+    # a step past the cap exhausts the budget where stepping does, even
+    # when the batches rejected some of its proposals before the hand-over
+    monkeypatch.setattr(P, "_REJECTION_CAP", 3)
+    budget = 0
+    for alpha, n, m in ((0.5, 10, 45), (1.0, 30, 300), (1e6, 200, 3000), (1e6, 2000, 1500)):
+        for seed in range(4):
+            cfg = lin_cfg(n, alpha, "simple", m, checkpoints=(m // 2,))
+            bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+            bulk = _outcome(P.run_process, cfg, bulk_rng)
+            assert bulk == _outcome(P.run_process, cfg, step_rng), (alpha, n, m, seed)
+            assert bulk_rng.getstate() == step_rng.getstate(), (alpha, n, m, seed)
+            budget += isinstance(bulk, tuple) and "budget" in bulk[1]
+    assert budget
 
 
 def test_numpy_draws_continue_the_python_stream():
@@ -83,29 +128,50 @@ def test_numpy_draws_continue_the_python_stream():
     assert rng.random() == ref.random()
 
 
-class _SteppedRandom(random.Random):
-    """A subclass may override random(), so sample_process_outcomes steps it."""
-
-
 @pytest.mark.parametrize("rule", [P.LinearAlpha(0.5), P.LinearAlpha(1.0), P.LinearAlpha(2.0),
                                   P.LinearAlpha(1e6), P.NegativeInteger(3), P.NegativeInteger(4)],
                          ids=lambda rule: repr(rule))
-def test_batched_outcomes_match_stepping(rule):
+def test_batched_outcomes_match_stepping(rule, monkeypatch):
     cases = [(n, m, runs) for n in (1, 2, 3, 5) for m in (0, 1, 2, 4) for runs in (0, 1, 3, 500)]
-    # more runs than one chunk, the last chunk partial; and (n^2)^m past 2^63,
-    # where the outcome codes no longer fit an int64
+    # more runs than one chunk, the last chunk partial (in simple mode a
+    # chunk holds proposals, and runs cross its end); and (n^2)^m past
+    # 2^63, where the outcome codes no longer fit an int64
     cases += [(3, 2, P._OUTCOME_CHUNK + 5), (8, 11, 200)]
-    for n, m, runs in cases:
-        if isinstance(rule, P.NegativeInteger) and m > rule.r * n // 2:
-            continue
-        cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m)
-        seed = f"outcomes:{rule}:{n}:{m}:{runs}"
-        batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
-        batched = P.sample_process_outcomes(cfg, runs, batched_rng)
-        stepped = P.sample_process_outcomes(cfg, runs, stepped_rng)
-        # the same counts, first seen in the same order, and the same state after
-        assert list(batched.items()) == list(stepped.items()), (n, m, runs)
-        assert batched_rng.getstate() == stepped_rng.getstate(), (n, m, runs)
+    cases_by_mode = {"multigraph": cases}
+    if isinstance(rule, P.LinearAlpha):
+        # simple runs of n <= 3 past the n(n-1)/2 pairs end in the complete
+        # graph; K4 is reached exactly, and one run of it outgrows its
+        # first chunk of about m proposals
+        cases_by_mode["simple"] = cases + [(4, 6, 1), (4, 6, 500)]
+    chunks = []
+    chunk = P._urn_simple_chunk
+
+    def spy(n, an, m, u, want):
+        ends, used = chunk(n, an, m, u, want)
+        chunks.append((len(u), used))
+        return ends, used
+
+    monkeypatch.setattr(P, "_urn_simple_chunk", spy)
+    for mode, mode_cases in cases_by_mode.items():
+        for n, m, runs in mode_cases:
+            if isinstance(rule, P.NegativeInteger) and m > rule.r * n // 2:
+                continue
+            cfg = P.ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m)
+            seed = f"outcomes:{rule}:{n}:{m}:{runs}" + (":simple" if mode == "simple" else "")
+            batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+            batched = _outcome(_counts, cfg, runs, batched_rng)
+            stepped = _outcome(_counts, cfg, runs, stepped_rng)
+            # the same counts, first seen in the same order, and the same state after
+            assert batched == stepped, (mode, n, m, runs)
+            assert batched_rng.getstate() == stepped_rng.getstate(), (mode, n, m, runs)
+    if "simple" in cases_by_mode:
+        # a chunk that holds no whole run is drawn again, twice as long
+        assert any(used == 0 and grown == 2 * size
+                   for (size, used), (grown, _) in zip(chunks, chunks[1:]))
+
+
+def _counts(cfg, runs, rng):
+    return list(P.sample_process_outcomes(cfg, runs, rng).items())
 
 
 def _record_key(rec):
@@ -125,6 +191,27 @@ def test_bulk_run_final_record_matches_oracle(alpha):
     rng = random.Random(20_260_500 + int(alpha * 4))
     cfg = lin_cfg(3, float(alpha), "multigraph", 2, checkpoints=(2,))
     counts = Counter(_record_key(P.run_process(cfg, rng).records[-1]) for _ in range(4000))
+    res = S.chi_square_counts(counts, dict(exact))
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
+@pytest.mark.parametrize("n, m, alpha", [(4, 2, F(1, 2)), (4, 3, F(2))])
+def test_bulk_simple_run_final_record_matches_oracle(n, m, alpha):
+    # (every simple run of n = 3, m = 2 is a path, with one record)
+    exact = Counter()
+    for key, pr in oracle.enumerate_process(n, m, alpha, "simple").items():
+        state = P.ProcessState(lin_cfg(n, float(alpha), "simple", m))
+        for v, w in key:
+            state.graph.add_edge(v, w, False)
+            state.tracker.union(v, w)
+        rec = P._checkpoint_record(state, m)
+        exact[rec.degree_hist, rec.l1, rec.l2] += float(pr)
+    rng = random.Random(20_260_700 + n)
+    cfg = lin_cfg(n, float(alpha), "simple", m, checkpoints=(m,))
+    counts = Counter()
+    for _ in range(3000):
+        rec = P.run_process(cfg, rng).records[-1]
+        counts[rec.degree_hist, rec.l1, rec.l2] += 1
     res = S.chi_square_counts(counts, dict(exact))
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
