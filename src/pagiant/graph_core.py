@@ -2,7 +2,8 @@
 
 A MultiGraph keeps a fixed vertex set [0, n) and an edge multiset stored as
 a flat endpoint list, so that the endpoint list doubles as the draw history
-of the attachment samplers.  A ComponentTracker is a size-weighted
+of the attachment samplers; MultiGraph.from_ends builds one from such a
+list in bulk.  A ComponentTracker is a size-weighted
 union-find that maintains the running sum of squared component sizes, from
 which the susceptibility S = sum |C|^2 / n is read off without a rescan.
 
@@ -41,6 +42,27 @@ class MultiGraph:
         self.loops = 0
         # normalized pair key (min*n + max) -> multiplicity
         self._pairs: dict[int, int] = {}
+
+    @classmethod
+    def from_ends(cls, n: int, ends: list[int], pairs: dict[int, int] | None = None) -> MultiGraph:
+        """The graph that add_edge builds from the endpoint list `ends` (edge
+        i is ends[2i], ends[2i+1]), built in bulk; it keeps the list, and
+        `pairs` too, the multiplicity of every pair key, when it is given."""
+        g = cls(n)
+        if ends:
+            e = np.array(ends, np.int64)
+            if e.min() < 0 or e.max() >= n:
+                raise ValueError(f"endpoint out of range: {e.min()}..{e.max()}")
+            v, w = e[0::2], e[1::2]
+            g.deg = np.bincount(e, minlength=n).tolist()
+            g.loops = int(np.count_nonzero(v == w))
+            if pairs is None:
+                keys, counts = np.unique(np.minimum(v, w) * n + np.maximum(v, w),
+                                         return_counts=True)
+                pairs = dict(zip(keys.tolist(), counts.tolist()))
+            g._pairs = pairs
+            g.ends = ends
+        return g
 
     @property
     def num_edges(self) -> int:

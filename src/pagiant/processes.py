@@ -21,37 +21,51 @@ long run of rejections under a general f), _sample_addable_pair enumerates
 the addable pairs instead: the same law, and an empty enumeration is
 reported as true exhaustion, not as a spent rejection budget.
 
-run_process takes the linear-alpha rule in bulk, with no step loop.  A
-multigraph step makes exactly four rng.random() calls, and numpy's MT19937
-draws the very same doubles as CPython's random once it holds the same
-state, so all 4 m_max draws come out of one numpy call and the advanced
-state is handed back to rng.  Endpoint p, with its two draws (u_a, u_b), is
-the fresh vertex floor(u_b n) if u_a (p + alpha n) < alpha n, and otherwise
-a copy of endpoint floor(u_b p): the same float operations as
-_UrnPairEngine.sample (_urn_pick), so the edges, the records and the state
-rng is left in are identical to stepping ProcessState.  A simple-mode
-proposal also makes four calls, with both endpoints drawn from the 2j
-accepted ones, so simple runs go in speculative batches that assume every
-proposal is accepted and keep the prefix before the first rejection
-(_run_urn_simple); a dense run steps on from where a batch accepted few.
-Components at each checkpoint come from graph_core.merge_labels over the
-edges added since the previous one.  The r-stub and general-f rules step.
+run_process works edges first: every path yields the run's endpoints in
+the order of MultiGraph.ends, and one builder (_records) computes the
+checkpoint records from them, with components from graph_core.merge_labels
+over the edges added since the previous checkpoint.  The linear-alpha and
+r-stub rules run in bulk when rng is a plain random.Random.  numpy's
+MT19937 draws the very same doubles as CPython's random once it holds the
+same state, so the draws of many steps come out of one numpy call and the
+advanced state is handed back to rng (_mt_uniforms).
+
+  * Linear alpha, multigraph: a step makes exactly four rng.random()
+    calls.  Endpoint p, with its two draws (u_a, u_b), is the fresh vertex
+    floor(u_b n) if u_a (p + alpha n) < alpha n, and otherwise a copy of
+    endpoint floor(u_b p): the same float operations as
+    _UrnPairEngine.sample (_urn_pick).  All 4 m_max draws are taken at once.
+  * Linear alpha, simple: a proposal also makes four calls, with both
+    endpoints drawn from the 2j accepted ones, so runs go in speculative
+    batches that assume every proposal is accepted and keep the prefix
+    before the first rejection (_run_urn_simple).
+  * r stubs: the two stub indices of a proposal depend only on the
+    s = rn - 2i free stubs left, so a batch computes them at once; only
+    the swap-removes of the stub list, and the pair check of simple mode,
+    run in a loop (_run_stub, _stub_swaps).
+
+A dense simple run, and the r-stub rule's last _EXACT_THRESHOLD stubs,
+step the engine on from a graph built in bulk from the accepted edges
+(MultiGraph.from_ends), with rng set back to the current step's first
+proposal.  So the edges, the records, the exhaustion and the state rng is
+left in are identical to stepping ProcessState.  General f, and any rule
+under an rng that is not a plain random.Random, steps its engine with no
+union-find (_step_edges).
 
 sample_process_outcomes runs many tiny processes, and batches the rules
 whose multigraph steps make a fixed number of rng.random() calls: four for
-linear alpha, two for r stubs (one draw for each stub index, which depends
-only on the s = rn - 2i free stubs left).  R runs therefore read
-consecutive blocks of one MT19937 stream, so the draws of a chunk of runs
-come from one numpy call, reshaped to one row per run.  Linear-alpha rows
-share _urn_endpoints; r-stub rows make the swap-removes of _StubEngine on
-a (runs, rn) stub array, one step at a time for all rows.  Linear-alpha
+linear alpha, two for r stubs.  R runs therefore read consecutive blocks of
+one MT19937 stream, so the draws of a chunk of runs come from one numpy
+call, reshaped to one row per run.  Linear-alpha rows share
+_urn_endpoints; r-stub rows make the swap-removes of _StubEngine on a
+(runs, rn) stub array, one step at a time for all rows.  Linear-alpha
 simple runs read a chunk of four-draw proposals: the run that would start
 at each proposal is resolved for all of them at once, and the runs from
 the first proposal on follow one another (_urn_simple_chunk).  The float
 operations are the step engines' own, so the outcome counts, their order
-of first appearance and the state rng is left in equal stepping.  The
-r-stub simple rule and general f, whose draw counts vary, step
-ProcessState run by run.
+of first appearance and the state rng is left in equal stepping.  r-stub
+simple runs go one by one through _run_stub, and general f steps run by
+run.
 
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
@@ -291,11 +305,12 @@ class _StubEngine:
 
     __slots__ = ("g", "r", "simple", "stubs")
 
-    def __init__(self, g: MultiGraph, r: int, simple: bool):
+    def __init__(self, g: MultiGraph, r: int, simple: bool, stubs: list[int] | None = None):
         self.g = g
         self.r = r
         self.simple = simple
-        self.stubs = [v for v in range(g.n) for _ in range(r)]
+        # the free stubs of g (every stub of the empty graph by default)
+        self.stubs = _all_stubs(g.n, r) if stubs is None else stubs
 
     def _pop_two(self, a: int, b: int):
         stubs = self.stubs
@@ -456,6 +471,27 @@ class _DegreeClassEngine:
 # ---------------------------------------------------------------------------
 
 
+def _all_stubs(n: int, r: int) -> list[int]:
+    """r stubs of every vertex, vertex by vertex; the r stubs of a vertex
+    share one int object."""
+    stubs = [0] * (r * n)
+    vertices = list(range(n))
+    for i in range(r):
+        stubs[i::r] = vertices
+    return stubs
+
+
+def _engine(cfg: ProcessConfig, g: MultiGraph):
+    """The step engine of cfg's rule, over the graph g."""
+    simple = cfg.mode == "simple"
+    rule = cfg.weight_rule
+    if isinstance(rule, LinearAlpha):
+        return _UrnPairEngine(g, rule.alpha, simple)
+    if isinstance(rule, NegativeInteger):
+        return _StubEngine(g, rule.r, simple)
+    return _DegreeClassEngine(g, rule, simple)
+
+
 class ProcessState:
     """A live process: graph, component tracker, and the step engine."""
 
@@ -464,15 +500,8 @@ class ProcessState:
         self.cfg = cfg
         self.graph = MultiGraph(cfg.n)
         self.tracker = ComponentTracker(cfg.n)
-        simple = cfg.mode == "simple"
-        self.allow_multi = not simple
-        rule = cfg.weight_rule
-        if isinstance(rule, LinearAlpha):
-            self.engine = _UrnPairEngine(self.graph, rule.alpha, simple)
-        elif isinstance(rule, NegativeInteger):
-            self.engine = _StubEngine(self.graph, rule.r, simple)
-        else:
-            self.engine = _DegreeClassEngine(self.graph, rule, simple)
+        self.allow_multi = cfg.mode != "simple"
+        self.engine = _engine(cfg, self.graph)
 
     def step(self, rng: random.Random) -> tuple[int, int]:
         v, w = self.engine.sample(rng)
@@ -485,20 +514,6 @@ class ProcessState:
 def _degree_pairs(deg: np.ndarray | Sequence[int]) -> tuple[tuple[int, int], ...]:
     """(degree, count) for every occupied degree, in increasing order."""
     return tuple((k, c) for k, c in enumerate(np.bincount(deg).tolist()) if c)
-
-
-def _checkpoint_record(state: ProcessState, m: int) -> CheckpointRecord:
-    l1, l2, sum_sq = size_stats(state.tracker.component_sizes())
-    g = state.graph
-    return CheckpointRecord(
-        m=m,
-        l1=l1,
-        l2=l2,
-        s=sum_sq / g.n,
-        loops=g.loops,
-        multi_edges=g.multi_edges,
-        degree_hist=_degree_pairs(np.fromiter(g.deg, np.int64, g.n)),
-    )
 
 
 @functools.cache
@@ -580,9 +595,10 @@ def _stub_endpoints(n: int, r: int, u: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _urn_records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[CheckpointRecord]:
+def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[CheckpointRecord]:
     """The checkpoint records of the run whose endpoints, in the order of
-    MultiGraph.ends, are `ends`; every checkpoint is at most its length."""
+    MultiGraph.ends, are `ends`; every checkpoint is at most its length.
+    Every run_process path builds its records here."""
     v, w = ends[0::2], ends[1::2]
     loops = np.cumsum(v == w)
     # first[j] < m exactly when the j-th distinct pair is among the first m edges
@@ -609,18 +625,49 @@ def _urn_records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[C
     return records
 
 
-def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
-    """run_process for the linear-alpha multigraph rule, without a step loop."""
+# A runner makes one run of cfg from rng and returns the endpoints of its
+# edges (in the order of MultiGraph.ends), the edge count reached and the
+# exhaustion message, None when the run reached m_max.
+Run = tuple[Sequence[int] | np.ndarray, int, str | None]
+
+
+def _step_edges(g: MultiGraph, engine, rng: random.Random, m: int,
+                m_max: int) -> tuple[int, str | None]:
+    """Step from m edges on to m_max, edges first: sample an edge, add it to
+    g, sync the engine, and track no components.  Returns the edge count
+    reached and the exhaustion message, or None."""
+    sample, sync, add_edge = engine.sample, engine.sync, g.add_edge
+    allow_multi = not engine.simple
+    try:
+        while m < m_max:
+            v, w = sample(rng)
+            add_edge(v, w, allow_multi)
+            sync(v, w)
+            m += 1
+    except ProcessExhausted as exc:
+        return m, str(exc)
+    return m, None
+
+
+def _run_stepped(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """Any rule, one step at a time."""
+    g = MultiGraph(cfg.n)
+    m, reason = _step_edges(g, _engine(cfg, g), rng, 0, cfg.m_max)
+    return g.ends, m, reason
+
+
+def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """The linear-alpha multigraph rule, without a step loop."""
     n = cfg.n
     # no name holds the draws, so they are freed before the record arrays
     # are allocated (holding them cost about 1 ms per replicate at n = 10^5)
     ends = _urn_endpoints(n, cfg.weight_rule.alpha * n,
                           _mt_uniforms(rng, 4 * cfg.m_max)[None, :])[0]
-    return Trajectory(tuple(_urn_records(n, ends, cfg.checkpoints)), cfg.m_max, False)
+    return ends, cfg.m_max, None
 
 
-def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
-    """run_process for the linear-alpha simple rule, in speculative batches.
+def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """The linear-alpha simple rule, in speculative batches.
 
     A batch resolves its proposals as if every one were accepted: proposal
     k then makes its endpoints with 2(j + k) accepted endpoints before it,
@@ -629,8 +676,8 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
     proposal of the batch is exactly what stepping accepts, and that
     proposal is a rejection, so the next batch starts after its four draws.
     Once a batch accepts fewer than _HANDOVER proposals the run is dense,
-    and the rest steps a ProcessState rebuilt from the accepted edges.  A
-    step makes at most two proposals in the batches, so no batch reaches
+    and the rest steps on a graph built from the accepted edges.  A step
+    makes at most two proposals in the batches, so no batch reaches
     _REJECTION_CAP.
     """
     n, m_max = cfg.n, cfg.m_max
@@ -677,25 +724,102 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Trajectory:
             rng.setstate(saved)
             _mt_uniforms(rng, 4 * used)
         size = 2 * k
-    reason = None
-    if j < m_max:
-        state = ProcessState(cfg)
-        g = state.graph
-        for v, w in ends[:2 * j].reshape(j, 2).tolist():
-            g.add_edge(v, w, False)
-        sample = state.engine.sample
-        try:
-            while j < m_max:
-                v, w = sample(rng)
-                g.add_edge(v, w, False)
-                j += 1
-        except ProcessExhausted as exc:
-            reason = str(exc)
-        ends = np.array(g.ends, np.int64)
-    records = tuple(_urn_records(n, ends[:2 * j], [c for c in cfg.checkpoints if c <= j]))
-    if reason is not None:
-        raise ProcessExhausted(reason, m_reached=j, trajectory=Trajectory(records, j, True))
-    return Trajectory(records, j, False)
+    if j == m_max:
+        return ends[:2 * j], j, None
+    g = MultiGraph.from_ends(n, ends[:2 * j].tolist())
+    j, reason = _step_edges(g, _UrnPairEngine(g, cfg.weight_rule.alpha, True), rng, j, m_max)
+    return g.ends, j, reason
+
+
+def _stub_swaps(stubs: list[int], a: list[int], b: list[int], last: int,
+                ends: list[int], pairs: dict[int, int] | None, n: int) -> int:
+    """Pair stubs a[k] and b[k] for each proposal k of a batch, as
+    _StubEngine.sample does, with last the index of the last free stub at
+    the batch's first proposal: append the two vertices to ends and
+    swap-remove both stubs (the entries past the free ones are left stale).
+    With pairs, the accepted pair keys of a simple run, the batch ends at
+    its first loop or repeat.  Returns the accepted count."""
+    push = ends.append
+    for k, (x, y) in enumerate(zip(a, b)):
+        v = stubs[x]
+        w = stubs[y]
+        if pairs is not None:
+            key = v * n + w if v < w else w * n + v
+            if v == w or key in pairs:
+                return k
+            pairs[key] = 1
+        push(v)
+        push(w)
+        if x > y:
+            stubs[x] = stubs[last]
+            stubs[y] = stubs[last - 1]
+        else:
+            stubs[y] = stubs[last]
+            stubs[x] = stubs[last - 1]
+        last -= 2
+    return len(a)
+
+
+def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """The r-stub rule, in batches of proposals.
+
+    A proposal at step i pairs stubs a = floor(u s) and b = floor(u' (s - 1)),
+    shifted past a, of the s = rn - 2i free ones, so a batch draws its
+    uniforms at once and works out every proposal's indices as if all were
+    accepted; only the swap-removes, and the pair check of simple mode, run
+    in a loop (_stub_swaps).  A simple batch ends at its first loop or
+    repeat, whose two draws it consumes, and the next batch makes the same
+    step again.  Once a simple batch ends in a rejection after fewer than
+    _HANDOVER accepted proposals (or completes the graph), and once at
+    most _EXACT_THRESHOLD stubs are free, the rest steps _StubEngine on a
+    graph built from the accepted edges, with rng set back to the current
+    step's first proposal, so the exact endgame, the exhaustion messages
+    and the rejection cap are stepping's own: a step makes at most two
+    proposals in the batches, and the tail makes them again.  A run with
+    fewer than _HANDOVER steps to batch steps throughout.
+    """
+    n, r, m_max = cfg.n, cfg.weight_rule.r, cfg.m_max
+    simple = cfg.mode == "simple"
+    stubs = _all_stubs(n, r)
+    ends: list[int] = []
+    # a simple run's pair multiplicities, all 1, which a graph built for the
+    # tail takes over
+    pairs: dict[int, int] | None = {} if simple else None
+    complete = n * (n - 1) // 2
+    # the simple endgame starts at the first step with at most
+    # _EXACT_THRESHOLD free stubs
+    stop = min(m_max, max(0, (r * n - _EXACT_THRESHOLD + 1) // 2)) if simple else m_max
+    j = 0
+    size = _OUTCOME_CHUNK
+    # the state and draw count at which the current step's first proposal
+    # starts; a run with fewer than _HANDOVER steps to batch steps throughout
+    start = (rng.getstate(), 0) if stop >= _HANDOVER else None
+    while start and j < stop:
+        b = min(size, stop - j)
+        saved = rng.getstate()
+        u = _mt_uniforms(rng, 2 * b)
+        s = r * n - 2 * np.arange(j, j + b)
+        x = (u[0::2] * s).astype(np.int64)
+        y = (u[1::2] * (s - 1)).astype(np.int64)
+        y += y >= x
+        k = _stub_swaps(stubs, x.tolist(), y.tolist(), int(s[0]) - 1, ends, pairs, n)
+        j += k
+        if k:
+            start = saved, 2 * k
+        if simple and (j == complete or k < b and k < _HANDOVER):
+            rng.setstate(start[0])
+            _mt_uniforms(rng, start[1])
+            break
+        if k < b:
+            rng.setstate(saved)
+            _mt_uniforms(rng, 2 * (k + 1))
+        size = min(_OUTCOME_CHUNK, 2 * (k + 1))
+    if j == m_max:
+        return ends, j, None
+    del stubs[r * n - 2 * j:]
+    g = MultiGraph.from_ends(n, ends, pairs)
+    j, reason = _step_edges(g, _StubEngine(g, r, simple, stubs), rng, j, m_max)
+    return g.ends, j, reason
 
 
 def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Trajectory:
@@ -703,37 +827,28 @@ def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Traject
 
     Deterministic given (cfg, seed).  If the process exhausts first, a
     ProcessExhausted is raised carrying the truncated trajectory.  The
-    linear-alpha rule runs in bulk (see the module docstring) when rng is a
-    plain random.Random, whose random() numpy reproduces.
+    linear-alpha and r-stub rules run in bulk (see the module docstring)
+    when rng is a plain random.Random, whose random() numpy reproduces;
+    other runs step their engine.  Every path yields the run's endpoints,
+    and the records are built from them (_records).
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    if isinstance(cfg.weight_rule, LinearAlpha) and type(rng) is random.Random:
-        cfg.validate()
-        if cfg.mode == "multigraph":
-            return _run_urn_multigraph(cfg, rng)
-        return _run_urn_simple(cfg, rng)
-    state = ProcessState(cfg)
-    records: list[CheckpointRecord] = []
-    cps = cfg.checkpoints
-    ci = 0
-    m = 0
-    if ci < len(cps) and cps[ci] == 0:
-        records.append(_checkpoint_record(state, 0))
-        ci += 1
-    step = state.step
-    n_cps = len(cps)
-    try:
-        while m < cfg.m_max:
-            step(rng)
-            m += 1
-            if ci < n_cps and cps[ci] == m:
-                records.append(_checkpoint_record(state, m))
-                ci += 1
-    except ProcessExhausted as exc:
-        partial = Trajectory(tuple(records), m, True)
-        raise ProcessExhausted(str(exc), m_reached=m, trajectory=partial) from None
-    return Trajectory(tuple(records), m, False)
+    cfg.validate()
+    rule = cfg.weight_rule
+    run = _run_stepped
+    if type(rng) is random.Random:
+        if isinstance(rule, LinearAlpha):
+            run = _run_urn_multigraph if cfg.mode == "multigraph" else _run_urn_simple
+        elif isinstance(rule, NegativeInteger):
+            run = _run_stub
+    ends, m, reason = run(cfg, rng)
+    # rebinding frees an endpoint list before the record arrays are allocated
+    ends = np.asarray(ends, np.int64)
+    records = tuple(_records(cfg.n, ends, [c for c in cfg.checkpoints if c <= m]))
+    if reason is not None:
+        raise ProcessExhausted(reason, m_reached=m, trajectory=Trajectory(records, m, True))
+    return Trajectory(records, m, False)
 
 
 def _count_outcomes(ends: np.ndarray, n: int, out: Counter) -> None:
@@ -841,7 +956,7 @@ def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out:
             if size < longest:
                 grow *= 2
             else:
-                _stepped_outcomes(cfg, 1, rng, out)
+                _runwise_outcomes(cfg, 1, rng, out)
                 done += 1
             continue
         grow = 1
@@ -853,13 +968,14 @@ def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out:
         used_total += used
 
 
-def _stepped_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter) -> None:
+def _runwise_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter,
+                      run=_run_stepped) -> None:
+    """Count the final edge multisets of runs made one by one by a runner."""
     for _ in range(runs):
-        state = ProcessState(cfg)
-        step = state.step
-        for _ in range(cfg.m_max):
-            step(rng)
-        out[canonical_key(state.graph.edges())] += 1
+        ends, _, reason = run(cfg, rng)
+        if reason is not None:
+            raise ProcessExhausted(reason)
+        out[canonical_key(zip(ends[0::2], ends[1::2]))] += 1
 
 
 def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -> Counter:
@@ -868,34 +984,34 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
     Used by the statistical equivalence suites; outcomes are keyed by
     oracle.canonical_key, like the oracle's exact laws.  The linear-alpha
     rule, and the r-stub multigraph rule, run in batches (see the module
-    docstring) when rng is a plain random.Random; the others step
-    ProcessState run by run, as does a simple run that asks for more edges
-    than there are pairs (its first run ends in ProcessExhausted).
+    docstring) when rng is a plain random.Random, and r-stub simple runs go
+    one by one through run_process's r-stub path; the others step run by
+    run, as does a simple run that asks for more edges than there are pairs
+    (its first run ends in ProcessExhausted).
     """
+    cfg.validate()
     out: Counter = Counter()
     m_max = cfg.m_max
     rule = cfg.weight_rule
     n = cfg.n
     multigraph = cfg.mode == "multigraph"
-    batched = type(rng) is random.Random and (
-        isinstance(rule, LinearAlpha) and (multigraph or m_max <= n * (n - 1) // 2)
-        or isinstance(rule, NegativeInteger) and multigraph)
-    if not batched:
-        _stepped_outcomes(cfg, runs, rng, out)
-        return out
-    cfg.validate()
-    if not multigraph:
+    plain = type(rng) is random.Random
+    if plain and isinstance(rule, NegativeInteger) and not multigraph:
+        _runwise_outcomes(cfg, runs, rng, out, _run_stub)
+    elif not plain or isinstance(rule, GeneralF) or not multigraph and m_max > n * (n - 1) // 2:
+        _runwise_outcomes(cfg, runs, rng, out)
+    elif not multigraph:
         _urn_simple_outcomes(cfg, runs, rng, out)
-        return out
-    for done in range(0, runs, _OUTCOME_CHUNK):
-        chunk = min(_OUTCOME_CHUNK, runs - done)
-        if isinstance(rule, LinearAlpha):
-            u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
-            ends = _urn_endpoints(n, rule.alpha * n, u)
-        else:
-            u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
-            ends = _stub_endpoints(n, rule.r, u)
-        _count_outcomes(ends, n, out)
+    else:
+        for done in range(0, runs, _OUTCOME_CHUNK):
+            chunk = min(_OUTCOME_CHUNK, runs - done)
+            if isinstance(rule, LinearAlpha):
+                u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
+                ends = _urn_endpoints(n, rule.alpha * n, u)
+            else:
+                u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
+                ends = _stub_endpoints(n, rule.r, u)
+            _count_outcomes(ends, n, out)
     return out
 
 

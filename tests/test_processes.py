@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,16 +78,9 @@ def test_bulk_run_matches_stepping(n, m_max, alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1e6])
 @pytest.mark.parametrize("n, m_max", [(4, 6), (12, 66), (20, 250), (30, 300), (200, 4000)])
 def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alpha):
-    # dense runs accept short batches, so they step on from a rebuilt
-    # ProcessState; K12 is reached exactly, and K20 before m_max
-    built = []
-    process_state = P.ProcessState
-
-    def counting(cfg):
-        built.append(cfg)
-        return process_state(cfg)
-
-    monkeypatch.setattr(P, "ProcessState", counting)
+    # dense runs accept short batches, so they step on from a graph rebuilt
+    # from the accepted edges; K12 is reached exactly, and K20 before m_max
+    built = _spy_on_handovers(monkeypatch)
     cps = tuple(range(0, m_max + 1, max(1, m_max // 10)))
     for m, checkpoints in ((m_max, cps), (m_max, ())):
         cfg = lin_cfg(n, alpha, "simple", m, checkpoints)
@@ -101,6 +95,19 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
             assert bulk[:3] == ("exhausted", "graph is complete", n * (n - 1) // 2)
 
 
+def _spy_on_handovers(monkeypatch) -> list:
+    """The graphs the bulk paths build for a stepped tail, as they are built."""
+    built = []
+    from_ends = MultiGraph.from_ends.__func__
+
+    def counting(cls, n, ends, pairs=None):
+        built.append(len(ends) // 2)
+        return from_ends(cls, n, ends, pairs)
+
+    monkeypatch.setattr(MultiGraph, "from_ends", classmethod(counting))
+    return built
+
+
 def test_bulk_simple_run_keeps_the_rejection_cap(monkeypatch):
     # a step past the cap exhausts the budget where stepping does, even
     # when the batches rejected some of its proposals before the hand-over
@@ -113,6 +120,77 @@ def test_bulk_simple_run_keeps_the_rejection_cap(monkeypatch):
             bulk = _outcome(P.run_process, cfg, bulk_rng)
             assert bulk == _outcome(P.run_process, cfg, step_rng), (alpha, n, m, seed)
             assert bulk_rng.getstate() == step_rng.getstate(), (alpha, n, m, seed)
+            budget += isinstance(bulk, tuple) and "budget" in bulk[1]
+    assert budget
+
+
+def stub_cfg(n, r, mode, m_max, checkpoints=(), seed=0):
+    return P.ProcessConfig(n=n, weight_rule=P.NegativeInteger(r), mode=mode, m_max=m_max,
+                           checkpoints=tuple(checkpoints), seed=seed)
+
+
+@pytest.mark.parametrize("r, n, m_max", [
+    (3, 1, 1), (3, 2, 3), (3, 3, 4), (4, 3, 6),  # simple runs of n <= 3 exhaust
+    (3, 51, 76), (4, 51, 102),  # rn = 153 is odd: the last step leaves one stub
+    (3, 1000, 1500), (4, 1000, 2000), (4, 500, 700),
+    (30, 20, 300),  # simple runs reach K20 at m = 190 with 220 stubs free
+])
+def test_bulk_stub_run_matches_stepping(monkeypatch, r, n, m_max):
+    swaps = []
+    stub_swaps = P._stub_swaps
+
+    def spy(*args):
+        swaps.append(len(args[1]))
+        return stub_swaps(*args)
+
+    monkeypatch.setattr(P, "_stub_swaps", spy)
+    dense = tuple(range(0, m_max + 1, max(1, m_max // 20)))
+    for mode in ("multigraph", "simple"):
+        for m, cps in ((m_max, ()), (m_max, (0,)), (m_max, dense), (m_max, (m_max,)),
+                       (0, ()), (0, (0,))):
+            cfg = stub_cfg(n, r, mode, m, cps)
+            seed = f"stub:{r}:{n}:{m}:{len(cps)}:{mode}"
+            bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+            bulk = _outcome(P.run_process, cfg, bulk_rng)
+            assert bulk == _outcome(P.run_process, cfg, step_rng), (mode, m, cps)
+            assert bulk_rng.getstate() == step_rng.getstate(), (mode, m, cps)
+            if mode == "multigraph":
+                assert bulk.m_reached == m and not bulk.exhausted
+            elif n <= 3 and m:
+                assert bulk[0] == "exhausted" and bulk[2] < m
+            elif r == 30 and m:
+                assert bulk[:3] == ("exhausted", "graph is complete", 190)
+    # the runs of 64 steps or more went through the batches
+    assert bool(swaps) == (m_max >= P._HANDOVER)
+
+
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+def test_bulk_stub_run_matches_stepping_at_scale(monkeypatch, mode):
+    # the r = 3 run to saturation at n = 10^5, as in C09: a simple run
+    # hands over once, to the exact endgame of the last 64 stubs
+    built = _spy_on_handovers(monkeypatch)
+    n = 100_000
+    cps = (0, 9 * n // 10) + tuple(range(140_000, 3 * n // 2 + 1, 500))
+    cfg = stub_cfg(n, 3, mode, 3 * n // 2, cps)
+    bulk_rng, step_rng = random.Random(f"stub-scale:{mode}"), _SteppedRandom(f"stub-scale:{mode}")
+    bulk = _outcome(P.run_process, cfg, bulk_rng)
+    assert bulk == _outcome(P.run_process, cfg, step_rng)
+    assert bulk_rng.getstate() == step_rng.getstate()
+    assert built == ([(3 * n - P._EXACT_THRESHOLD + 1) // 2] if mode == "simple" else [])
+
+
+def test_bulk_stub_run_keeps_the_rejection_cap(monkeypatch):
+    # a step past the cap exhausts the budget where stepping does, even
+    # when the batches rejected some of its proposals before the hand-over
+    monkeypatch.setattr(P, "_REJECTION_CAP", 3)
+    budget = 0
+    for r, n, m in ((30, 20, 300), (20, 30, 300), (12, 40, 240), (3, 2000, 3000)):
+        for seed in range(4):
+            cfg = stub_cfg(n, r, "simple", m, checkpoints=(m // 2,))
+            bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+            bulk = _outcome(P.run_process, cfg, bulk_rng)
+            assert bulk == _outcome(P.run_process, cfg, step_rng), (r, n, m, seed)
+            assert bulk_rng.getstate() == step_rng.getstate(), (r, n, m, seed)
             budget += isinstance(bulk, tuple) and "budget" in bulk[1]
     assert budget
 
@@ -143,6 +221,10 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
         # graph; K4 is reached exactly, and one run of it outgrows its
         # first chunk of about m proposals
         cases_by_mode["simple"] = cases + [(4, 6, 1), (4, 6, 500)]
+    else:
+        # r-stub simple runs go one by one through run_process's r-stub
+        # path; those of n <= 3 past the pairs end in exhaustion
+        cases_by_mode["simple"] = cases
     chunks = []
     chunk = P._urn_simple_chunk
 
@@ -164,7 +246,7 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
             # the same counts, first seen in the same order, and the same state after
             assert batched == stepped, (mode, n, m, runs)
             assert batched_rng.getstate() == stepped_rng.getstate(), (mode, n, m, runs)
-    if "simple" in cases_by_mode:
+    if isinstance(rule, P.LinearAlpha):
         # a chunk that holds no whole run is drawn again, twice as long
         assert any(used == 0 and grown == 2 * size
                    for (size, used), (grown, _) in zip(chunks, chunks[1:]))
@@ -178,16 +260,17 @@ def _record_key(rec):
     return rec.degree_hist, rec.loops, rec.multi_edges, rec.l1, rec.l2
 
 
+def _final_record(n, key):
+    """The record builder's record of the edge multiset key, at its end."""
+    return P._records(n, np.array([x for edge in key for x in edge], np.int64), [len(key)])[0]
+
+
 @pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(2)])
 def test_bulk_run_final_record_matches_oracle(alpha):
     # the oracle's edge-multiset law, mapped through the checkpoint record
     exact = Counter()
     for key, pr in oracle.enumerate_process(3, 2, alpha).items():
-        state = P.ProcessState(lin_cfg(3, float(alpha), "multigraph", 2))
-        for v, w in key:
-            state.graph.add_edge(v, w)
-            state.tracker.union(v, w)
-        exact[_record_key(P._checkpoint_record(state, 2))] += float(pr)
+        exact[_record_key(_final_record(3, key))] += float(pr)
     rng = random.Random(20_260_500 + int(alpha * 4))
     cfg = lin_cfg(3, float(alpha), "multigraph", 2, checkpoints=(2,))
     counts = Counter(_record_key(P.run_process(cfg, rng).records[-1]) for _ in range(4000))
@@ -200,11 +283,7 @@ def test_bulk_simple_run_final_record_matches_oracle(n, m, alpha):
     # (every simple run of n = 3, m = 2 is a path, with one record)
     exact = Counter()
     for key, pr in oracle.enumerate_process(n, m, alpha, "simple").items():
-        state = P.ProcessState(lin_cfg(n, float(alpha), "simple", m))
-        for v, w in key:
-            state.graph.add_edge(v, w, False)
-            state.tracker.union(v, w)
-        rec = P._checkpoint_record(state, m)
+        rec = _final_record(n, key)
         exact[rec.degree_hist, rec.l1, rec.l2] += float(pr)
     rng = random.Random(20_260_700 + n)
     cfg = lin_cfg(n, float(alpha), "simple", m, checkpoints=(m,))
@@ -214,6 +293,50 @@ def test_bulk_simple_run_final_record_matches_oracle(n, m, alpha):
         counts[rec.degree_hist, rec.l1, rec.l2] += 1
     res = S.chi_square_counts(counts, dict(exact))
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_bulk_stub_run_final_record_matches_oracle(monkeypatch, m, mode):
+    # at n = 4 a run would step; with no hand-over threshold and no exact
+    # endgame, every proposal goes through the batches of the bulk path
+    monkeypatch.setattr(P, "_HANDOVER", 0)
+    monkeypatch.setattr(P, "_EXACT_THRESHOLD", 0)
+    built = _spy_on_handovers(monkeypatch)
+    exact = Counter()
+    for key, pr in oracle.enumerate_process(4, m, -3, mode).items():
+        exact[_record_key(_final_record(4, key))] += float(pr)
+    rng = random.Random(20_260_800 + 2 * m + (mode == "simple"))
+    cfg = stub_cfg(4, 3, mode, m, checkpoints=(m,))
+    counts = Counter(_record_key(P.run_process(cfg, rng).records[-1]) for _ in range(3000))
+    assert not built
+    res = S.chi_square_counts(counts, dict(exact))
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
+RULES = [P.LinearAlpha(1.0), P.NegativeInteger(3), P.GeneralF(table=(1.0, 2.0, 3.0, 0.5))]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+@pytest.mark.parametrize("n, m_max", [(10, 15), (300, 400)])
+def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
+    # the one record builder, against what ProcessState.step keeps: the
+    # union-find's components and the graph's loops, multi-edges and degrees
+    cps = tuple(sorted({*range(0, m_max + 1, 7), m_max}))
+    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max))
+    rng = random.Random(f"builder:{rule}:{mode}:{n}")
+    expected = []
+    for m in range(m_max + 1):
+        if m in cps:
+            l1, l2, s, _ = state.tracker.component_stats()
+            g = state.graph
+            expected.append(P.CheckpointRecord(m=m, l1=l1, l2=l2, s=float(s), loops=g.loops,
+                                               multi_edges=g.multi_edges,
+                                               degree_hist=tuple(sorted(Counter(g.deg).items()))))
+        if m < m_max:
+            state.step(rng)
+    assert P._records(n, np.array(state.graph.ends, np.int64), cps) == expected
 
 
 def test_single_vertex_only_loops():
