@@ -170,17 +170,19 @@ def parse_spec(data: dict, seed_override: int | None = None,
             seed = int(env)
         except ValueError:
             raise SpecError(f"{ENV_SEED}: expected an integer, got {env!r}") from None
-    comparison = data.get("comparison")
     comparison_eps = None
-    if isinstance(comparison, dict) and "eps" in comparison:
-        comparison_eps = _need(comparison, "eps", float, "comparison.")
+    if data.get("comparison") is not None:
+        comparison_eps = _need(_need(data, "comparison", dict, ""), "eps", float, "comparison.")
+    relative = data.get("checkpoints_rel", False)
+    if not isinstance(relative, bool):
+        raise SpecError(f"checkpoints_rel: expected a boolean, got {type(relative).__name__}")
     outputs = _need(data, "outputs", dict, "")
     replicates = _need(data, "replicates", int, "")
     paths = [_need(outputs, key, str, "outputs.")
              for key in ("trajectory_csv", "degree_csv", "summary_json")]
     try:
         rule.validate()  # before m_crit, so a bad shape names its field
-        if bool(data.get("checkpoints_rel", False)) or checkpoints_rel:
+        if relative or checkpoints_rel:
             shape = _theory_shape(rule)
             if shape is None:
                 raise SpecError("checkpoints: relative checkpoints need a linear or negative-integer rule")

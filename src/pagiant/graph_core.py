@@ -14,6 +14,7 @@ the one statistic every checkpoint record is built from.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -57,9 +58,7 @@ class MultiGraph:
             g.deg = np.bincount(e, minlength=n).tolist()
             g.loops = int(np.count_nonzero(v == w))
             if pairs is None:
-                keys, counts = np.unique(np.minimum(v, w) * n + np.maximum(v, w),
-                                         return_counts=True)
-                pairs = dict(zip(keys.tolist(), counts.tolist()))
+                pairs = dict(Counter((np.minimum(v, w) * n + np.maximum(v, w)).tolist()))
             g._pairs = pairs
             g.ends = ends
         return g

@@ -24,48 +24,40 @@ reported as true exhaustion, not as a spent rejection budget.
 run_process works edges first: every path yields the run's endpoints in
 the order of MultiGraph.ends, and one builder (_records) computes the
 checkpoint records from them, with components from graph_core.merge_labels
-over the edges added since the previous checkpoint.  The linear-alpha and
-r-stub rules run in bulk when rng is a plain random.Random.  numpy's
+over the edges added since the previous checkpoint.  _runner picks the
+path for run_process and sample_process_outcomes alike: the linear-alpha
+and r-stub rules run in bulk when rng is a plain random.Random, and every
+other run steps its engine with no union-find (_run_stepped).  numpy's
 MT19937 draws the very same doubles as CPython's random once it holds the
 same state, so the draws of many steps come out of one numpy call and the
 advanced state is handed back to rng (_mt_uniforms).
 
-  * Linear alpha, multigraph: a step makes exactly four rng.random()
-    calls.  Endpoint p, with its two draws (u_a, u_b), is the fresh vertex
-    floor(u_b n) if u_a (p + alpha n) < alpha n, and otherwise a copy of
-    endpoint floor(u_b p): the same float operations as
-    _UrnPairEngine.sample (_urn_pick).  All 4 m_max draws are taken at once.
-  * Linear alpha, simple: a proposal also makes four calls, with both
-    endpoints drawn from the 2j accepted ones, so runs go in speculative
-    batches that assume every proposal is accepted and keep the prefix
-    before the first rejection (_run_urn_simple).
-  * r stubs: the two stub indices of a proposal depend only on the
-    s = rn - 2i free stubs left, so a batch computes them at once; only
-    the swap-removes of the stub list, and the pair check of simple mode,
-    run in a loop (_run_stub, _stub_swaps).
+A linear-alpha multigraph step makes exactly four rng.random() calls, so
+a run takes all its draws at once and resolves every endpoint with
+_UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints).  The
+linear-alpha simple rule and the r-stub rule run in speculative batches
+(_speculate) that resolve their proposals as if every one were accepted
+and keep the prefix before the first rejection, exactly what stepping
+accepts.  The driver alone sizes the batches, hands a dense run (and the
+r-stub endgame) over to stepping on a graph built from the accepted edges
+(MultiGraph.from_ends), and leaves rng where stepping takes over, so the
+edges, records, exhaustion, rejection cap and final rng state are
+stepping's own.  Each rule keeps only its batch resolution: pointer
+doubling and pair keys for linear alpha; for r stubs, indices that depend
+only on the s = rn - 2i free stubs, with the swap-removes and pair checks
+in a loop (_stub_swaps).
 
-A dense simple run, and the r-stub rule's last _EXACT_THRESHOLD stubs,
-step the engine on from a graph built in bulk from the accepted edges
-(MultiGraph.from_ends), with rng set back to the current step's first
-proposal.  So the edges, the records, the exhaustion and the state rng is
-left in are identical to stepping ProcessState.  General f, and any rule
-under an rng that is not a plain random.Random, steps its engine with no
-union-find (_step_edges).
-
-sample_process_outcomes runs many tiny processes, and batches the rules
-whose multigraph steps make a fixed number of rng.random() calls: four for
-linear alpha, two for r stubs.  R runs therefore read consecutive blocks of
-one MT19937 stream, so the draws of a chunk of runs come from one numpy
-call, reshaped to one row per run.  Linear-alpha rows share
-_urn_endpoints; r-stub rows make the swap-removes of _StubEngine on a
-(runs, rn) stub array, one step at a time for all rows.  Linear-alpha
-simple runs read a chunk of four-draw proposals: the run that would start
-at each proposal is resolved for all of them at once, and the runs from
-the first proposal on follow one another (_urn_simple_chunk).  The float
-operations are the step engines' own, so the outcome counts, their order
-of first appearance and the state rng is left in equal stepping.  r-stub
-simple runs go one by one through _run_stub, and general f steps run by
-run.
+sample_process_outcomes batches two families of tiny runs.  Multigraph
+steps of the linear-alpha and r-stub rules make four and two rng.random()
+calls, so R runs read consecutive blocks of one MT19937 stream: a chunk of
+runs is one numpy draw, one row per run (_urn_endpoints; _stub_endpoints
+swap-removes on a (runs, rn) stub array).  Linear-alpha simple runs read a
+chunk of four-draw proposals: the run that would start at each proposal is
+resolved for all of them at once, and the runs from the first proposal on
+follow one another (_urn_simple_chunk).  Every other case makes its runs
+one by one with _runner's runner.  The float operations are the step
+engines' own, so the outcome counts, their order of first appearance and
+the final rng state equal stepping.
 
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
@@ -95,10 +87,12 @@ _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
 # sample_process_outcomes draws this many batched runs (multigraph) or
-# proposals (simple) at a time: enough to amortize numpy's per-call cost,
-# few enough that a chunk's arrays stay small
+# proposals (simple) at a time, and an r-stub batch at most this many
+# proposals: enough to amortize numpy's per-call cost, few enough that a
+# chunk's arrays stay small
 _OUTCOME_CHUNK = 1 << 13
-# a bulk linear-alpha simple run steps on once a batch accepts fewer proposals
+# a speculative run steps on once a batch accepts fewer proposals before a
+# rejection, and from the start when it has fewer steps to batch
 _HANDOVER = 64
 
 
@@ -481,14 +475,15 @@ def _all_stubs(n: int, r: int) -> list[int]:
     return stubs
 
 
-def _engine(cfg: ProcessConfig, g: MultiGraph):
-    """The step engine of cfg's rule, over the graph g."""
+def _engine(cfg: ProcessConfig, g: MultiGraph, stubs: list[int] | None = None):
+    """The step engine of cfg's rule, over the graph g (and, for the r-stub
+    rule, its free stubs, every stub by default)."""
     simple = cfg.mode == "simple"
     rule = cfg.weight_rule
     if isinstance(rule, LinearAlpha):
         return _UrnPairEngine(g, rule.alpha, simple)
     if isinstance(rule, NegativeInteger):
-        return _StubEngine(g, rule.r, simple)
+        return _StubEngine(g, rule.r, simple, stubs)
     return _DegreeClassEngine(g, rule, simple)
 
 
@@ -631,11 +626,17 @@ def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[Check
 Run = tuple[Sequence[int] | np.ndarray, int, str | None]
 
 
-def _step_edges(g: MultiGraph, engine, rng: random.Random, m: int,
-                m_max: int) -> tuple[int, str | None]:
-    """Step from m edges on to m_max, edges first: sample an edge, add it to
-    g, sync the engine, and track no components.  Returns the edge count
-    reached and the exhaustion message, or None."""
+def _run_stepped(cfg: ProcessConfig, rng: random.Random, ends: Sequence[int] = (),
+                 pairs: dict[int, int] | None = None, stubs: list[int] | None = None) -> Run:
+    """Any rule, one step at a time with no union-find, from the edges
+    `ends` on to m_max.  The bulk runners hand their tails here, with a
+    simple run's pair keys and the r-stub rule's free stubs; ends that
+    already reach m_max may be an array."""
+    m, m_max = len(ends) // 2, cfg.m_max
+    if m == m_max:
+        return ends, m, None
+    g = MultiGraph.from_ends(cfg.n, ends, pairs)
+    engine = _engine(cfg, g, stubs)
     sample, sync, add_edge = engine.sample, engine.sync, g.add_edge
     allow_multi = not engine.simple
     try:
@@ -645,15 +646,8 @@ def _step_edges(g: MultiGraph, engine, rng: random.Random, m: int,
             sync(v, w)
             m += 1
     except ProcessExhausted as exc:
-        return m, str(exc)
-    return m, None
-
-
-def _run_stepped(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """Any rule, one step at a time."""
-    g = MultiGraph(cfg.n)
-    m, reason = _step_edges(g, _engine(cfg, g), rng, 0, cfg.m_max)
-    return g.ends, m, reason
+        return g.ends, m, str(exc)
+    return g.ends, m, None
 
 
 def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Run:
@@ -666,33 +660,65 @@ def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Run:
     return ends, cfg.m_max, None
 
 
-def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The linear-alpha simple rule, in speculative batches.
+def _rewind(rng: random.Random, state: tuple, draws: int) -> None:
+    """Set rng to `state`, then advance it past `draws` rng.random() values."""
+    rng.setstate(state)
+    if draws:
+        _mt_uniforms(rng, draws)
 
-    A batch resolves its proposals as if every one were accepted: proposal
-    k then makes its endpoints with 2(j + k) accepted endpoints before it,
-    j being the accepted count at the start of the batch.  The prefix before
-    the first loop, repeat of an accepted pair or repeat of an earlier
-    proposal of the batch is exactly what stepping accepts, and that
-    proposal is a rejection, so the next batch starts after its four draws.
-    Once a batch accepts fewer than _HANDOVER proposals the run is dense,
-    and the rest steps on a graph built from the accepted edges.  A step
-    makes at most two proposals in the batches, so no batch reaches
-    _REJECTION_CAP.
+
+def _speculate(rng: random.Random, per: int, stop: int, cap: int,
+               batch: Callable[[int, np.ndarray], int]) -> int:
+    """Make the first `stop` steps of a run in speculative batches; return
+    the count j of steps they accepted, with rng left at step j's first
+    proposal, where stepping takes over.
+
+    A proposal makes `per` rng.random() calls.  batch(j, u) resolves the
+    proposals of draws u from step j on as if all were accepted, keeps the
+    prefix before the first rejection (what stepping accepts) and returns
+    its length k.  Batches hold `cap` proposals, then min(cap, 2(k + 1)).
+    A batch consumes the rejection that ends it, and the next one makes the
+    same step again, until a batch accepts fewer than _HANDOVER before a
+    rejection (or stop is below _HANDOVER).  So a step makes at most two
+    proposals in the batches, which stepping makes again under its
+    rejection cap, and a completed graph hands over at the next batch.
     """
-    n, m_max = cfg.n, cfg.m_max
-    an = cfg.weight_rule.alpha * n
-    pairs = n * (n - 1) // 2
-    ends = np.empty(2 * min(m_max, pairs), np.int64)
-    keys = np.empty(0, np.int64)
+    if stop < _HANDOVER:
+        return 0
     j = 0
-    size = m_max
+    size = cap
     # the state and draw count at which the current step's first proposal starts
     start = rng.getstate(), 0
-    while j < min(m_max, pairs):
-        b = min(size, m_max - j)
+    while j < stop:
+        b = min(size, stop - j)
         saved = rng.getstate()
-        u = _mt_uniforms(rng, 4 * b).reshape(b, 2, 2)
+        k = batch(j, _mt_uniforms(rng, per * b))
+        j += k
+        if k:
+            start = saved, per * k
+        if k < b:
+            if k < _HANDOVER:
+                _rewind(rng, *start)
+                break
+            _rewind(rng, saved, per * (k + 1))
+        size = min(cap, 2 * (k + 1))
+    return j
+
+
+def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """The linear-alpha simple rule, in speculative batches (_speculate):
+    proposal k of a batch from step j draws from 2(j + k) accepted endpoints,
+    copies within the batch are followed by pointer doubling, and its first
+    loop or repeated pair is its first rejection."""
+    n, m_max = cfg.n, cfg.m_max
+    an = cfg.weight_rule.alpha * n
+    stop = min(m_max, n * (n - 1) // 2)
+    ends = np.empty(2 * stop, np.int64)
+    keys = np.empty(stop, np.int64)
+
+    def batch(j: int, u: np.ndarray) -> int:
+        b = len(u) // 4
+        u = u.reshape(b, 2, 2)
         fresh, vertex, source = _urn_pick(n, an, 2.0 * np.arange(j, j + b)[:, None],
                                           u[:, :, 0], u[:, :, 1])
         fresh, vertex, source = fresh.ravel(), vertex.ravel(), source.ravel()
@@ -703,32 +729,17 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
         new = vertex[_roots(src)]
         v, w = new[0::2], new[1::2]
         key = np.minimum(v, w) * n + np.maximum(v, w)
-        bad = (v == w) | np.isin(key, keys)
+        bad = (v == w) | np.isin(key, keys[:j])
         order = np.argsort(key, kind="stable")
         bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True
         k = int(np.argmax(bad)) if bad.any() else b
         ends[2 * j:2 * (j + k)] = new[:2 * k]
-        keys = np.concatenate((keys, key[:k]))
-        j += k
-        if k:
-            start = saved, 4 * k
-        if k < _HANDOVER:
-            # the stepped tail makes the current step's proposals again, so
-            # its rejection cap counts the ones the batches rejected
-            rng.setstate(start[0])
-            _mt_uniforms(rng, start[1])
-            break
-        # stepping draws no proposal once the graph is complete
-        used = k if k == b or j == pairs else k + 1
-        if used < b:
-            rng.setstate(saved)
-            _mt_uniforms(rng, 4 * used)
-        size = 2 * k
-    if j == m_max:
-        return ends[:2 * j], j, None
-    g = MultiGraph.from_ends(n, ends[:2 * j].tolist())
-    j, reason = _step_edges(g, _UrnPairEngine(g, cfg.weight_rule.alpha, True), rng, j, m_max)
-    return g.ends, j, reason
+        keys[j:j + k] = key[:k]
+        return k
+
+    j = _speculate(rng, 4, stop, m_max, batch)
+    # a run the batches finish keeps its array; a stepped tail extends a list
+    return _run_stepped(cfg, rng, ends if j == m_max else ends[:2 * j].tolist())
 
 
 def _stub_swaps(stubs: list[int], a: list[int], b: list[int], last: int,
@@ -761,22 +772,13 @@ def _stub_swaps(stubs: list[int], a: list[int], b: list[int], last: int,
 
 
 def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The r-stub rule, in batches of proposals.
+    """The r-stub rule, in speculative batches (_speculate).
 
     A proposal at step i pairs stubs a = floor(u s) and b = floor(u' (s - 1)),
-    shifted past a, of the s = rn - 2i free ones, so a batch draws its
-    uniforms at once and works out every proposal's indices as if all were
-    accepted; only the swap-removes, and the pair check of simple mode, run
-    in a loop (_stub_swaps).  A simple batch ends at its first loop or
-    repeat, whose two draws it consumes, and the next batch makes the same
-    step again.  Once a simple batch ends in a rejection after fewer than
-    _HANDOVER accepted proposals (or completes the graph), and once at
-    most _EXACT_THRESHOLD stubs are free, the rest steps _StubEngine on a
-    graph built from the accepted edges, with rng set back to the current
-    step's first proposal, so the exact endgame, the exhaustion messages
-    and the rejection cap are stepping's own: a step makes at most two
-    proposals in the batches, and the tail makes them again.  A run with
-    fewer than _HANDOVER steps to batch steps throughout.
+    shifted past a, of the s = rn - 2i free ones, so a batch works out every
+    proposal's indices at once; only the swap-removes, and the pair check of
+    simple mode, run in a loop (_stub_swaps).  A simple run steps its last
+    _EXACT_THRESHOLD stubs, so the exact endgame is stepping's own.
     """
     n, r, m_max = cfg.n, cfg.weight_rule.r, cfg.m_max
     simple = cfg.mode == "simple"
@@ -785,64 +787,45 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
     # a simple run's pair multiplicities, all 1, which a graph built for the
     # tail takes over
     pairs: dict[int, int] | None = {} if simple else None
-    complete = n * (n - 1) // 2
-    # the simple endgame starts at the first step with at most
-    # _EXACT_THRESHOLD free stubs
-    stop = min(m_max, max(0, (r * n - _EXACT_THRESHOLD + 1) // 2)) if simple else m_max
-    j = 0
-    size = _OUTCOME_CHUNK
-    # the state and draw count at which the current step's first proposal
-    # starts; a run with fewer than _HANDOVER steps to batch steps throughout
-    start = (rng.getstate(), 0) if stop >= _HANDOVER else None
-    while start and j < stop:
-        b = min(size, stop - j)
-        saved = rng.getstate()
-        u = _mt_uniforms(rng, 2 * b)
-        s = r * n - 2 * np.arange(j, j + b)
+    # a simple run's endgame starts at the first step with at most _EXACT_THRESHOLD free stubs
+    stop = min(m_max, (r * n - _EXACT_THRESHOLD + 1) // 2) if simple else m_max
+
+    def batch(j: int, u: np.ndarray) -> int:
+        s = r * n - 2 * np.arange(j, j + len(u) // 2)
         x = (u[0::2] * s).astype(np.int64)
         y = (u[1::2] * (s - 1)).astype(np.int64)
         y += y >= x
-        k = _stub_swaps(stubs, x.tolist(), y.tolist(), int(s[0]) - 1, ends, pairs, n)
-        j += k
-        if k:
-            start = saved, 2 * k
-        if simple and (j == complete or k < b and k < _HANDOVER):
-            rng.setstate(start[0])
-            _mt_uniforms(rng, start[1])
-            break
-        if k < b:
-            rng.setstate(saved)
-            _mt_uniforms(rng, 2 * (k + 1))
-        size = min(_OUTCOME_CHUNK, 2 * (k + 1))
-    if j == m_max:
-        return ends, j, None
+        return _stub_swaps(stubs, x.tolist(), y.tolist(), int(s[0]) - 1, ends, pairs, n)
+
+    j = _speculate(rng, 2, stop, _OUTCOME_CHUNK, batch)
     del stubs[r * n - 2 * j:]
-    g = MultiGraph.from_ends(n, ends, pairs)
-    j, reason = _step_edges(g, _StubEngine(g, r, simple, stubs), rng, j, m_max)
-    return g.ends, j, reason
+    return _run_stepped(cfg, rng, ends, pairs, stubs)
+
+
+def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
+    """The runner of cfg: the bulk runner of the linear-alpha and r-stub
+    rules when rng is a plain random.Random, whose random() numpy
+    reproduces, and stepping otherwise."""
+    rule = cfg.weight_rule
+    if type(rng) is not random.Random or isinstance(rule, GeneralF):
+        return _run_stepped
+    if isinstance(rule, NegativeInteger):
+        return _run_stub
+    return _run_urn_multigraph if cfg.mode == "multigraph" else _run_urn_simple
 
 
 def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Trajectory:
     """Run to m_max, recording stats at each checkpoint.
 
     Deterministic given (cfg, seed).  If the process exhausts first, a
-    ProcessExhausted is raised carrying the truncated trajectory.  The
-    linear-alpha and r-stub rules run in bulk (see the module docstring)
-    when rng is a plain random.Random, whose random() numpy reproduces;
-    other runs step their engine.  Every path yields the run's endpoints,
-    and the records are built from them (_records).
+    ProcessExhausted is raised carrying the truncated trajectory.  The run
+    is made by _runner's runner (see the module docstring), which yields
+    its endpoints, and the records are built from them (_records).
     """
     if rng is None:
         rng = random.Random(cfg.seed)
     cfg.validate()
-    rule = cfg.weight_rule
-    run = _run_stepped
-    if type(rng) is random.Random:
-        if isinstance(rule, LinearAlpha):
-            run = _run_urn_multigraph if cfg.mode == "multigraph" else _run_urn_simple
-        elif isinstance(rule, NegativeInteger):
-            run = _run_stub
-    ends, m, reason = run(cfg, rng)
+    ends, m, reason = _runner(cfg, rng)(cfg, rng)
     # rebinding frees an endpoint list before the record arrays are allocated
     ends = np.asarray(ends, np.int64)
     records = tuple(_records(cfg.n, ends, [c for c in cfg.checkpoints if c <= m]))
@@ -933,7 +916,7 @@ def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out:
     at most the n(n-1)/2 pairs, in chunks of proposals: each chunk is drawn
     at once, and rng is then set to just after the proposals its runs used.
     A chunk that holds no whole run is drawn again twice as long, and a run
-    longer than the longest chunk steps."""
+    longer than the longest chunk is made on its own by the rule's runner."""
     n, m = cfg.n, cfg.m_max
     if m == 0:
         if runs:
@@ -951,25 +934,23 @@ def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out:
         saved = rng.getstate()
         ends, used = _urn_simple_chunk(n, an, m, _mt_uniforms(rng, 4 * size).reshape(size, 4),
                                        runs - done)
+        if used < size:
+            _rewind(rng, saved, 4 * used)
         if not used:
-            rng.setstate(saved)
             if size < longest:
                 grow *= 2
             else:
-                _runwise_outcomes(cfg, 1, rng, out)
+                _runwise_outcomes(cfg, 1, rng, out, _runner(cfg, rng))
                 done += 1
             continue
         grow = 1
-        if used < size:
-            rng.setstate(saved)
-            _mt_uniforms(rng, 4 * used)
         _count_outcomes(ends, n, out)
         done += len(ends)
         used_total += used
 
 
 def _runwise_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter,
-                      run=_run_stepped) -> None:
+                      run: Callable[[ProcessConfig, random.Random], Run]) -> None:
     """Count the final edge multisets of runs made one by one by a runner."""
     for _ in range(runs):
         ends, _, reason = run(cfg, rng)
@@ -982,36 +963,33 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
     """Repeatedly run a tiny process and count final edge multisets.
 
     Used by the statistical equivalence suites; outcomes are keyed by
-    oracle.canonical_key, like the oracle's exact laws.  The linear-alpha
-    rule, and the r-stub multigraph rule, run in batches (see the module
-    docstring) when rng is a plain random.Random, and r-stub simple runs go
-    one by one through run_process's r-stub path; the others step run by
-    run, as does a simple run that asks for more edges than there are pairs
-    (its first run ends in ProcessExhausted).
+    oracle.canonical_key, like the oracle's exact laws.  Where run_process
+    would run in bulk, the linear-alpha rule and the r-stub multigraph rule
+    run in batches of runs (see the module docstring), save a simple run
+    that asks for more edges than there are pairs (its first run ends in
+    ProcessExhausted).  Every other case makes its runs one by one with
+    run_process's runner (_runner).
     """
     cfg.validate()
     out: Counter = Counter()
     m_max = cfg.m_max
     rule = cfg.weight_rule
     n = cfg.n
-    multigraph = cfg.mode == "multigraph"
-    plain = type(rng) is random.Random
-    if plain and isinstance(rule, NegativeInteger) and not multigraph:
-        _runwise_outcomes(cfg, runs, rng, out, _run_stub)
-    elif not plain or isinstance(rule, GeneralF) or not multigraph and m_max > n * (n - 1) // 2:
-        _runwise_outcomes(cfg, runs, rng, out)
-    elif not multigraph:
+    run = _runner(cfg, rng)
+    if run is _run_urn_simple and m_max <= n * (n - 1) // 2:
         _urn_simple_outcomes(cfg, runs, rng, out)
-    else:
+    elif run is _run_urn_multigraph or run is _run_stub and cfg.mode == "multigraph":
         for done in range(0, runs, _OUTCOME_CHUNK):
             chunk = min(_OUTCOME_CHUNK, runs - done)
-            if isinstance(rule, LinearAlpha):
+            if run is _run_urn_multigraph:
                 u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
                 ends = _urn_endpoints(n, rule.alpha * n, u)
             else:
                 u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
                 ends = _stub_endpoints(n, rule.r, u)
             _count_outcomes(ends, n, out)
+    else:
+        _runwise_outcomes(cfg, runs, rng, out, run)
     return out
 
 
@@ -1074,10 +1052,7 @@ def sample_configuration_model(deg: Sequence[int], rng: random.Random) -> MultiG
         raise ValueError("degree sum must be even")
     stubs = [v for v, d in enumerate(deg) for _ in range(d)]
     rng.shuffle(stubs)
-    g = MultiGraph(len(deg))
-    for i in range(0, total, 2):
-        g.add_edge(stubs[i], stubs[i + 1])
-    return g
+    return MultiGraph.from_ends(len(deg), stubs)
 
 
 def sample_birth_degrees(n: int, alpha: float, t: float, rng: random.Random) -> list[int]:

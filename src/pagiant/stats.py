@@ -110,7 +110,8 @@ def chi_square(h: DegreeHistogram, model: DegreeModel) -> ChiSquareResult:
 
 
 def chi_square_counts(observed: Mapping, probs: Mapping) -> ChiSquareResult:
-    """Chi-square of categorical counts against exact category probabilities."""
+    """Chi-square of categorical counts against exact category probabilities;
+    an observed outcome of probability 0, listed or not, gives p = 0."""
     total = sum(observed.values())
     keys = sorted(probs, key=repr)
     obs = [float(observed.get(k, 0)) for k in keys]
@@ -118,6 +119,8 @@ def chi_square_counts(observed: Mapping, probs: Mapping) -> ChiSquareResult:
     obs, exp = _pooled_cells(obs, exp)
     if len(obs) < 2:
         raise ValueError("chi-square needs at least two cells after pooling")
+    if any(c and not probs.get(k) for k, c in observed.items()):
+        return ChiSquareResult(math.inf, len(obs) - 1, 0.0)
     return _chi_square_from_cells(obs, exp)
 
 

@@ -108,6 +108,9 @@ def test_parse_spec_gives_a_spec_or_a_spec_error(case, value):
     ({"checkpoints": [0, "1e999"]}, "checkpoints"),
     ({"comparison": {"eps": "1e30"}}, "comparison.eps"),
     ({"weight_rule": {"kind": "linear_alpha", "alpha": "1e308"}}, "comparison.eps"),
+    ({"checkpoints_rel": "false"}, "checkpoints_rel"),
+    ({"comparison": 0.5}, "comparison"),
+    ({"comparison": {"epsilon": 0.5}}, "comparison.eps"),
 ])
 def test_spec_repros_exit_2_and_write_nothing(tmp_path, capsys, change, field):
     # the quoted numbers go into the file unquoted, as JSON parses 1e999 to inf

@@ -81,6 +81,7 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
     # dense runs accept short batches, so they step on from a graph rebuilt
     # from the accepted edges; K12 is reached exactly, and K20 before m_max
     built = _spy_on_handovers(monkeypatch)
+    batches = _spy_on_batches(monkeypatch)
     cps = tuple(range(0, m_max + 1, max(1, m_max // 10)))
     for m, checkpoints in ((m_max, cps), (m_max, ())):
         cfg = lin_cfg(n, alpha, "simple", m, checkpoints)
@@ -93,6 +94,24 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
         assert bulk_rng.getstate() == step_rng.getstate()
         if m_max > n * (n - 1) // 2:
             assert bulk[:3] == ("exhausted", "graph is complete", n * (n - 1) // 2)
+    # the runs of 64 steps or more to batch went through the batches
+    assert bool(batches) == (min(m_max, n * (n - 1) // 2) >= P._HANDOVER)
+
+
+def _spy_on_batches(monkeypatch) -> list:
+    """The sizes of the speculative batches of the bulk paths, as they are
+    drawn."""
+    sizes = []
+    speculate = P._speculate
+
+    def counting(rng, per, stop, cap, batch):
+        def spied(j, u):
+            sizes.append(len(u) // per)
+            return batch(j, u)
+        return speculate(rng, per, stop, cap, spied)
+
+    monkeypatch.setattr(P, "_speculate", counting)
+    return sizes
 
 
 def _spy_on_handovers(monkeypatch) -> list:
@@ -136,14 +155,7 @@ def stub_cfg(n, r, mode, m_max, checkpoints=(), seed=0):
     (30, 20, 300),  # simple runs reach K20 at m = 190 with 220 stubs free
 ])
 def test_bulk_stub_run_matches_stepping(monkeypatch, r, n, m_max):
-    swaps = []
-    stub_swaps = P._stub_swaps
-
-    def spy(*args):
-        swaps.append(len(args[1]))
-        return stub_swaps(*args)
-
-    monkeypatch.setattr(P, "_stub_swaps", spy)
+    batches = _spy_on_batches(monkeypatch)
     dense = tuple(range(0, m_max + 1, max(1, m_max // 20)))
     for mode in ("multigraph", "simple"):
         for m, cps in ((m_max, ()), (m_max, (0,)), (m_max, dense), (m_max, (m_max,)),
@@ -161,7 +173,7 @@ def test_bulk_stub_run_matches_stepping(monkeypatch, r, n, m_max):
             elif r == 30 and m:
                 assert bulk[:3] == ("exhausted", "graph is complete", 190)
     # the runs of 64 steps or more went through the batches
-    assert bool(swaps) == (m_max >= P._HANDOVER)
+    assert bool(batches) == (m_max >= P._HANDOVER)
 
 
 @pytest.mark.parametrize("mode", ["multigraph", "simple"])
@@ -174,9 +186,10 @@ def test_bulk_stub_run_matches_stepping_at_scale(monkeypatch, mode):
     cfg = stub_cfg(n, 3, mode, 3 * n // 2, cps)
     bulk_rng, step_rng = random.Random(f"stub-scale:{mode}"), _SteppedRandom(f"stub-scale:{mode}")
     bulk = _outcome(P.run_process, cfg, bulk_rng)
+    # (the stepped run builds its empty start graph the same way)
+    assert built == ([(3 * n - P._EXACT_THRESHOLD + 1) // 2] if mode == "simple" else [])
     assert bulk == _outcome(P.run_process, cfg, step_rng)
     assert bulk_rng.getstate() == step_rng.getstate()
-    assert built == ([(3 * n - P._EXACT_THRESHOLD + 1) // 2] if mode == "simple" else [])
 
 
 def test_bulk_stub_run_keeps_the_rejection_cap(monkeypatch):

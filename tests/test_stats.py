@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -80,6 +81,14 @@ def test_chi_square_counts_pools_small_cells():
     res = S.chi_square_counts(observed, probs)
     assert res.dof >= 1
     assert 0 <= res.pvalue <= 1
+
+
+@pytest.mark.parametrize("probs", [{"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5, "c": 0.0}])
+def test_chi_square_counts_rejects_impossible_outcomes(probs):
+    # an outcome the law does not list, or gives probability 0, fails the test
+    res = S.chi_square_counts({"a": 5000, "b": 5000, "c": 40}, probs)
+    assert res.pvalue == 0.0 and res.stat == math.inf
+    assert S.chi_square_counts({"a": 5000, "b": 5000, "c": 0}, probs).pvalue > 0.5
 
 
 def test_kcore_triangle_and_tree():
