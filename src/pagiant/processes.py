@@ -475,9 +475,10 @@ def _all_stubs(n: int, r: int) -> list[int]:
     return stubs
 
 
-def _engine(cfg: ProcessConfig, g: MultiGraph, stubs: list[int] | None = None):
+def _engine(cfg: ProcessConfig, g: MultiGraph | _Multiset, stubs: list[int] | None = None):
     """The step engine of cfg's rule, over the graph g (and, for the r-stub
-    rule, its free stubs, every stub by default)."""
+    rule, its free stubs, every stub by default); a multigraph-mode engine
+    reads only g's n, ends and deg."""
     simple = cfg.mode == "simple"
     rule = cfg.weight_rule
     if isinstance(rule, LinearAlpha):
@@ -626,23 +627,49 @@ def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[Check
 Run = tuple[Sequence[int] | np.ndarray, int, str | None]
 
 
+class _Multiset:
+    """What a multigraph-mode step engine reads of its graph: n, the
+    endpoint list and the degrees, grown edge by edge.  Only simple mode
+    reads a MultiGraph's pair multiplicities, so this keeps none."""
+
+    __slots__ = ("n", "ends", "deg")
+
+    def __init__(self, n: int, ends: Sequence[int]):
+        self.n = n
+        self.ends = list(ends)
+        self.deg = np.bincount(np.asarray(ends, np.int64), minlength=n).tolist()
+
+    def add_edge(self, v: int, w: int) -> None:
+        ends, deg = self.ends, self.deg
+        ends.append(v)
+        ends.append(w)
+        # a loop adds 2 to its vertex
+        deg[v] += 1
+        deg[w] += 1
+
+
 def _run_stepped(cfg: ProcessConfig, rng: random.Random, ends: Sequence[int] = (),
                  pairs: dict[int, int] | None = None, stubs: list[int] | None = None) -> Run:
     """Any rule, one step at a time with no union-find, from the edges
-    `ends` on to m_max.  The bulk runners hand their tails here, with a
-    simple run's pair keys and the r-stub rule's free stubs; ends that
-    already reach m_max may be an array."""
+    `ends` on to m_max: a simple run on a MultiGraph, a multigraph run on a
+    _Multiset.  The bulk runners hand their tails here, with a simple
+    run's pair keys and the r-stub rule's free stubs; ends that already
+    reach m_max may be an array."""
     m, m_max = len(ends) // 2, cfg.m_max
     if m == m_max:
         return ends, m, None
-    g = MultiGraph.from_ends(cfg.n, ends, pairs)
+    if cfg.mode == "simple":
+        g = MultiGraph.from_ends(cfg.n, ends, pairs)
+        add_edge = functools.partial(g.add_edge, allow_multi=False)
+    else:
+        g = _Multiset(cfg.n, ends)
+        add_edge = g.add_edge
     engine = _engine(cfg, g, stubs)
-    sample, sync, add_edge = engine.sample, engine.sync, g.add_edge
-    allow_multi = not engine.simple
+    sample, sync = engine.sample, engine.sync
     try:
         while m < m_max:
             v, w = sample(rng)
-            add_edge(v, w, allow_multi)
+            add_edge(v, w)
             sync(v, w)
             m += 1
     except ProcessExhausted as exc:

@@ -1,5 +1,9 @@
 """Empirical measurement: degree histograms, fit tests, k-core census,
-Monte Carlo aggregation."""
+Monte Carlo aggregation.
+
+The p-value of every chi-square test comes from chi_square_tail, the
+chi-square upper tail written with math alone, so pagiant needs no scipy.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .graph_core import MultiGraph
 from .processes import Trajectory, _degree_pairs
@@ -16,6 +19,8 @@ from .theory import DegreeModel
 
 _POOL_MIN_EXPECTED = 5.0
 _Z_95 = 1.959963984540054
+_TAIL_EPS = 2.0 ** -53
+_TAIL_TINY = 1e-300
 
 
 @dataclass
@@ -127,9 +132,60 @@ def chi_square_counts(observed: Mapping, probs: Mapping) -> ChiSquareResult:
 def _chi_square_from_cells(obs: Sequence[float], exp: Sequence[float]) -> ChiSquareResult:
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = len(obs) - 1
-    # chdtrc is the chi-square upper tail; scipy.special imports much
-    # faster than scipy.stats
-    return ChiSquareResult(stat, dof, float(chdtrc(dof, stat)))
+    return ChiSquareResult(stat, dof, chi_square_tail(dof, stat))
+
+
+def chi_square_tail(dof: float, x: float) -> float:
+    """P(X > x) for X chi-square with dof >= 1 degrees of freedom, the
+    regularized upper incomplete gamma Q(dof/2, x/2).
+
+    Below x/2 = dof/2 + 1 it is one minus the series of the lower
+    incomplete gamma, above it the continued fraction of Q (modified
+    Lentz), each summed to double precision.  Like scipy.special.chdtrc it
+    is 1 at x = 0, 0 at x = inf and nan at a nan or negative x, so a nan
+    statistic fails a test instead of passing it.
+    """
+    if not dof >= 1:
+        raise ValueError(f"chi-square tail needs dof >= 1, got {dof}")
+    a, y = 0.5 * dof, 0.5 * x
+    if not y >= 0:
+        return math.nan
+    if y == 0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    # y^a e^-y / Gamma(a); at most about sqrt(a), so it never overflows
+    front = math.exp(a * math.log(y) - y - math.lgamma(a))
+    # term k of the series is below 2^-53 of its sum by k = 100 + 9 sqrt(a);
+    # the fraction stopped within 0.7 of that in a scan of dof 1 to 2e6
+    steps = 100 + int(9 * math.sqrt(a))
+    if y < a + 1:
+        term = total = 1.0 / a
+        for k in range(1, steps):
+            term *= y / (a + k)
+            total += term
+            if term <= total * _TAIL_EPS:
+                return 1.0 - front * total
+    else:
+        b = y + 1.0 - a
+        c = 1.0 / _TAIL_TINY
+        d = 1.0 / b
+        h = d
+        for k in range(1, steps):
+            an = k * (a - k)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _TAIL_TINY:
+                d = _TAIL_TINY
+            c = b + an / c
+            if abs(c) < _TAIL_TINY:
+                c = _TAIL_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) <= _TAIL_EPS:
+                return front * h
+    raise ArithmeticError(f"chi-square tail did not converge at dof = {dof}, x = {x}")
 
 
 def kcore_census(g: MultiGraph, k: int) -> int:

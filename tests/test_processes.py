@@ -337,7 +337,8 @@ def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
     # the one record builder, against what ProcessState.step keeps: the
     # union-find's components and the graph's loops, multi-edges and degrees
     cps = tuple(sorted({*range(0, m_max + 1, 7), m_max}))
-    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max))
+    cfg = P.ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max, checkpoints=cps)
+    state = P.ProcessState(cfg)
     rng = random.Random(f"builder:{rule}:{mode}:{n}")
     expected = []
     for m in range(m_max + 1):
@@ -350,6 +351,15 @@ def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
         if m < m_max:
             state.step(rng)
     assert P._records(n, np.array(state.graph.ends, np.int64), cps) == expected
+    # run_process makes the same run from the same stream, in bulk or
+    # stepped (a multigraph steps on a _Multiset, with no pair dict), and
+    # leaves rng where ProcessState.step does
+    again = random.Random(f"builder:{rule}:{mode}:{n}")
+    assert P.run_process(cfg, again).records == tuple(expected)
+    assert again.getstate() == rng.getstate()
+    stepped = _SteppedRandom(f"builder:{rule}:{mode}:{n}")
+    assert P.run_process(cfg, stepped).records == tuple(expected)
+    assert stepped.getstate() == rng.getstate()
 
 
 def test_single_vertex_only_loops():

@@ -1,9 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import chdtrc
 
+import pagiant
 from pagiant import processes as P, stats as S, theory as T
 from pagiant.graph_core import MultiGraph
 
@@ -89,6 +97,70 @@ def test_chi_square_counts_rejects_impossible_outcomes(probs):
     res = S.chi_square_counts({"a": 5000, "b": 5000, "c": 40}, probs)
     assert res.pvalue == 0.0 and res.stat == math.inf
     assert S.chi_square_counts({"a": 5000, "b": 5000, "c": 0}, probs).pvalue > 0.5
+
+
+TAIL_DOFS = [*range(1, 61), 100, 220, 500, 2000]
+
+
+@pytest.mark.parametrize("dof", TAIL_DOFS)
+def test_chi_square_tail_matches_scipy(dof):
+    # x from 1e-6 to past the underflow of e^(-x/2) (x/2 > 745), and around
+    # x = dof + 2, where the series hands over to the continued fraction
+    switch = dof + 2.0
+    spread = 6 * math.sqrt(2 * dof) + 2
+    xs = [*np.geomspace(1e-6, 8000, 300).tolist(),
+          *np.linspace(max(switch - spread, 1e-3), switch + spread, 101).tolist(),
+          *(switch * (1 + d) for d in (-1e-3, -1e-9, -2 ** -52, 0, 2 ** -52, 1e-9, 1e-3))]
+    for x in xs:
+        want = float(chdtrc(dof, x))
+        got = S.chi_square_tail(dof, x)
+        if want > 1e-300:
+            assert abs(got - want) <= 1e-10 * want, (dof, x, got, want)
+        else:
+            assert abs(got - want) <= 1e-15, (dof, x, got, want)
+
+
+def test_chi_square_tail_edges_match_scipy():
+    # a nan or negative statistic gives nan, so it fails every p threshold
+    for dof in (1, 2, 7, 2000):
+        for x in (0.0, math.inf, -1.0, math.nan):
+            got, want = S.chi_square_tail(dof, x), float(chdtrc(dof, x))
+            assert got == want or math.isnan(got) and math.isnan(want), (dof, x, got)
+    assert S.chi_square_tail(3, 0.0) == 1.0 and S.chi_square_tail(3, math.inf) == 0.0
+    assert not S.chi_square_tail(3, math.nan) > 1e-3
+    for dof in (0.5, 0, -1, math.nan):
+        with pytest.raises(ValueError):
+            S.chi_square_tail(dof, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.integers(1, 3000), x=st.floats(0, 1e4), y=st.floats(0, 1e4))
+def test_chi_square_tail_is_a_monotone_probability(dof, x, y):
+    lo, hi = sorted((x, y))
+    p_lo, p_hi = S.chi_square_tail(dof, lo), S.chi_square_tail(dof, hi)
+    assert 0.0 <= p_hi <= 1.0 and 0.0 <= p_lo <= 1.0
+    # non-increasing up to the tail's accuracy: adjacent doubles can swap
+    # by rounding, in scipy's chdtrc too
+    assert p_hi <= p_lo * (1 + 1e-10) + 1e-300
+
+
+def test_runtime_imports_no_scipy():
+    # pagiant's runtime needs numpy alone: scipy (and numpy.f2py, which it
+    # pulls in) would double the start-up of every command
+    code = (
+        "import sys\n"
+        "import pagiant, pagiant.cli\n"
+        "from pagiant import cli, stats\n"
+        "assert cli.main(['theory', '--alpha', '1', '--eps', '0.2']) == 0\n"
+        "assert stats.chi_square_counts({'a': 60, 'b': 40}, {'a': 0.5, 'b': 0.5}).pvalue > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'numpy.f2py' or m.startswith('numpy.f2py.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pagiant.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_kcore_triangle_and_tree():
