@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -75,8 +74,6 @@ class ExperimentSpec:
         elif isinstance(rule, NegativeInteger):
             rule_d = {"kind": "negative_integer", "r": rule.r}
         else:
-            if rule.table is None:
-                raise SpecError("weight_rule: callable rules cannot be serialized")
             rule_d = {"kind": "general_f", "table": list(rule.table)}
         out: dict[str, Any] = {
             "n": self.config.n,
@@ -244,6 +241,9 @@ def run_replicates(batches: Sequence[tuple[ProcessConfig, int, int]],
     with jobs > 1 they all share one process pool."""
     if jobs <= 1 or sum(k for _, _, k in batches) <= 1:
         return [[run_replicate(cfg, seed, r) for r in range(k)] for cfg, seed, k in batches]
+    # imported here: it loads multiprocessing, which no single-process command needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [[pool.submit(run_replicate, cfg, seed, r) for r in range(k)]
                    for cfg, seed, k in batches]

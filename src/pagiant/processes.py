@@ -9,10 +9,10 @@ Three step engines cover the weight rules:
   * NegativeInteger(r) -- the free half-edge formulation: every vertex owns
     r stubs, a step pairs two uniform distinct stubs (multigraph), or
     rejects loops/duplicates (simple).
-  * GeneralF -- one member list per occupied degree class: an endpoint is
-    a class k drawn with weight N_k f(k), then a uniform member, and the
-    multigraph step law is sampled exactly by branching between the loop
-    mass sum N_k f(k) f(k+1) and the non-loop mass.
+  * GeneralF -- one member list per degree, up to the top one: an endpoint
+    is a class k drawn with weight N_k f(k), summed in degree order, then a
+    uniform member, and the multigraph step law is sampled exactly by
+    branching between the loop mass sum N_k f(k) f(k+1) and the non-loop mass.
 
 Simple mode always works by rejection of a proportional proposal, so the
 accepted edge has exactly the conditional law on addable pairs.  When few
@@ -134,33 +134,19 @@ class NegativeInteger:
 
 @dataclass(frozen=True)
 class GeneralF:
-    """Attachment function f(degree) -> weight, as a table or a callable.
-
-    A table extends past its last entry with the last value, which covers
-    the bounded-degree rules (the value there is usually 0 or a constant).
+    """Attachment function f(degree) -> weight, as the table f(0), f(1), ...
+    extended past its last entry with the last value: that covers the
+    bounded-degree rules, and as a run of m edges reaches no degree above
+    2m, 2m + 1 entries give any f.
     """
 
-    table: tuple[float, ...] | None = None
-    fn: Callable[[int], float] | None = None
+    table: tuple[float, ...]
 
     def validate(self):
-        if (self.table is None) == (self.fn is None):
-            raise ValueError("weight_rule: give exactly one of table or fn")
-        if self.table is not None:
-            if len(self.table) == 0:
-                raise ValueError("weight_rule.table: must be nonempty")
-            if not all(0 <= x < math.inf for x in self.table):
-                raise ValueError("weight_rule.table: weights must be finite and nonnegative")
-
-    def weight(self, k: int) -> float:
-        if self.fn is not None:
-            w = float(self.fn(k))
-        else:
-            t = self.table
-            w = float(t[k]) if k < len(t) else float(t[-1])
-        if w < 0:
-            raise ValueError(f"attachment weight f({k}) = {w} is negative")
-        return w
+        if len(self.table) == 0:
+            raise ValueError("weight_rule.table: must be nonempty")
+        if not all(0 <= x < math.inf for x in self.table):
+            raise ValueError("weight_rule.table: weights must be finite and nonnegative")
 
 
 WeightRule = LinearAlpha | NegativeInteger | GeneralF
@@ -358,35 +344,36 @@ class _DegreeClassEngine:
     f(d_v) depends only on the degree, so vertices of one degree are
     interchangeable: an endpoint is a class k drawn with weight N_k f(k)
     (N_k f(k) f(k+1) for a loop), then a uniform member of that class.
-    members[k] lists the vertices of degree k and pos[v] is v's index in
-    its list.  The masses are summed from the class sizes on every draw, so
-    no round-off accumulates over a run.
+    members[k] lists the vertices of degree k, for every k up to the top
+    degree (empty classes included), and pos[v] is v's index in its list.
+    The masses are summed from the class sizes in degree order on every
+    draw, so no round-off accumulates over a run, and the cumulative class
+    masses are np.cumsum(np.bincount(deg) * f) to the last bit.
     """
 
-    __slots__ = ("g", "weight", "simple", "members", "pos", "fk")
+    __slots__ = ("g", "simple", "members", "pos", "fk")
 
     def __init__(self, g: MultiGraph, rule: GeneralF, simple: bool):
         self.g = g
-        self.weight = rule.weight
         self.simple = simple
-        self.members = {0: list(range(g.n))}
+        self.members = [list(range(g.n))]
         self.pos = list(range(g.n))
-        # fk[k] = f(k), filled up to the top degree + 1 as classes appear
-        self.fk = [rule.weight(0), rule.weight(1)]
+        # fk[k] = f(k), at least to the top degree + 1
+        self.fk = [float(x) for x in (*rule.table, rule.table[-1])]
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
         members = self.members
         fk = self.fk
-        classes = []
         cum = []
         total = sumsq = loop_mass = 0.0
-        for k, vs in members.items():
+        # sequential += in degree order, the sums np.cumsum makes (sum()
+        # compensates its float sums from Python 3.12 on)
+        for k, vs in enumerate(members):
             f = fk[k]
             a = len(vs) * f
             total += a
             sumsq += a * f
             loop_mass += a * fk[k + 1]
-            classes.append(vs)
             cum.append(total)
         off_diag = total * total - sumsq
         rand = rng.random
@@ -397,7 +384,7 @@ class _DegreeClassEngine:
                 # round-off carried the draw past the end: take the last
                 # class of positive weight, never a zero-weight one
                 i = bisect_left(cum, cum[-1])
-            vs = classes[i]
+            vs = members[i]
             return vs[int(rand() * len(vs))]
 
         if self.simple:
@@ -409,7 +396,7 @@ class _DegreeClassEngine:
                 if tries == _EXACT_AFTER_REJECTIONS:
                     # rejection is memoryless, so switching to the exact
                     # enumeration now leaves the law unchanged
-                    live = [(vs, fk[k]) for k, vs in members.items() if fk[k] > 0]
+                    live = [(vs, f) for vs, f in zip(members, fk) if f > 0]
                     if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
                         return _sample_addable_pair(
                             self.g, {x: f for vs, f in live for x in vs}, rng)
@@ -422,7 +409,7 @@ class _DegreeClassEngine:
         if z <= 0:
             raise ProcessExhausted("all step weights are zero")
         if rand() * z < loop_mass:
-            v = pick(list(accumulate(len(vs) * fk[k] * fk[k + 1] for k, vs in members.items())))
+            v = pick(list(accumulate(len(vs) * f * f1 for vs, f, f1 in zip(members, fk, fk[1:]))))
             return v, v
         for _ in range(_REJECTION_CAP):
             v = pick(cum)
@@ -440,14 +427,10 @@ class _DegreeClassEngine:
         if i < len(vs):
             vs[i] = last
             pos[last] = i
-        elif not vs:
-            del members[old]
-        dest = members.get(new)
-        if dest is None:
-            dest = members[new] = []
-            fk = self.fk
-            while len(fk) <= new + 1:
-                fk.append(self.weight(len(fk)))
+        while len(members) <= new:
+            members.append([])
+            self.fk.append(self.fk[-1])
+        dest = members[new]
         pos[v] = len(dest)
         dest.append(v)
 
@@ -1051,18 +1034,17 @@ def rewiring_step(g: MultiGraph, alpha: float, rng: random.Random) -> None:
 
 
 def rewiring_degree_average(g: MultiGraph, alpha: float, steps: int,
-                            rng: random.Random, burn_in: int | None = None,
-                            sample_every: int = 1000) -> Counter:
-    """Run the rewiring chain and accumulate degree counts after burn-in.
+                            rng: random.Random) -> Counter:
+    """Run the rewiring chain and accumulate degree counts every 1000 steps
+    after a burn-in of half the steps.
 
     Returns a Counter over degrees whose total is n * (number of snapshots).
     """
-    if burn_in is None:
-        burn_in = steps // 2
+    burn_in = steps // 2
     acc: Counter = Counter()
     for step in range(steps):
         rewiring_step(g, alpha, rng)
-        if step >= burn_in and (step - burn_in) % sample_every == 0:
+        if step >= burn_in and (step - burn_in) % 1000 == 0:
             acc.update(g.deg)
     return acc
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,12 +261,12 @@ class McSummary:
         }
 
 
-def aggregate(trajectories: Sequence[Trajectory], n: int,
-              pi_degrees: Iterable[int] = (0, 1, 2, 3, 4, 5)) -> McSummary:
+def aggregate(trajectories: Sequence[Trajectory], n: int) -> McSummary:
     """Summarize replicate trajectories checkpoint by checkpoint.
 
     All replicates must share one checkpoint schedule; L1, L2 are reported
-    as fractions of n.
+    as fractions of n, and pi_k is the fraction of vertices of degree k
+    for k = 0, ..., 5.
     """
     if len(trajectories) < 2:
         raise ValueError("aggregation needs at least 2 replicates")
@@ -274,18 +274,13 @@ def aggregate(trajectories: Sequence[Trajectory], n: int,
     for t in trajectories[1:]:
         if [rec.m for rec in t.records] != schedule:
             raise ValueError("replicates have mismatched checkpoint schedules")
-    pi_degrees = list(pi_degrees)
-    names = ["L1_over_n", "L2_over_n", "S"] + [f"pi_{k}" for k in pi_degrees]
+    names = ["L1_over_n", "L2_over_n", "S"] + [f"pi_{k}" for k in range(6)]
     stats: dict[str, list[McStat]] = {name: [] for name in names}
     for ci in range(len(schedule)):
         recs = [t.records[ci] for t in trajectories]
         stats["L1_over_n"].append(_mc_stat([r.l1 / n for r in recs]))
         stats["L2_over_n"].append(_mc_stat([r.l2 / n for r in recs]))
         stats["S"].append(_mc_stat([r.s for r in recs]))
-        for k in pi_degrees:
-            vals = []
-            for r in recs:
-                count = dict(r.degree_hist).get(k, 0)
-                vals.append(count / n)
-            stats[f"pi_{k}"].append(_mc_stat(vals))
+        for k in range(6):
+            stats[f"pi_{k}"].append(_mc_stat([dict(r.degree_hist).get(k, 0) / n for r in recs]))
     return McSummary(schedule, stats)

@@ -21,7 +21,6 @@ from typing import Callable
 
 INF = math.inf
 
-_XI_TOL = 1e-12
 # the survival gap is solved for u = 1 - xi in [_U_LO, 1]
 _U_LO = 1e-16
 _KCORE_GRID_POINTS = 200
@@ -238,7 +237,8 @@ def _check_supercritical(a, eps: float) -> float:
     if a < 0 and not eps < -a - 2:
         # binomial parameter (1+eps)/(r-1) must stay below 1
         raise ValueError(f"eps must be below {-a - 2} when the shape is {a}")
-    if not _survival_gap(a, eps, _U_LO) < 0 < _survival_gap(a, eps, 1.0):
+    low, high = (u + math.expm1(_exponent(a, eps, u)) for u in (_U_LO, 1.0))
+    if not low < 0 < high:
         # in double precision the root leaves [_U_LO, 1]: xi = 1 - u
         # underflows for eps far above criticality, and (1+eps) u / (a+1)
         # underflows for a near the largest float
@@ -253,39 +253,59 @@ def _check_supercritical(a, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _survival_gap(a: float, eps: float, u: float) -> float:
-    """g(u) = u + expm1(K(u)) whose root in (0,1) gives xi = 1-u.
-
-    K(u) = -(a+1) log1p((1+eps) u / (a+1)) for finite a and -(1+eps) u in
-    the Poisson limit; g < 0 near 0 and g(1) > 0.
-    """
+def _exponent(a: float, eps: float, u: float) -> float:
+    """K(u) = -(a+1) log1p((1+eps) u / (a+1)), and -(1+eps) u in the
+    Poisson limit; at the root xi = exp(K(u))."""
     if a == INF:
-        k = -(1 + eps) * u
-    else:
-        k = -(a + 1) * math.log1p((1 + eps) * u / (a + 1))
-    return u + math.expm1(k)
+        return -(1 + eps) * u
+    return -(a + 1) * math.log1p((1 + eps) * u / (a + 1))
+
+
+def _survival_gap(a: float, eps: float, u: float) -> float:
+    """g(u) = u + expm1(K(u)) whose root in (0,1) gives xi = 1-u; g < 0
+    near 0 and g(1) > 0.  Near the root of a small eps, u and expm1(K)
+    cancel down to about eps u, so where |K| <= 1/8 g is summed as
+    (expm1(K) - K) + (a+1)(z - log1p(z)) - eps u, z = (1+eps) u/(a+1) (the
+    middle part is 0 in the Poisson limit), the first two by their series.
+    """
+    k = _exponent(a, eps, u)
+    if k < -0.125:
+        return u + math.expm1(k)
+    # expm1(K) - K = sum_{j>=2} K^j / j!
+    term = gap = 0.5 * k * k
+    j = 2
+    while abs(term) > 2 ** -53 * gap:
+        j += 1
+        term *= k / j
+        gap += term
+    if a != INF:
+        z = (1 + eps) * u / (a + 1)
+        tail = z - math.log1p(z)
+        if abs(z) <= 0.25:
+            # z - log1p(z) = sum_{j>=2} (-z)^j / j
+            tail, power, j = 0.0, z * z, 2
+            while abs(power) > 2 ** -53 * j * tail:
+                tail += power / j
+                power *= -z
+                j += 1
+        gap += (a + 1) * tail
+    return gap - eps * u
 
 
 def _survival_gap_prime(a: float, eps: float, u: float) -> float:
-    if a == INF:
-        k = -(1 + eps) * u
-        kp = -(1 + eps)
-    else:
-        z = (1 + eps) * u / (a + 1)
-        k = -(a + 1) * math.log1p(z)
-        kp = -(1 + eps) / (1 + z)
-    return 1 + math.exp(k) * kp
+    kp = -(1 + eps) if a == INF else -(1 + eps) / (1 + (1 + eps) * u / (a + 1))
+    return 1 + math.exp(_exponent(a, eps, u)) * kp
 
 
 def _bisect_newton(f: Callable[[float], float], fprime: Callable[[float], float],
                    lo: float, hi: float, tol: float) -> float:
     """Root of f on [lo, hi], with f < 0 below the root and f >= 0 above it.
 
-    Bisects until the bracket is below tol/4, then polishes the midpoint
-    with at most three Newton steps, each kept only if it stays inside the
-    final bracket.
+    Bisects until the bracket is at most tol or 2^-50 lo, whichever is
+    larger, then polishes the midpoint with at most three Newton steps,
+    each kept only if it stays inside the final bracket.
     """
-    while hi - lo > 0.25 * tol:
+    while hi - lo > max(tol, 2 ** -50 * lo):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             lo = mid
@@ -303,30 +323,30 @@ def _bisect_newton(f: Callable[[float], float], fprime: Callable[[float], float]
     return x
 
 
-def _solve_u(a, eps: float, tol: float = _XI_TOL) -> float:
-    """Root of the survival gap in u = 1 - xi, bracketed then polished."""
-    a = _check_supercritical(a, eps)
+def _solve_u(a: float, eps: float) -> float:
+    """Root of the survival gap in u = 1 - xi, bracketed then polished, for
+    a shape and eps that _check_supercritical accepted."""
     return _bisect_newton(lambda u: _survival_gap(a, eps, u),
-                          lambda u: _survival_gap_prime(a, eps, u), _U_LO, 1.0, tol)
+                          lambda u: _survival_gap_prime(a, eps, u), _U_LO, 1.0, 0.0)
 
 
-def solve_xi(a, eps: float, tol: float = _XI_TOL) -> float:
+def solve_xi(a, eps: float) -> float:
     """Unique xi in (0, 1) with E D xi^{D-1} = xi E D for the limit law at eps."""
-    return 1 - _solve_u(a, eps, tol)
+    a = _check_supercritical(a, eps)
+    return math.exp(_exponent(a, eps, _solve_u(a, eps)))
 
 
 def rho(a, eps: float) -> float:
     """Limiting giant fraction at m = m_c(1+eps): 1 - xi^{a/(a+1)} (1-xi in
     the Poisson limit).  The equivalent product form (1-xi)(1-(1+eps)xi/(a+1))
-    is evaluated as a cross-check."""
+    is evaluated as a cross-check; both read xi as exp(K(u)), not 1 - u."""
     a = _check_supercritical(a, eps)
     u = _solve_u(a, eps)
-    if a == INF:
-        power_form = u
-        product_form = u
-    else:
-        power_form = -math.expm1(a / (a + 1) * math.log1p(-u))
-        product_form = u * (1 - (1 + eps) * (1 - u) / (a + 1))
+    power_form = product_form = u
+    if a != INF:
+        k = _exponent(a, eps, u)
+        power_form = -math.expm1(a / (a + 1) * k)
+        product_form = u * (1 - (1 + eps) * math.exp(k) / (a + 1))
     if abs(power_form - product_form) > 1e-10:
         raise SolverError(
             f"giant-fraction forms disagree at a={a}, eps={eps}: "
@@ -372,7 +392,7 @@ def critical_constant(a) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pittel_cstar(alpha: float, c: float, tol: float = 1e-12) -> float:
+def pittel_cstar(alpha: float, c: float) -> float:
     """The root x in (0, c_a) of x/(alpha+x)^{alpha+2} = c/(alpha+c)^{alpha+2},
     where c_a = alpha/(alpha+1); solved in logs (the map is increasing on
     (0, c_a), with its maximum exactly at c_a)."""
@@ -387,7 +407,7 @@ def pittel_cstar(alpha: float, c: float, tol: float = 1e-12) -> float:
 
     target = log_phi(c)
     return _bisect_newton(lambda x: log_phi(x) - target,
-                          lambda x: 1 / x - (alpha + 2) / (alpha + x), 1e-300, c_a, tol)
+                          lambda x: 1 / x - (alpha + 2) / (alpha + x), 1e-300, c_a, 2.5e-13)
 
 
 def bnk_map(n: float, m: float) -> float:

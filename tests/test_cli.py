@@ -266,9 +266,21 @@ def test_theory_command_rejects_what_the_solver_cannot_bracket(capsys, alpha, ep
 
 
 @pytest.mark.parametrize("alpha, eps", [("1", "1e-15"), ("0.5", "1e10")])
-def test_theory_command_reports_solver_errors(capsys, alpha, eps):
-    # the solve succeeds but a cross-check of its giant fraction fails
-    assert cli.main(["theory", "--alpha", alpha, "--eps", eps]) == 2
+def test_theory_command_solves_extreme_eps_in_the_domain(capsys, alpha, eps):
+    # a tiny eps (u + expm1(K) cancels) and a huge one (1 - u cancels) both
+    # pass the giant fraction's cross-checks
+    assert cli.main(["theory", "--alpha", alpha, "--eps", eps]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert 0 < record["rho"] < 2 * float(eps)
+
+
+def test_theory_command_reports_solver_errors(capsys, monkeypatch):
+    # a solve whose cross-check fails exits 2 and prints no record
+    def fail(a, eps):
+        raise T.SolverError("giant-fraction forms disagree")
+
+    monkeypatch.setattr(T, "rho", fail)
+    assert cli.main(["theory", "--alpha", "1", "--eps", "0.2"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("solver error: ") and not captured.out
 

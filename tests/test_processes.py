@@ -456,7 +456,8 @@ def test_uniform_rule_first_edge_uniform_over_pairs():
 def test_affine_table_matches_linear_rule_law(mode):
     # f(k) = k + 1 must reproduce the alpha = 1 law in either mode
     rng = random.Random(12)
-    cfg = P.ProcessConfig(n=3, weight_rule=P.GeneralF(fn=lambda k: k + 1.0),
+    # (a table of f up to degree 4, past the top reachable degree + 1 = 3)
+    cfg = P.ProcessConfig(n=3, weight_rule=P.GeneralF(table=(1.0, 2.0, 3.0, 4.0, 5.0)),
                           mode=mode, m_max=2)
     counts = P.sample_process_outcomes(cfg, 300_000, rng)
     exact = {k: float(v) for k, v in oracle.enumerate_process(3, 2, 1, mode).items()}
@@ -473,7 +474,7 @@ def test_capped_table_never_exceeds_cap():
 
 def test_d_process_caps_degree():
     d = 2
-    cfg = P.ProcessConfig(n=30, weight_rule=P.GeneralF(fn=lambda k: 1.0 if k < d else 0.0),
+    cfg = P.ProcessConfig(n=30, weight_rule=P.GeneralF(table=(1.0, 1.0, 0.0)),
                           mode="simple", m_max=20, checkpoints=(20,), seed=14)
     traj = P.run_process(cfg)
     assert max(k for k, _ in traj.records[-1].degree_hist) <= d
@@ -541,9 +542,10 @@ def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
             state.step(rng)
         except P.ProcessExhausted:
             break
-        assert all(vs for vs in engine.members.values())
-        assert sum(len(vs) for vs in engine.members.values()) == n
-        for k, vs in engine.members.items():
+        # one class per degree up to the top one, which is occupied
+        assert engine.members[-1] and len(engine.members) == max(state.graph.deg) + 1
+        assert sum(len(vs) for vs in engine.members) == n
+        for k, vs in enumerate(engine.members):
             for i, v in enumerate(vs):
                 assert state.graph.deg[v] == k
                 assert engine.pos[v] == i
@@ -558,21 +560,64 @@ def test_class_draw_past_the_end_skips_zero_weight_classes():
     for v, w in ((0, 1), (0, 0)):
         state.graph.add_edge(v, w)
         state.engine.sync(v, w)
-    assert list(state.engine.members) == [0, 1, 3]
+    assert [len(vs) for vs in state.engine.members] == [2, 1, 0, 1]
     # non-loop branch; v: class draw 1.0, then member 0; w: class 0, member 0
     draws = iter([0.99, 1.0, 0.0, 0.0, 0.0])
     v, w = state.engine.sample(SimpleNamespace(random=draws.__next__))
     assert state.graph.deg[v] == 1 and state.graph.deg[w] == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(table=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 7.3]), min_size=1, max_size=6),
+       n=st.integers(2, 40), steps=st.integers(1, 60),
+       mode=st.sampled_from(["multigraph", "simple"]), seed=st.integers(0, 2 ** 32))
+def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed):
+    # the engine sums its class masses in degree order, so each endpoint's
+    # class is where its draw falls in np.cumsum over the degree histogram
+    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
+                                           mode=mode, m_max=steps))
+    engine, g = state.engine, state.graph
+    source = random.Random(seed)
+    for _ in range(steps):
+        deg = np.array(g.deg)
+        f = np.array([table[min(k, len(table) - 1)] for k in range(deg.max() + 2)])
+        draws: list[float] = []
+
+        def record():
+            draws.append(source.random())
+            return draws[-1]
+
+        try:
+            v, w = engine.sample(SimpleNamespace(random=record))
+        except P.ProcessExhausted:
+            break
+
+        def drawn_class(weights, u):
+            cum = np.cumsum(np.bincount(deg) * weights)
+            k = np.searchsorted(cum, u * cum[-1], side="right")
+            # round-off past the end falls back to the last positive class
+            return np.searchsorted(cum, cum[-1]) if k == len(cum) else k
+
+        if mode == "multigraph" and v == w:
+            # a loop: one draw for the branch, then a class draw with
+            # weights f(k) f(k + 1) and a member draw
+            assert len(draws) == 3
+            assert deg[v] == drawn_class(f[:-1] * f[1:], draws[1])
+        elif len(draws) % 4 == (mode == "multigraph"):
+            # the accepted pair is the last two (class, member) draws; a
+            # simple step that reached the exact endgame draws once more
+            assert deg[v] == drawn_class(f[:-1], draws[-4])
+            assert deg[w] == drawn_class(f[:-1], draws[-2])
+        g.add_edge(v, w, mode == "multigraph")
+        engine.sync(v, w)
+
+
 def test_general_f_rejects_bad_tables():
     for bad in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             P.GeneralF(table=(1.0, bad)).validate()
-    with pytest.raises(ValueError):
-        P.GeneralF().validate()
-    with pytest.raises(ValueError):
-        P.GeneralF(table=(1.0,), fn=lambda k: 1.0).validate()
+    with pytest.raises(ValueError, match="nonempty"):
+        P.GeneralF(table=()).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -146,15 +146,17 @@ def test_chi_square_tail_is_a_monotone_probability(dof, x, y):
 
 def test_runtime_imports_no_scipy():
     # pagiant's runtime needs numpy alone: scipy (and numpy.f2py, which it
-    # pulls in) would double the start-up of every command
+    # pulls in) would double the start-up of every command; and a command
+    # that starts no process pool loads no multiprocessing
     code = (
         "import sys\n"
         "import pagiant, pagiant.cli\n"
         "from pagiant import cli, stats\n"
         "assert cli.main(['theory', '--alpha', '1', '--eps', '0.2']) == 0\n"
+        "assert cli.main(['verify', '--level', 'quick']) == 0\n"
         "assert stats.chi_square_counts({'a': 60, 'b': 40}, {'a': 0.5, 'b': 0.5}).pvalue > 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-        " or m == 'numpy.f2py' or m.startswith('numpy.f2py.')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+        " or m in ('numpy.f2py', 'concurrent.futures.process') or m.startswith('numpy.f2py.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pagiant.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

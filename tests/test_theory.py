@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -215,6 +216,59 @@ def test_rho_below_two_eps_for_positive_shapes():
     for a in (0.1, 1.0, 10.0, INF):
         for eps in (1e-3, 1e-1, 1.0, 10.0):
             assert 0 < T.rho(a, eps) < 2 * eps
+
+
+def test_rho_solves_every_point_of_the_domain():
+    # a grid of shapes against eps = 1e-15 ... 1e12: every point the domain
+    # check accepts solves, and both cross-checks of the giant fraction hold
+    # (the forms agree to 1e-10, and 0 < rho < 2 eps for positive shapes)
+    accepted = 0
+    for a in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, INF, -3, -5, -10):
+        for k in range(-15, 13):
+            eps = 10.0 ** k
+            try:
+                T.solve_xi(a, eps)
+            except ValueError:
+                continue
+            accepted += 1
+            assert T.rho(a, eps) > 0
+    assert accepted == 244
+
+
+def _decimal_rho(a, eps):
+    # the giant fraction from a 60-digit bisection of u = 1 - xi
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e, one = Decimal(eps), Decimal(1)
+
+        def log_xi(u):
+            if a == INF:
+                return -(1 + e) * u
+            return -(Decimal(a) + 1) * ((1 + e) * u / (Decimal(a) + 1) + 1).ln()
+
+        lo, hi = Decimal("1e-40"), one
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid + log_xi(mid).exp() - 1 < 0:
+                lo = mid
+            else:
+                hi = mid
+        if a == INF:
+            return lo
+        return 1 - (Decimal(a) / (Decimal(a) + 1) * log_xi(lo)).exp()
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1e3, INF, -3])
+@pytest.mark.parametrize("eps", [1e-15, 1e-9, 0.2, 0.9, 1e3])
+def test_rho_has_full_relative_accuracy(a, eps):
+    # the small-eps gap and xi = exp(K(u)) keep rho to a few ulps at both
+    # ends, where u + expm1(K) and 1 - u cancel
+    try:
+        got = T.rho(a, eps)
+    except ValueError:
+        return
+    want = _decimal_rho(a, eps)
+    assert abs(Decimal(got) - want) <= Decimal("4e-15") * want
 
 
 def test_rho_monotone_and_limits():
