@@ -16,6 +16,7 @@ from .processes import (
     Trajectory,
     rewiring_step,
     run_process,
+    sample_edges,
     sample_birth_degrees,
     sample_conditioned_degrees,
     sample_configuration_model,

@@ -49,6 +49,8 @@ class MultiGraph:
         """The graph that add_edge builds from the endpoint list `ends` (edge
         i is ends[2i], ends[2i+1]), built in bulk; it keeps the list, and
         `pairs` too, the multiplicity of every pair key, when it is given."""
+        if len(ends) % 2:
+            raise ValueError(f"odd endpoint count {len(ends)}")
         g = cls(n)
         if ends:
             e = np.array(ends, np.int64)

@@ -21,13 +21,14 @@ long run of rejections under a general f), _sample_addable_pair enumerates
 the addable pairs instead: the same law, and an empty enumeration is
 reported as true exhaustion, not as a spent rejection budget.
 
-run_process works edges first: every path yields the run's endpoints in
-the order of MultiGraph.ends, and one builder (_records) computes the
-checkpoint records from them, with components from graph_core.merge_labels
-over the edges added since the previous checkpoint.  _runner picks the
-path for run_process and sample_process_outcomes alike: the linear-alpha
-and r-stub rules run in bulk when rng is a plain random.Random, and every
-other run steps its engine with no union-find (_run_stepped).  numpy's
+Runs are made edges first: sample_edges returns a run's endpoints in the
+order of MultiGraph.ends, and run_process builds the checkpoint records
+from them with one builder (_records), with components from
+graph_core.merge_labels over the edges added since the previous
+checkpoint.  _runner picks the path for sample_edges and
+sample_process_outcomes alike: the linear-alpha and r-stub rules run in
+bulk when rng is a plain random.Random, and every other run steps its
+engine with no union-find (_run_stepped).  numpy's
 MT19937 draws the very same doubles as CPython's random once it holds the
 same state, so the draws of many steps come out of one numpy call and the
 advanced state is handed back to rng (_mt_uniforms).
@@ -472,11 +473,12 @@ def _engine(cfg: ProcessConfig, g: MultiGraph | _Multiset, stubs: list[int] | No
 
 
 class ProcessState:
-    """A live process: graph, component tracker, and the step engine."""
+    """A live process: graph, component tracker and step engine, stepped one
+    edge at a time for bench/tracing.py's replays and the step-level tests;
+    runs are made by sample_edges."""
 
     def __init__(self, cfg: ProcessConfig):
         cfg.validate()
-        self.cfg = cfg
         self.graph = MultiGraph(cfg.n)
         self.tracker = ComponentTracker(cfg.n)
         self.allow_multi = cfg.mode != "simple"
@@ -824,20 +826,27 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
     return _run_urn_multigraph if cfg.mode == "multigraph" else _run_urn_simple
 
 
-def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Trajectory:
-    """Run to m_max, recording stats at each checkpoint.
-
-    Deterministic given (cfg, seed).  If the process exhausts first, a
-    ProcessExhausted is raised carrying the truncated trajectory.  The run
-    is made by _runner's runner (see the module docstring), which yields
-    its endpoints, and the records are built from them (_records).
-    """
+def sample_edges(cfg: ProcessConfig, rng: random.Random | None = None
+                 ) -> tuple[np.ndarray, int, str | None]:
+    """One run of cfg (from random.Random(cfg.seed) by default), made by
+    _runner's runner: its endpoints as an int64 array in the order of
+    MultiGraph.ends, the edge count reached, and the exhaustion message,
+    None when the run reached m_max."""
     if rng is None:
         rng = random.Random(cfg.seed)
     cfg.validate()
     ends, m, reason = _runner(cfg, rng)(cfg, rng)
-    # rebinding frees an endpoint list before the record arrays are allocated
-    ends = np.asarray(ends, np.int64)
+    return np.asarray(ends, np.int64), m, reason
+
+
+def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Trajectory:
+    """Run to m_max, recording stats at each checkpoint.
+
+    Deterministic given (cfg, seed).  If the process exhausts first, a
+    ProcessExhausted is raised carrying the truncated trajectory.  The
+    records are built (_records) from the endpoints of sample_edges' run.
+    """
+    ends, m, reason = sample_edges(cfg, rng)
     records = tuple(_records(cfg.n, ends, [c for c in cfg.checkpoints if c <= m]))
     if reason is not None:
         raise ProcessExhausted(reason, m_reached=m, trajectory=Trajectory(records, m, True))
@@ -1018,8 +1027,8 @@ def rewiring_step(g: MultiGraph, alpha: float, rng: random.Random) -> None:
     m = g.num_edges
     if m == 0:
         raise ValueError("cannot rewire an empty graph")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     rand = rng.random
     e = int(rand() * m)
     a, b = g.ends[2 * e], g.ends[2 * e + 1]
@@ -1056,8 +1065,10 @@ def rewiring_degree_average(g: MultiGraph, alpha: float, steps: int,
 
 def sample_configuration_model(deg: Sequence[int], rng: random.Random) -> MultiGraph:
     """Uniform stub matching: shuffle the stub multiset, pair consecutively."""
-    total = sum(deg)
-    if total % 2:
+    for i, d in enumerate(deg):
+        if d < 0:
+            raise ValueError(f"deg[{i}] must be nonnegative, got {d}")
+    if sum(deg) % 2:
         raise ValueError("degree sum must be even")
     stubs = [v for v, d in enumerate(deg) for _ in range(d)]
     rng.shuffle(stubs)
@@ -1071,10 +1082,10 @@ def sample_birth_degrees(n: int, alpha: float, t: float, rng: random.Random) -> 
     so each value is NB(alpha, 1 - e^{-t}) by construction, not by pmf
     inversion.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     expo = rng.expovariate
     out = []
     for _ in range(n):

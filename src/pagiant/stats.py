@@ -189,34 +189,23 @@ def chi_square_tail(dof: float, x: float) -> float:
 
 
 def kcore_census(g: MultiGraph, k: int) -> int:
-    """Size of the k-core by iterative peeling; loops add 2 to a vertex's
-    own in-core degree and never propagate removals."""
+    """Size of the k-core, peeled in rounds: each round drops every kept
+    vertex with fewer than k edge ends on the edges among the kept ones,
+    until none drops.  A loop adds 2 to its vertex's own degree and never
+    propagates a removal."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = g.n
-    if k == 0:
-        return n
-    deg = list(g.deg)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    ends = g.ends
-    for i in range(0, len(ends), 2):
-        v, w = ends[i], ends[i + 1]
-        if v != w:
-            adj[v].append(w)
-            adj[w].append(v)
-    alive = [True] * n
-    stack = [v for v in range(n) if deg[v] < k]
-    for v in stack:
-        alive[v] = False
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < k:
-                    alive[w] = False
-                    stack.append(w)
-    return sum(alive)
+    ends = np.asarray(g.ends, np.int64)
+    v, w = ends[0::2], ends[1::2]
+    keep = np.ones(n, bool)
+    while True:
+        drop = keep & (np.bincount(v, minlength=n) + np.bincount(w, minlength=n) < k)
+        if not drop.any():
+            return int(np.count_nonzero(keep))
+        keep &= ~drop
+        live = keep[v] & keep[w]
+        v, w = v[live], w[live]
 
 
 class McStat(NamedTuple):

@@ -226,3 +226,8 @@ def test_from_ends_matches_adding_edges(n, edges, simple_pairs):
 def test_from_ends_rejects_out_of_range_endpoints():
     with pytest.raises(ValueError, match="out of range"):
         MultiGraph.from_ends(3, [0, 3])
+
+
+def test_from_ends_rejects_an_odd_endpoint_count():
+    with pytest.raises(ValueError, match="odd endpoint count 3"):
+        MultiGraph.from_ends(3, [0, 1, 2])

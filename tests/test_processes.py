@@ -327,10 +327,36 @@ def test_bulk_stub_run_final_record_matches_oracle(monkeypatch, m, mode):
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
 
-RULES = [P.LinearAlpha(1.0), P.NegativeInteger(3), P.GeneralF(table=(1.0, 2.0, 3.0, 0.5))]
+@pytest.mark.parametrize("rule, a, factor, runs, seed", [
+    (P.LinearAlpha(1.0), 1.0, 1.5, 400, 1), (P.LinearAlpha(0.5), 0.5, 1.5, 400, 2),
+    (P.NegativeInteger(3), -3, 1.2, 200, 3)], ids=["alpha1", "alpha0.5", "r3"])
+def test_loops_given_degrees_match_the_configuration_model(rule, a, factor, runs, seed):
+    # given its degrees d, a multigraph run at edge m is the configuration
+    # model on d, so E[loops | d] = sum d_i (d_i - 1) / (2 (2m - 1)); the
+    # observed excess over the runs is scaled by its Poisson variance
+    n = 10_000
+    m = int(factor * T.m_crit(a, n))
+    cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m)
+    rng = random.Random(20_261_000 + seed)
+    excess = variance = 0.0
+    for _ in range(runs):
+        ends, reached, _ = P.sample_edges(cfg, rng)
+        assert reached == m
+        d = np.bincount(ends, minlength=n)
+        expected = float(np.dot(d, d - 1)) / (2 * (2 * m - 1))
+        excess += np.count_nonzero(ends[0::2] == ends[1::2]) - expected
+        variance += expected
+    z = excess / math.sqrt(variance)
+    assert abs(z) < 3.29, f"loops given degrees off the configuration model: z = {z:.2f}"
 
 
-@pytest.mark.parametrize("rule", RULES, ids=repr)
+# the ids are spelled out, so that a change to a rule's fields renames no test
+RULES = {"LinearAlpha(alpha=1.0)": P.LinearAlpha(1.0),
+         "NegativeInteger(r=3)": P.NegativeInteger(3),
+         "GeneralF(table=(1.0, 2.0, 3.0, 0.5))": P.GeneralF(table=(1.0, 2.0, 3.0, 0.5))}
+
+
+@pytest.mark.parametrize("rule", list(RULES.values()), ids=list(RULES))
 @pytest.mark.parametrize("mode", ["multigraph", "simple"])
 @pytest.mark.parametrize("n, m_max", [(10, 15), (300, 400)])
 def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
@@ -715,6 +741,18 @@ def test_rewiring_empty_graph_rejected():
         P.rewiring_step(MultiGraph(3), 1.0, random.Random(0))
 
 
+def test_rewiring_rejects_infinite_alpha():
+    # u * inf < inf is false, so an infinite alpha would always copy an
+    # endpoint, the opposite of its uniform limit
+    g = MultiGraph(4)
+    g.add_edge(0, 1)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="alpha"):
+        P.rewiring_step(g, math.inf, rng)
+    assert rng.getstate() == state
+
+
 def test_rewiring_transitions_match_oracle_kernel():
     # empirical single-step transition frequencies from each 1-edge state on
     # two vertices against the exact kernel under the current-degree rule
@@ -761,6 +799,12 @@ def test_cm_odd_sum_rejected():
         P.sample_configuration_model([2, 1], random.Random(0))
 
 
+@pytest.mark.parametrize("deg, index", [([-1, 1], 0), ([3, -1], 1)])
+def test_cm_rejects_negative_degrees(deg, index):
+    with pytest.raises(ValueError, match=rf"deg\[{index}\]"):
+        P.sample_configuration_model(deg, random.Random(0))
+
+
 def test_cm_law_matches_enumeration():
     rng = random.Random(24)
     exact = {k: float(v) for k, v in oracle.enumerate_cm((2, 1, 1)).items()}
@@ -774,6 +818,18 @@ def test_cm_law_matches_enumeration():
 
 def test_birth_degrees_zero_time():
     assert P.sample_birth_degrees(50, 1.0, 0.0, random.Random(0)) == [0] * 50
+
+
+@pytest.mark.parametrize("alpha, t, name", [(math.inf, 1.0, "alpha"), (1.0, math.inf, "t"),
+                                           (1.0, math.nan, "t")])
+def test_birth_degrees_reject_non_finite_arguments(alpha, t, name):
+    # an infinite alpha or t never ends the holding-time loop, and a nan t
+    # gave all zeros
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        P.sample_birth_degrees(5, alpha, t, rng)
+    assert rng.getstate() == state
 
 
 def test_birth_degrees_geometric_marginal():

@@ -184,6 +184,34 @@ def test_kcore_loop_counts_toward_own_degree():
     assert S.kcore_census(g, 2) == 1
 
 
+def _brute_kcore_size(n, edges, k):
+    # the k-core is the largest vertex set in which every vertex has at
+    # least k edge ends on the edges inside the set, a loop counting twice
+    best = 0
+    for mask in range(1 << n):
+        deg = [0] * n
+        for v, w in edges:
+            if (mask >> v) & (mask >> w) & 1:
+                deg[v] += 1
+                deg[w] += 1
+        inside = [v for v in range(n) if mask >> v & 1]
+        if all(deg[v] >= k for v in inside):
+            best = max(best, len(inside))
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(0, 6), data=st.data())
+def test_kcore_matches_brute_force_definition(n, k, data):
+    # few vertices make loops, multi-edges and isolated vertices common
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+    g = MultiGraph(n)
+    for v, w in edges:
+        g.add_edge(v, w)
+    assert S.kcore_census(g, k) == _brute_kcore_size(n, edges, k)
+
+
 def test_kcore_onset_within_five_percent_of_threshold():
     # the empirical 3-core onset brackets c_3 * n tightly at desk scale
     n = 100_000
@@ -193,11 +221,8 @@ def test_kcore_onset_within_five_percent_of_threshold():
         m = int(round(factor * c3 * n))
         cfg = P.ProcessConfig(n=n, weight_rule=P.LinearAlpha(1.0), mode="multigraph",
                               m_max=m, checkpoints=(m,), seed=55)
-        rng = random.Random(55 + int(100 * factor))
-        state = P.ProcessState(cfg)
-        for _ in range(m):
-            state.step(rng)
-        fractions[factor] = S.kcore_census(state.graph, 3) / n
+        ends, _, _ = P.sample_edges(cfg, random.Random(55 + int(100 * factor)))
+        fractions[factor] = S.kcore_census(MultiGraph.from_ends(n, ends.tolist()), 3) / n
     assert fractions[0.95] < 1e-3
     assert fractions[1.05] > 0.01
 
