@@ -637,6 +637,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _memory_error(exc: MemoryError) -> int:
+    """One line on stderr and exit code 2 for a run too large for memory;
+    the commands write their outputs only after every run, so none exists."""
+    print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
@@ -645,7 +652,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SpecError as exc:
             print(f"spec error: {exc}", file=sys.stderr)
             return 2
-        cmd_simulate(spec, args.out, args.jobs)
+        try:
+            cmd_simulate(spec, args.out, args.jobs)
+        except MemoryError as exc:
+            return _memory_error(exc)
         return 0
     if args.command == "theory":
         try:
@@ -664,6 +674,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SpecError as exc:
             print(f"spec error: {exc}", file=sys.stderr)
             return 2
+        except MemoryError as exc:
+            return _memory_error(exc)
         return 0
     if args.command == "verify":
         started = time.monotonic()

@@ -3,7 +3,7 @@
 A MultiGraph keeps a fixed vertex set [0, n) and an edge multiset stored as
 a flat endpoint list, so that the endpoint list doubles as the draw history
 of the attachment samplers; MultiGraph.from_ends builds one from such a
-list in bulk.  A ComponentTracker is a size-weighted
+list, or an int64 array of it, in bulk.  A ComponentTracker is a size-weighted
 union-find that maintains the running sum of squared component sizes, from
 which the susceptibility S = sum |C|^2 / n is read off without a rescan.
 
@@ -45,15 +45,17 @@ class MultiGraph:
         self._pairs: dict[int, int] = {}
 
     @classmethod
-    def from_ends(cls, n: int, ends: list[int], pairs: dict[int, int] | None = None) -> MultiGraph:
-        """The graph that add_edge builds from the endpoint list `ends` (edge
-        i is ends[2i], ends[2i+1]), built in bulk; it keeps the list, and
-        `pairs` too, the multiplicity of every pair key, when it is given."""
+    def from_ends(cls, n: int, ends: list[int] | np.ndarray,
+                  pairs: dict[int, int] | None = None) -> MultiGraph:
+        """The graph that add_edge builds from the endpoints `ends`, a list or
+        an int64 array (edge i is ends[2i], ends[2i+1]), built in bulk; it
+        keeps a list as its own, and `pairs` too, the multiplicity of every
+        pair key, when it is given."""
         if len(ends) % 2:
             raise ValueError(f"odd endpoint count {len(ends)}")
         g = cls(n)
-        if ends:
-            e = np.array(ends, np.int64)
+        if len(ends):
+            e = np.asarray(ends, np.int64)
             if e.min() < 0 or e.max() >= n:
                 raise ValueError(f"endpoint out of range: {e.min()}..{e.max()}")
             v, w = e[0::2], e[1::2]
@@ -62,7 +64,7 @@ class MultiGraph:
             if pairs is None:
                 pairs = dict(Counter((np.minimum(v, w) * n + np.maximum(v, w)).tolist()))
             g._pairs = pairs
-            g.ends = ends
+            g.ends = ends if isinstance(ends, list) else e.tolist()
         return g
 
     @property
@@ -205,7 +207,8 @@ def size_stats(sizes: np.ndarray) -> tuple[int, int, int]:
 
     L2 is the second entry of the sizes sorted in decreasing order, so it
     equals L1 when two components tie for the largest, and it is 0 when
-    there is only one component.
+    there is only one component.  Zero entries are ignored, so a bincount
+    of component labels can be passed as it is.
     """
     i = int(sizes.argmax())
     l2 = max(sizes[:i].max(initial=0), sizes[i + 1:].max(initial=0))
@@ -249,7 +252,7 @@ def _jump(label: np.ndarray, h: np.ndarray) -> None:
     cur = label[h]
     while True:
         up = label[cur]
-        if np.array_equal(up, cur):
+        if (up == cur).all():
             return
         label[h] = up
         cur = up

@@ -25,13 +25,17 @@ Runs are made edges first: sample_edges returns a run's endpoints in the
 order of MultiGraph.ends, and run_process builds the checkpoint records
 from them with one builder (_records), with components from
 graph_core.merge_labels over the edges added since the previous
-checkpoint.  _runner picks the path for sample_edges and
-sample_process_outcomes alike: the linear-alpha and r-stub rules run in
-bulk when rng is a plain random.Random, and every other run steps its
-engine with no union-find (_run_stepped).  numpy's
-MT19937 draws the very same doubles as CPython's random once it holds the
-same state, so the draws of many steps come out of one numpy call and the
-advanced state is handed back to rng (_mt_uniforms).
+checkpoint, and multi-edges from the first copy of each pair key, which
+one unstable argsort finds (_first_counts, which also groups the outcomes
+of sample_process_outcomes).  ProcessConfig bounds n by
+isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.  _runner
+picks the path for sample_edges and sample_process_outcomes alike: the
+linear-alpha and r-stub rules run in bulk when rng is a plain
+random.Random, and every other run steps its engine with no union-find
+(_run_stepped).  numpy's MT19937 draws the very same doubles as CPython's
+random once it holds the same state, so the draws of many steps come out
+of one numpy call and the advanced state is handed back to rng
+(_mt_uniforms).
 
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
@@ -165,6 +169,9 @@ class ProcessConfig:
     def validate(self):
         if self.n < 1:
             raise ValueError(f"n: must be >= 1, got {self.n}")
+        if self.n > math.isqrt(2 ** 63 - 1):
+            # a pair key min*n + max must fit in an int64
+            raise ValueError(f"n: must be at most {math.isqrt(2 ** 63 - 1)}, got {self.n}")
         if self.mode not in ("simple", "multigraph"):
             raise ValueError(f"mode: must be 'simple' or 'multigraph', got {self.mode!r}")
         self.weight_rule.validate()
@@ -576,14 +583,25 @@ def _stub_endpoints(n: int, r: int, u: np.ndarray) -> np.ndarray:
     return ends
 
 
+def _first_counts(key: np.ndarray) -> np.ndarray:
+    """How often each value of the nonnegative int64 array key occurs, at
+    the index of its first occurrence (the least index of its run in one
+    unstable sort), and 0 at every later index."""
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    count = np.zeros(len(key), np.int64)
+    count[np.minimum.reduceat(order, starts)] = np.diff(starts, append=len(key))
+    return count
+
+
 def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[CheckpointRecord]:
     """The checkpoint records of the run whose endpoints, in the order of
     MultiGraph.ends, are `ends`; every checkpoint is at most its length.
     Every run_process path builds its records here."""
     v, w = ends[0::2], ends[1::2]
     loops = np.cumsum(v == w)
-    # first[j] < m exactly when the j-th distinct pair is among the first m edges
-    first = np.sort(np.unique(np.minimum(v, w) * n + np.maximum(v, w), return_index=True)[1])
+    # every edge but the first copy of its pair is a multi-edge
+    multi = np.cumsum(_first_counts(np.minimum(v, w) * n + np.maximum(v, w)) == 0)
     label = np.arange(n)
     deg = np.zeros(n, np.int64)
     records: list[CheckpointRecord] = []
@@ -592,15 +610,14 @@ def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[Check
         merge_labels(label, v[done:m], w[done:m])
         deg += np.bincount(ends[2 * done:2 * m], minlength=n)
         done = m
-        sizes = np.bincount(label)
-        l1, l2, sum_sq = size_stats(sizes[sizes > 0])
+        l1, l2, sum_sq = size_stats(np.bincount(label))
         records.append(CheckpointRecord(
             m=m,
             l1=l1,
             l2=l2,
             s=sum_sq / n,
             loops=int(loops[m - 1]) if m else 0,
-            multi_edges=m - int(np.searchsorted(first, m)),
+            multi_edges=int(multi[m - 1]) if m else 0,
             degree_hist=_degree_pairs(deg),
         ))
     return records
@@ -633,13 +650,13 @@ class _Multiset:
         deg[w] += 1
 
 
-def _run_stepped(cfg: ProcessConfig, rng: random.Random, ends: Sequence[int] = (),
+def _run_stepped(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray | Sequence[int] = (),
                  pairs: dict[int, int] | None = None, stubs: list[int] | None = None) -> Run:
     """Any rule, one step at a time with no union-find, from the edges
     `ends` on to m_max: a simple run on a MultiGraph, a multigraph run on a
     _Multiset.  The bulk runners hand their tails here, with a simple
-    run's pair keys and the r-stub rule's free stubs; ends that already
-    reach m_max may be an array."""
+    run's pair keys and the r-stub rule's free stubs; the edges of a
+    simple run may be an int64 array, as may ends that already reach m_max."""
     m, m_max = len(ends) // 2, cfg.m_max
     if m == m_max:
         return ends, m, None
@@ -741,17 +758,15 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
         new = vertex[_roots(src)]
         v, w = new[0::2], new[1::2]
         key = np.minimum(v, w) * n + np.maximum(v, w)
-        bad = (v == w) | np.isin(key, keys[:j])
-        order = np.argsort(key, kind="stable")
-        bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        # a loop, a pair accepted before the batch or a repeat within it
+        bad = (v == w) | np.isin(key, keys[:j]) | (_first_counts(key) == 0)
         k = int(np.argmax(bad)) if bad.any() else b
         ends[2 * j:2 * (j + k)] = new[:2 * k]
         keys[j:j + k] = key[:k]
         return k
 
     j = _speculate(rng, 4, stop, m_max, batch)
-    # a run the batches finish keeps its array; a stepped tail extends a list
-    return _run_stepped(cfg, rng, ends if j == m_max else ends[:2 * j].tolist())
+    return _run_stepped(cfg, rng, ends[:2 * j])
 
 
 def _stub_swaps(stubs: list[int], a: list[int], b: list[int], last: int,
@@ -863,12 +878,13 @@ def _count_outcomes(ends: np.ndarray, n: int, out: Counter) -> None:
         code = np.zeros(runs, np.int64)
         for j in range(k // 2):
             code = code * (n * n) + pairs[:, j]
-        _, first, counts = np.unique(code, return_index=True, return_counts=True)
     else:
-        _, first, counts = np.unique(pairs, axis=0, return_index=True, return_counts=True)
-    for i in np.argsort(first):
-        key = pairs[first[i]].tolist()
-        out[tuple((x // n, x % n) for x in key)] += int(counts[i])
+        # rows whose codes would overflow are numbered by np.unique instead
+        code = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(runs)
+    count = _first_counts(code)
+    for i in np.flatnonzero(count):
+        key = pairs[i].tolist()
+        out[tuple((x // n, x % n) for x in key)] += int(count[i])
 
 
 def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,

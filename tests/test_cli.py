@@ -125,6 +125,18 @@ def test_spec_repros_exit_2_and_write_nothing(tmp_path, capsys, change, field):
     assert not out.exists()
 
 
+def test_an_n_past_the_pair_key_bound_is_a_spec_error(tmp_path, capsys, monkeypatch):
+    def no_runs(*args):
+        raise AssertionError("simulated before n was checked")
+
+    monkeypatch.setattr(cli, "run_replicates", no_runs)
+    path = write_spec(tmp_path, dict(BASE_SPEC, n=10 ** 11))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--spec", path, "--out", str(out), "--jobs", "1"]) == 2
+    assert "spec error: n: must be at most 3037000499" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_relative_checkpoints_resolve_against_m_c():
     data = json.loads(json.dumps(BASE_SPEC))
     data["checkpoints"] = [0.8, 1.0, 1.5]
@@ -447,6 +459,25 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, text):
     out = tmp_path / "grid.csv"
     assert cli.main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
     assert "spec error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_memory_error_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               command):
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "run_replicates", too_large)
+    if command == "simulate":
+        spec = write_spec(tmp_path, BASE_SPEC)
+    else:
+        spec = write_spec(tmp_path, SWEEPS[1], "sweep.json")
+    out = tmp_path / "out"
+    assert cli.main([command, "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "memory error: Unable to allocate 745. GiB for an array\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -144,6 +144,12 @@ def test_size_stats_ties_and_single_component():
     assert size_stats(np.array([2, 5, 1])) == (5, 2, 30)
 
 
+def test_size_stats_ignores_zero_entries():
+    # a bincount of component labels holds a zero for every non-root
+    assert size_stats(np.array([0, 7, 0])) == (7, 0, 49)
+    assert size_stats(np.array([0, 3, 0, 3])) == (3, 3, 18)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 25),
        batches=st.lists(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=30),
@@ -221,6 +227,17 @@ def test_from_ends_matches_adding_edges(n, edges, simple_pairs):
     g.add_edge(0, n - 1)
     ref.add_edge(0, n - 1)
     assert (g.ends, g.deg, g.loops, g._pairs) == (ref.ends, ref.deg, ref.loops, ref._pairs)
+
+
+def test_from_ends_takes_an_int64_array():
+    listed = MultiGraph.from_ends(3, [0, 1, 1, 2])
+    g = MultiGraph.from_ends(3, np.array([0, 1, 1, 2]))
+    assert (g.ends, g.deg, g.loops, g._pairs) == (listed.ends, listed.deg, listed.loops,
+                                                  listed._pairs)
+    assert all(type(x) is int for x in g.ends + g.deg)
+    g.add_edge(2, 2)
+    assert g.ends == [0, 1, 1, 2, 2, 2] and g.loops == 1
+    assert MultiGraph.from_ends(3, np.array([], np.int64)).ends == []
 
 
 def test_from_ends_rejects_out_of_range_endpoints():

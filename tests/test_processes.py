@@ -388,6 +388,48 @@ def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
     assert stepped.getstate() == rng.getstate()
 
 
+def _reference_records(n, edges, checkpoints):
+    """The checkpoint records of an edge list in plain Python: a union-find,
+    and Counters of pairs and degrees."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs, deg, loops, records = Counter(), [0] * n, 0, []
+    for m in range(len(edges) + 1):
+        if m in checkpoints:
+            sizes = sorted(Counter(find(x) for x in range(n)).values(), reverse=True)
+            records.append(P.CheckpointRecord(
+                m=m, l1=sizes[0], l2=(sizes + [0])[1], s=sum(c * c for c in sizes) / n,
+                loops=loops, multi_edges=m - len(pairs),
+                degree_hist=tuple(sorted(Counter(deg).items()))))
+        if m < len(edges):
+            v, w = edges[m]
+            parent[find(v)] = find(w)
+            pairs[min(v, w), max(v, w)] += 1
+            deg[v] += 1
+            deg[w] += 1
+            loops += v == w
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12),
+       raw=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+       data=st.data())
+def test_records_match_a_plain_reference(n, raw, data):
+    # small n makes loops, repeated pairs in either orientation and
+    # isolated vertices common; any sorted set of checkpoints in [0, m]
+    edges = [(v % n, w % n) for v, w in raw]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges) + 1, max_size=len(edges) + 1))
+    cps = [m for m, kept in enumerate(keep) if kept]
+    ends = np.array([x for edge in edges for x in edge], np.int64)
+    assert P._records(n, ends, cps) == _reference_records(n, edges, cps)
+
+
 def test_single_vertex_only_loops():
     traj = P.run_process(lin_cfg(1, 1.0, "multigraph", 5, checkpoints=(5,)))
     rec = traj.records[-1]
@@ -463,6 +505,15 @@ def test_config_validation_errors():
         P.ProcessConfig(n=4, weight_rule=P.NegativeInteger(2), mode="simple", m_max=1).validate()
     with pytest.raises(ValueError):
         P.ProcessConfig(n=4, weight_rule=P.NegativeInteger(3), mode="simple", m_max=7).validate()
+
+
+def test_config_bounds_n_so_pair_keys_fit_in_int64():
+    # a pair key min*n + max is at most n^2 - 1, so n^2 must not pass 2^63
+    top = math.isqrt(2 ** 63 - 1)
+    assert (top + 1) ** 2 - 1 > 2 ** 63 - 1 >= top ** 2 - 1
+    lin_cfg(top, 1.0, "multigraph", 1).validate()
+    with pytest.raises(ValueError, match="^n: must be at most 3037000499, got 3037000500$"):
+        lin_cfg(top + 1, 1.0, "multigraph", 1).validate()
 
 
 # ---------------------------------------------------------------------------

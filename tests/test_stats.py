@@ -222,7 +222,7 @@ def test_kcore_onset_within_five_percent_of_threshold():
         cfg = P.ProcessConfig(n=n, weight_rule=P.LinearAlpha(1.0), mode="multigraph",
                               m_max=m, checkpoints=(m,), seed=55)
         ends, _, _ = P.sample_edges(cfg, random.Random(55 + int(100 * factor)))
-        fractions[factor] = S.kcore_census(MultiGraph.from_ends(n, ends.tolist()), 3) / n
+        fractions[factor] = S.kcore_census(MultiGraph.from_ends(n, ends), 3) / n
     assert fractions[0.95] < 1e-3
     assert fractions[1.05] > 0.01
 
