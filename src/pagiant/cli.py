@@ -9,6 +9,7 @@ never changes results.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -63,8 +64,12 @@ class ExperimentSpec:
         self.config.validate()
         if self.replicates < 1:
             raise SpecError("replicates: must be >= 1")
-        paths = [self.trajectory_csv, self.degree_csv, self.summary_json]
-        if len(set(paths)) != len(paths):
+        paths = {"trajectory_csv": self.trajectory_csv, "degree_csv": self.degree_csv,
+                 "summary_json": self.summary_json}
+        for key, name in paths.items():
+            if os.path.normpath(name) == "." or name.endswith(("/", os.sep)):
+                raise SpecError(f"outputs.{key}: must name a file, got {name!r}")
+        if len({os.path.normpath(name) for name in paths.values()}) != len(paths):
             raise SpecError("outputs: paths must be distinct")
 
     def to_dict(self) -> dict:
@@ -239,12 +244,14 @@ def run_replicates(batches: Sequence[tuple[ProcessConfig, int, int]],
                    jobs: int = 1) -> list[list[Trajectory]]:
     """Replicates 0..k-1 of every (cfg, seed, k) batch, in batch order;
     with jobs > 1 they all share one process pool."""
-    if jobs <= 1 or sum(k for _, _, k in batches) <= 1:
+    total = sum(k for _, _, k in batches)
+    if jobs <= 1 or total <= 1:
         return [[run_replicate(cfg, seed, r) for r in range(k)] for cfg, seed, k in batches]
     # imported here: it loads multiprocessing, which no single-process command needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at the first submit, so start no idle ones
+    with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
         futures = [[pool.submit(run_replicate, cfg, seed, r) for r in range(k)]
                    for cfg, seed, k in batches]
         return [[f.result() for f in batch] for batch in futures]
@@ -259,34 +266,63 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary file next to path, then rename it over
-    path, so a failed write never leaves a partial file behind."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _check_outputs(paths: Sequence[Path]) -> None:
+    """Raise OSError, before any compute, for an output path that no file
+    can take: an existing directory, or a path whose nearest existing
+    ancestor is not a directory."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+        parent = next((p for p in path.parents if p.exists()), None)
+        if parent is not None and not parent.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(parent))
+
+
+def _write_files(files: Sequence[tuple[Path, str]]) -> None:
+    """Write each (path, text) to a temporary file next to path, making the
+    missing parent directories, and only then rename each over its path,
+    so a failed write leaves no output file and no temporary behind."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        for (path, text), tmp in zip(files, tmps):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
-def write_trajectory_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
+def _write_atomic(path: Path, text: str) -> None:
+    _write_files([(path, text)])
+
+
+def _trajectory_csv(trajectories: Sequence[Trajectory]) -> str:
     lines = ["replicate,m,L1,L2,S,loops,multi_edges"]
     for rep, traj in enumerate(trajectories):
         for rec in traj.records:
             lines.append(
                 f"{rep},{rec.m},{rec.l1},{rec.l2},{_fmt(rec.s)},{rec.loops},{rec.multi_edges}"
             )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_degree_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
+def _degree_csv(trajectories: Sequence[Trajectory]) -> str:
     lines = ["replicate,m,degree,count"]
     for rep, traj in enumerate(trajectories):
         for rec in traj.records:
             for degree, count in rec.degree_hist:
                 lines.append(f"{rep},{rec.m},{degree},{count}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_trajectory_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
+    _write_atomic(path, _trajectory_csv(trajectories))
+
+
+def write_degree_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
+    _write_atomic(path, _degree_csv(trajectories))
 
 
 def _json_dumps(data: dict) -> str:
@@ -296,11 +332,15 @@ def _json_dumps(data: dict) -> str:
 def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dict:
     """Run the experiment and write the three output files; returns the summary.
 
-    The summary is built before anything is written, so a run that fails
-    writes nothing, and each file is written atomically, so none is ever
-    left half-written.
+    The output paths are checked before any run (_check_outputs), the
+    summary is built before anything is written, and the three files are
+    written together (_write_files), so a command that fails leaves no
+    output file.
     """
     spec.validate()
+    out = Path(out_dir)
+    paths = [out / name for name in (spec.trajectory_csv, spec.degree_csv, spec.summary_json)]
+    _check_outputs(paths)
     cfg = spec.config
     trajectories = run_replicates([(cfg, cfg.seed, spec.replicates)], jobs)[0]
     exhausted = {str(r): t.m_reached for r, t in enumerate(trajectories) if t.exhausted}
@@ -319,11 +359,8 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
     record = _theory_record(cfg, spec.comparison_eps)
     if record is not None:
         summary["theory"] = record
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out / spec.trajectory_csv, trajectories)
-    write_degree_csv(out / spec.degree_csv, trajectories)
-    _write_atomic(out / spec.summary_json, _json_dumps(summary))
+    _write_files(list(zip(paths, (_trajectory_csv(trajectories), _degree_csv(trajectories),
+                                  _json_dumps(summary)))))
     return summary
 
 
@@ -372,6 +409,7 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     grid = _need(sweep, kind.grid_key, list, "")
     if replicates < 1:
         raise SpecError("replicates: must be >= 1")
+    _check_outputs([Path(out_path)])
     base = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode, seed=seed)
     try:
         base.validate()
@@ -644,6 +682,14 @@ def _memory_error(exc: MemoryError) -> int:
     return 2
 
 
+def _output_error(exc: OSError) -> int:
+    """One line on stderr and exit code 2 for an output path that cannot be
+    written; _write_files has left no output file."""
+    where = f"{exc.filename}: " if exc.filename is not None else ""
+    print(f"output error: {where}{exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
@@ -656,6 +702,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_simulate(spec, args.out, args.jobs)
         except MemoryError as exc:
             return _memory_error(exc)
+        except OSError as exc:
+            return _output_error(exc)
         return 0
     if args.command == "theory":
         try:
@@ -676,17 +724,23 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         except MemoryError as exc:
             return _memory_error(exc)
+        except OSError as exc:
+            return _output_error(exc)
         return 0
     if args.command == "verify":
         started = time.monotonic()
-        code, report = cmd_verify(args.level, args.seed)
-        for check in report["checks"]:
-            status = "PASS" if check["ok"] else "FAIL"
-            print(f"{status} {check['name']}: {check['detail']}")
-        print(f"{'OK' if code == 0 else 'FAILED'} ({len(report['checks'])} checks, "
-              f"{time.monotonic() - started:.1f}s)")
-        if args.json:
-            _write_atomic(Path(args.json), _json_dumps(report))
+        json_path = [] if args.json is None else [Path(args.json)]
+        try:
+            _check_outputs(json_path)
+            code, report = cmd_verify(args.level, args.seed)
+            for check in report["checks"]:
+                status = "PASS" if check["ok"] else "FAIL"
+                print(f"{status} {check['name']}: {check['detail']}")
+            print(f"{'OK' if code == 0 else 'FAILED'} ({len(report['checks'])} checks, "
+                  f"{time.monotonic() - started:.1f}s)")
+            _write_files([(path, _json_dumps(report)) for path in json_path])
+        except OSError as exc:
+            return _output_error(exc)
         return code
     raise AssertionError("unreachable")
 

@@ -52,17 +52,17 @@ doubling and pair keys for linear alpha; for r stubs, indices that depend
 only on the s = rn - 2i free stubs, with the swap-removes and pair checks
 in a loop (_stub_swaps).
 
-sample_process_outcomes batches two families of tiny runs.  Multigraph
-steps of the linear-alpha and r-stub rules make four and two rng.random()
-calls, so R runs read consecutive blocks of one MT19937 stream: a chunk of
-runs is one numpy draw, one row per run (_urn_endpoints; _stub_endpoints
-swap-removes on a (runs, rn) stub array).  Linear-alpha simple runs read a
-chunk of four-draw proposals: the run that would start at each proposal is
-resolved for all of them at once, and the runs from the first proposal on
-follow one another (_urn_simple_chunk).  Every other case makes its runs
-one by one with _runner's runner.  The float operations are the step
-engines' own, so the outcome counts, their order of first appearance and
-the final rng state equal stepping.
+sample_process_outcomes counts runs edges first too: every path yields
+chunks of endpoint rows, one per run, and one numpy keyer counts them
+(_count_outcomes).  Multigraph steps of the linear-alpha and r-stub rules
+make four and two rng.random() calls, so a chunk of runs is one numpy draw
+(_urn_endpoints; _stub_endpoints swap-removes on a (runs, rn) stub array).
+Linear-alpha simple runs read a chunk of four-draw proposals: the run that
+would start at each proposal is resolved for all of them at once, and the
+runs from the first proposal on follow one another (_urn_simple_chunk).
+Every other run is made by _runner's runner and stacked (_rows).  The
+float operations are the step engines' own, so the outcome counts, their
+order of first appearance and the final rng state equal stepping.
 
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
@@ -78,12 +78,11 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .graph_core import ComponentTracker, MultiGraph, merge_labels, size_stats
-from .oracle import canonical_key
 
 _REJECTION_CAP = 10 ** 6
 # enumerate addable pairs once at most this many stubs (r-stub rule) or
@@ -91,8 +90,8 @@ _REJECTION_CAP = 10 ** 6
 _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
-# sample_process_outcomes draws this many batched runs (multigraph) or
-# proposals (simple) at a time, and an r-stub batch at most this many
+# sample_process_outcomes counts this many runs (linear-alpha simple:
+# proposals) at a time, and an r-stub batch draws at most this many
 # proposals: enough to amortize numpy's per-call cost, few enough that a
 # chunk's arrays stay small
 _OUTCOME_CHUNK = 1 << 13
@@ -639,7 +638,9 @@ class _Multiset:
     def __init__(self, n: int, ends: Sequence[int]):
         self.n = n
         self.ends = list(ends)
-        self.deg = np.bincount(np.asarray(ends, np.int64), minlength=n).tolist()
+        self.deg = deg = [0] * n
+        for v in self.ends:
+            deg[v] += 1
 
     def add_edge(self, v: int, w: int) -> None:
         ends, deg = self.ends, self.deg
@@ -946,17 +947,33 @@ def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,
     return ends[chain], int(nxt[chain[-1]]) if chain else 0
 
 
-def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter) -> None:
-    """sample_process_outcomes for the linear-alpha simple rule with m_max
-    at most the n(n-1)/2 pairs, in chunks of proposals: each chunk is drawn
-    at once, and rng is then set to just after the proposals its runs used.
-    A chunk that holds no whole run is drawn again twice as long, and a run
-    longer than the longest chunk is made on its own by the rule's runner."""
+def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
+          run: Callable[[ProcessConfig, random.Random], Run]) -> np.ndarray:
+    """The endpoints of the next `runs` runs of cfg by the runner `run`, one
+    row of 2 m_max per run: a linear-alpha or r-stub multigraph chunk from
+    one numpy draw, any other run made by `run` and stacked.  The first run
+    that exhausts raises ProcessExhausted."""
+    n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
+    if run is _run_urn_multigraph:
+        return _urn_endpoints(n, rule.alpha * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
+    if run is _run_stub and cfg.mode == "multigraph":
+        return _stub_endpoints(n, rule.r, _mt_uniforms(rng, runs * 2 * m).reshape(runs, 2 * m))
+    flat: list[int] = []
+    for _ in range(runs):
+        ends, _, reason = run(cfg, rng)
+        if reason is not None:
+            raise ProcessExhausted(reason)
+        flat.extend(ends)
+    return np.array(flat, np.int64).reshape(runs, 2 * m)
+
+
+def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Iterator[np.ndarray]:
+    """The endpoint rows of `runs` linear-alpha simple runs of 1 <= m_max <=
+    n(n-1)/2 edges, in chunks of proposals: each chunk is drawn at once, and
+    rng is then set to just after the proposals its runs used.  A chunk that
+    holds no whole run is drawn again twice as long, and a run longer than
+    the longest chunk is made on its own by the rule's runner."""
     n, m = cfg.n, cfg.m_max
-    if m == 0:
-        if runs:
-            out[()] += runs
-        return
     an = cfg.weight_rule.alpha * n
     # so no step of a chunk can reach the rejection cap
     longest = min(_OUTCOME_CHUNK, _REJECTION_CAP)
@@ -975,56 +992,35 @@ def _urn_simple_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out:
             if size < longest:
                 grow *= 2
             else:
-                _runwise_outcomes(cfg, 1, rng, out, _runner(cfg, rng))
+                yield _rows(cfg, 1, rng, _run_urn_simple)
                 done += 1
             continue
         grow = 1
-        _count_outcomes(ends, n, out)
+        yield ends
         done += len(ends)
         used_total += used
-
-
-def _runwise_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random, out: Counter,
-                      run: Callable[[ProcessConfig, random.Random], Run]) -> None:
-    """Count the final edge multisets of runs made one by one by a runner."""
-    for _ in range(runs):
-        ends, _, reason = run(cfg, rng)
-        if reason is not None:
-            raise ProcessExhausted(reason)
-        out[canonical_key(zip(ends[0::2], ends[1::2]))] += 1
 
 
 def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -> Counter:
     """Repeatedly run a tiny process and count final edge multisets.
 
-    Used by the statistical equivalence suites; outcomes are keyed by
-    oracle.canonical_key, like the oracle's exact laws.  Where run_process
-    would run in bulk, the linear-alpha rule and the r-stub multigraph rule
-    run in batches of runs (see the module docstring), save a simple run
-    that asks for more edges than there are pairs (its first run ends in
-    ProcessExhausted).  Every other case makes its runs one by one with
-    run_process's runner (_runner).
+    Used by the statistical equivalence suites; outcomes are keyed as
+    oracle.canonical_key keys the oracle's exact laws.  Linear-alpha simple
+    runs come in chunks of proposals, save a run that asks for more edges
+    than there are pairs (its first run ends in ProcessExhausted), and every
+    other case in chunks of _OUTCOME_CHUNK runs (_rows).
     """
     cfg.validate()
-    out: Counter = Counter()
-    m_max = cfg.m_max
-    rule = cfg.weight_rule
-    n = cfg.n
+    n, m = cfg.n, cfg.m_max
     run = _runner(cfg, rng)
-    if run is _run_urn_simple and m_max <= n * (n - 1) // 2:
-        _urn_simple_outcomes(cfg, runs, rng, out)
-    elif run is _run_urn_multigraph or run is _run_stub and cfg.mode == "multigraph":
-        for done in range(0, runs, _OUTCOME_CHUNK):
-            chunk = min(_OUTCOME_CHUNK, runs - done)
-            if run is _run_urn_multigraph:
-                u = _mt_uniforms(rng, chunk * 4 * m_max).reshape(chunk, 4 * m_max)
-                ends = _urn_endpoints(n, rule.alpha * n, u)
-            else:
-                u = _mt_uniforms(rng, chunk * 2 * m_max).reshape(chunk, 2 * m_max)
-                ends = _stub_endpoints(n, rule.r, u)
-            _count_outcomes(ends, n, out)
+    if run is _run_urn_simple and 0 < m <= n * (n - 1) // 2:
+        chunks = _urn_simple_rows(cfg, runs, rng)
     else:
-        _runwise_outcomes(cfg, runs, rng, out, run)
+        chunks = (_rows(cfg, min(_OUTCOME_CHUNK, runs - done), rng, run)
+                  for done in range(0, runs, _OUTCOME_CHUNK))
+    out: Counter = Counter()
+    for ends in chunks:
+        _count_outcomes(ends, n, out)
     return out
 
 
@@ -1122,10 +1118,12 @@ def sample_conditioned_degrees(n: int, alpha: float, m: int, rng: random.Random)
     sampled as theta ~ Dirichlet(alpha, ..., alpha), then
     Multinomial(2m, theta).  numpy is seeded from one rng.getrandbits(64).
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m!r}")
     if m == 0:
         return [0] * n
     npr = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))

@@ -547,12 +547,18 @@ def predict(alpha, *, eps: float | None = None, m: float | None = None,
             n: int | None = None, ks=(3,)) -> TheoryPrediction:
     """Assemble the full prediction record.
 
-    Exactly one of eps or m must be given; m requires n.  eps = 0 is
-    allowed and reports the critical values (rho = 0, xi = 1).
+    Exactly one of eps or m must be given, and finite; m requires n, an
+    integer >= 1.  eps = 0 is allowed and reports the critical values
+    (rho = 0, xi = 1).
     """
     a = _check_shape(alpha)
     if (eps is None) == (m is None):
         raise ValueError("give exactly one of eps or m")
+    for name, x in (("eps", eps), ("m", m)):
+        if x is not None and not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if m is not None:
         if n is None:
             raise ValueError("m requires n")

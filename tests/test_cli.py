@@ -1,4 +1,6 @@
+import concurrent.futures
 import copy
+import errno
 import json
 import math
 import os
@@ -111,6 +113,13 @@ def test_parse_spec_gives_a_spec_or_a_spec_error(case, value):
     ({"checkpoints_rel": "false"}, "checkpoints_rel"),
     ({"comparison": 0.5}, "comparison"),
     ({"comparison": {"epsilon": 0.5}}, "comparison.eps"),
+    ({"comparison": {"eps": "NaN"}}, "comparison.eps"),
+    ({"outputs": {"trajectory_csv": "a.csv", "degree_csv": "./a.csv",
+                  "summary_json": "s.json"}}, "outputs"),
+    ({"outputs": {"trajectory_csv": "t.csv", "degree_csv": "d.csv", "summary_json": ""}},
+     "outputs.summary_json"),
+    ({"outputs": {"trajectory_csv": "t.csv", "degree_csv": "sub/", "summary_json": "s.json"}},
+     "outputs.degree_csv"),
 ])
 def test_spec_repros_exit_2_and_write_nothing(tmp_path, capsys, change, field):
     # the quoted numbers go into the file unquoted, as JSON parses 1e999 to inf
@@ -269,6 +278,17 @@ def test_theory_command(capsys):
 def test_theory_command_domain_error(capsys):
     assert cli.main(["theory", "--alpha", "-1", "--eps", "0.5"]) == 2
     assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [(["--eps", "nan"], "eps"), (["--eps", "inf"], "eps"),
+                                        (["--m", "nan", "--n", "10"], "m"),
+                                        (["--m", "5", "--n", "0"], "n"),
+                                        (["--eps", "0.2", "--n", "-1"], "n")])
+def test_theory_command_rejects_non_finite_and_non_positive_n(capsys, argv, name):
+    assert cli.main(["theory", "--alpha", "1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"domain error: {name} must be ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("alpha, eps", [("1", "1e30"), ("1e308", "0.2")])
@@ -479,6 +499,107 @@ def test_a_memory_error_exits_2_with_one_line_and_writes_nothing(tmp_path, capsy
     assert captured.err == "memory error: Unable to allocate 745. GiB for an array\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def _no_compute(*args):
+    raise AssertionError("computed before the output paths were checked")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_an_output_path_under_a_file_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                                command):
+    monkeypatch.setattr(cli, "run_replicates", _no_compute)
+    monkeypatch.setattr(cli, "cmd_verify", _no_compute)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    if command == "simulate":
+        # --out names an existing file
+        argv = ["simulate", "--spec", write_spec(tmp_path, BASE_SPEC), "--out", str(taken)]
+    elif command == "sweep":
+        argv = ["sweep", "--spec", write_spec(tmp_path, SWEEPS[1], "sweep.json"),
+                "--out", str(taken / "grid.csv")]
+    else:
+        argv = ["verify", "--json", str(taken / "r.json")]
+    assert cli.main(argv + (["--jobs", "1"] if command != "verify" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"output error: {taken}: not a directory\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == ["taken"]
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_an_output_path_that_is_a_directory_exits_2_before_any_compute(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(cli, "run_replicates", _no_compute)
+    data = json.loads(json.dumps(BASE_SPEC))
+    data["outputs"]["degree_csv"] = "sub"
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    spec = write_spec(tmp_path, data)
+    assert cli.main(["simulate", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == f"output error: {out / 'sub'}: is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["sub"]
+
+
+def test_missing_output_directories_are_made(tmp_path):
+    data = json.loads(json.dumps(BASE_SPEC))
+    data["outputs"]["degree_csv"] = "nodir/deg.csv"
+    data["replicates"] = 2
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--spec", write_spec(tmp_path, data), "--out", str(out),
+                     "--jobs", "1"]) == 0
+    assert (out / "nodir" / "deg.csv").read_text().startswith("replicate,m,degree,count\n")
+    assert sorted(p.name for p in out.iterdir()) == ["nodir", "summary.json", "traj.csv"]
+    spec = write_spec(tmp_path, SWEEPS[1], "sweep.json")
+    assert cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "a" / "grid.csv"),
+                     "--jobs", "1"]) == 0
+    assert (tmp_path / "a" / "grid.csv").read_text().startswith("t,m,")
+    assert cli.main(["verify", "--json", str(tmp_path / "b" / "r.json")]) == 0
+    assert json.loads((tmp_path / "b" / "r.json").read_text())["ok"] is True
+
+
+def test_a_failed_third_write_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    write_text = cli.Path.write_text
+
+    def no_space(self, *args, **kwargs):
+        if self.name.startswith(".summary.json."):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Path, "write_text", no_space)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--spec", write_spec(tmp_path, BASE_SPEC), "--out", str(out),
+                     "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.endswith("No space left on device\n")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_jobs_start_no_more_workers_than_replicates(monkeypatch):
+    # a stand-in pool records its worker count and runs every call inline
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = cli.parse_spec(BASE_SPEC).config
+    for batches, jobs in (([(cfg, 1, 2)], 8), ([(cfg, 1, 2), (cfg, 5, 1)], 64), ([(cfg, 1, 5)], 2)):
+        assert cli.run_replicates(batches, jobs) == cli.run_replicates(batches, 1)
+    assert workers == [2, 3, 2]
 
 
 def test_verify_quick_passes_and_perturbation_fails(capsys, monkeypatch):

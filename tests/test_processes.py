@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,9 +224,12 @@ def test_numpy_draws_continue_the_python_stream():
 
 
 @pytest.mark.parametrize("rule", [P.LinearAlpha(0.5), P.LinearAlpha(1.0), P.LinearAlpha(2.0),
-                                  P.LinearAlpha(1e6), P.NegativeInteger(3), P.NegativeInteger(4)],
+                                  P.LinearAlpha(1e6), P.NegativeInteger(3), P.NegativeInteger(4),
+                                  P.GeneralF((1.0, 2.0, 0.5))],
                          ids=lambda rule: repr(rule))
 def test_batched_outcomes_match_stepping(rule, monkeypatch):
+    # both sides count with one keyer, so each is also checked against runs
+    # made one by one by sample_edges and keyed by the oracle's canonical_key
     cases = [(n, m, runs) for n in (1, 2, 3, 5) for m in (0, 1, 2, 4) for runs in (0, 1, 3, 500)]
     # more runs than one chunk, the last chunk partial (in simple mode a
     # chunk holds proposals, and runs cross its end); and (n^2)^m past
@@ -235,8 +242,8 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
         # first chunk of about m proposals
         cases_by_mode["simple"] = cases + [(4, 6, 1), (4, 6, 500)]
     else:
-        # r-stub simple runs go one by one through run_process's r-stub
-        # path; those of n <= 3 past the pairs end in exhaustion
+        # r-stub and general-f simple runs are made one by one by their
+        # runner; those of n <= 3 past the pairs end in exhaustion
         cases_by_mode["simple"] = cases
     chunks = []
     chunk = P._urn_simple_chunk
@@ -254,11 +261,14 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
             cfg = P.ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m)
             seed = f"outcomes:{rule}:{n}:{m}:{runs}" + (":simple" if mode == "simple" else "")
             batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+            reference_rng = _SteppedRandom(seed)
             batched = _outcome(_counts, cfg, runs, batched_rng)
             stepped = _outcome(_counts, cfg, runs, stepped_rng)
+            reference = _outcome(_reference_counts, cfg, runs, reference_rng)
             # the same counts, first seen in the same order, and the same state after
-            assert batched == stepped, (mode, n, m, runs)
-            assert batched_rng.getstate() == stepped_rng.getstate(), (mode, n, m, runs)
+            assert batched == stepped == reference, (mode, n, m, runs)
+            assert batched_rng.getstate() == stepped_rng.getstate() == reference_rng.getstate(), \
+                (mode, n, m, runs)
     if isinstance(rule, P.LinearAlpha):
         # a chunk that holds no whole run is drawn again, twice as long
         assert any(used == 0 and grown == 2 * size
@@ -267,6 +277,36 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
 
 def _counts(cfg, runs, rng):
     return list(P.sample_process_outcomes(cfg, runs, rng).items())
+
+
+def _reference_counts(cfg, runs, rng):
+    """The outcome counts of runs made one by one, keyed by the oracle."""
+    out = Counter()
+    for _ in range(runs):
+        ends, _, reason = P.sample_edges(cfg, rng)
+        if reason is not None:
+            raise P.ProcessExhausted(reason)
+        out[oracle.canonical_key(zip(ends[0::2].tolist(), ends[1::2].tolist()))] += 1
+    return list(out.items())
+
+
+def test_sampler_imports_no_oracle():
+    # the exact oracles are the tests' reference, so no sampler loads them
+    code = (
+        "import random, sys\n"
+        "import pagiant\n"
+        "from pagiant import processes as P\n"
+        "for rule in (P.LinearAlpha(1.0), P.NegativeInteger(3), P.GeneralF((1.0,))):\n"
+        "    for mode in ('multigraph', 'simple'):\n"
+        "        cfg = P.ProcessConfig(n=3, weight_rule=rule, mode=mode, m_max=2)\n"
+        "        P.sample_process_outcomes(cfg, 10, random.Random(1))\n"
+        "print(sorted(m for m in sys.modules if m == 'pagiant.oracle'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(P.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _record_key(rec):
@@ -923,6 +963,14 @@ def test_conditioned_degrees_large_scale_marginal():
     assert sum(degs) == n
     hist = S.DegreeHistogram.from_degrees(degs)
     assert S.tv_distance(hist, T.NegBinomial(1.0, 0.5)) < 0.01
+
+
+@pytest.mark.parametrize("n, m, name", [(3, 1.5, "m"), (3, -1, "m"), (3, True, "m"),
+                                         (0, 1, "n"), (-2, 1, "n"), (2.0, 1, "n")])
+def test_conditioned_degrees_reject_bad_n_and_m(n, m, name):
+    # a fractional m once gave an odd degree sum, and n = 0 failed inside numpy
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        P.sample_conditioned_degrees(n, 1.0, m, random.Random(0))
 
 
 def test_conditioned_degrees_reject_bad_alpha():
