@@ -418,8 +418,8 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     points = []
     for i, x in enumerate(grid):
         field = f"{kind.grid_key}[{i}]"
+        x = _number(x, field)
         try:
-            x = float(x)
             m = int(round(kind.m_of(x, n, alpha)))
             if mode == "simple" and m > n * (n - 1) // 2:
                 raise ValueError(f"m = {m} exceeds the {n * (n - 1) // 2} pairs of a simple graph")

@@ -2,8 +2,9 @@
 
 A MultiGraph keeps a fixed vertex set [0, n) and an edge multiset stored as
 a flat endpoint list, so that the endpoint list doubles as the draw history
-of the attachment samplers; MultiGraph.from_ends builds one from such a
-list, or an int64 array of it, in bulk.  A ComponentTracker is a size-weighted
+of the attachment samplers; it is built edge by edge (add_edge), for the
+step-level state, the rewiring chain and configuration-model draws, while
+runs keep only their endpoints.  A ComponentTracker is a size-weighted
 union-find that maintains the running sum of squared component sizes, from
 which the susceptibility S = sum |C|^2 / n is read off without a rescan.
 
@@ -14,7 +15,6 @@ the one statistic every checkpoint record is built from.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,29 +43,6 @@ class MultiGraph:
         self.loops = 0
         # normalized pair key (min*n + max) -> multiplicity
         self._pairs: dict[int, int] = {}
-
-    @classmethod
-    def from_ends(cls, n: int, ends: list[int] | np.ndarray,
-                  pairs: dict[int, int] | None = None) -> MultiGraph:
-        """The graph that add_edge builds from the endpoints `ends`, a list or
-        an int64 array (edge i is ends[2i], ends[2i+1]), built in bulk; it
-        keeps a list as its own, and `pairs` too, the multiplicity of every
-        pair key, when it is given."""
-        if len(ends) % 2:
-            raise ValueError(f"odd endpoint count {len(ends)}")
-        g = cls(n)
-        if len(ends):
-            e = np.asarray(ends, np.int64)
-            if e.min() < 0 or e.max() >= n:
-                raise ValueError(f"endpoint out of range: {e.min()}..{e.max()}")
-            v, w = e[0::2], e[1::2]
-            g.deg = np.bincount(e, minlength=n).tolist()
-            g.loops = int(np.count_nonzero(v == w))
-            if pairs is None:
-                pairs = dict(Counter((np.minimum(v, w) * n + np.maximum(v, w)).tolist()))
-            g._pairs = pairs
-            g.ends = ends if isinstance(ends, list) else e.tolist()
-        return g
 
     @property
     def num_edges(self) -> int:

@@ -32,10 +32,11 @@ isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.  _runner
 picks the path for sample_edges and sample_process_outcomes alike: the
 linear-alpha and r-stub rules run in bulk when rng is a plain
 random.Random, and every other run steps its engine with no union-find
-(_run_stepped).  numpy's MT19937 draws the very same doubles as CPython's
-random once it holds the same state, so the draws of many steps come out
-of one numpy call and the advanced state is handed back to rng
-(_mt_uniforms).
+(_run_stepped) on one run record, _RunGraph: the run's own endpoint list
+and, in simple mode, the set of its pair keys.  numpy's MT19937 draws the
+very same doubles as CPython's random once it holds the same state, so
+the draws of many steps come out of one numpy call and the advanced state
+is handed back to rng (_mt_uniforms).
 
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
@@ -44,8 +45,8 @@ linear-alpha simple rule and the r-stub rule run in speculative batches
 (_speculate) that resolve their proposals as if every one were accepted
 and keep the prefix before the first rejection, exactly what stepping
 accepts.  The driver alone sizes the batches, hands a dense run (and the
-r-stub endgame) over to stepping on a graph built from the accepted edges
-(MultiGraph.from_ends), and leaves rng where stepping takes over, so the
+r-stub endgame) over to stepping, on a _RunGraph of the endpoints and pair
+keys the runner accepted, and leaves rng where stepping takes over, so the
 edges, records, exhaustion, rejection cap and final rng state are
 stepping's own.  Each rule keeps only its batch resolution: pointer
 doubling and pair keys for linear alpha; for r stubs, indices that depend
@@ -118,6 +119,11 @@ class ProcessExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _is_count(x, low: int) -> bool:
+    """Whether x is an integer >= low; a numpy integer counts, a bool does not."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer)) and x >= low
+
+
 @dataclass(frozen=True)
 class LinearAlpha:
     alpha: float
@@ -132,8 +138,8 @@ class NegativeInteger:
     r: int
 
     def validate(self):
-        if self.r < 3:
-            raise ValueError(f"weight_rule.r: must be an integer >= 3, got {self.r}")
+        if not _is_count(self.r, 3):
+            raise ValueError(f"weight_rule.r: must be an integer >= 3, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -166,26 +172,29 @@ class ProcessConfig:
     seed: int = 0
 
     def validate(self):
-        if self.n < 1:
-            raise ValueError(f"n: must be >= 1, got {self.n}")
+        if not _is_count(self.n, 1):
+            raise ValueError(f"n: must be an integer >= 1, got {self.n!r}")
         if self.n > math.isqrt(2 ** 63 - 1):
             # a pair key min*n + max must fit in an int64
             raise ValueError(f"n: must be at most {math.isqrt(2 ** 63 - 1)}, got {self.n}")
         if self.mode not in ("simple", "multigraph"):
             raise ValueError(f"mode: must be 'simple' or 'multigraph', got {self.mode!r}")
         self.weight_rule.validate()
-        if self.m_max < 0:
-            raise ValueError(f"m_max: must be >= 0, got {self.m_max}")
+        if not _is_count(self.m_max, 0):
+            raise ValueError(f"m_max: must be an integer >= 0, got {self.m_max!r}")
         if isinstance(self.weight_rule, NegativeInteger):
             stop = self.weight_rule.r * self.n // 2
             if self.m_max > stop:
                 raise ValueError(f"m_max: cannot exceed r*n/2 = {stop} for this rule")
         cps = self.checkpoints
+        for i, c in enumerate(cps):
+            if not _is_count(c, 0):
+                raise ValueError(f"checkpoints[{i}]: must be an integer >= 0, got {c!r}")
         if tuple(sorted(cps)) != cps:
             raise ValueError("checkpoints: must be sorted")
         if len(set(cps)) != len(cps):
             raise ValueError("checkpoints: must be distinct")
-        if cps and (cps[0] < 0 or cps[-1] > self.m_max):
+        if cps and cps[-1] > self.m_max:
             raise ValueError(f"checkpoints: must lie in [0, m_max={self.m_max}]")
 
 
@@ -352,17 +361,19 @@ class _DegreeClassEngine:
     interchangeable: an endpoint is a class k drawn with weight N_k f(k)
     (N_k f(k) f(k+1) for a loop), then a uniform member of that class.
     members[k] lists the vertices of degree k, for every k up to the top
-    degree (empty classes included), and pos[v] is v's index in its list.
-    The masses are summed from the class sizes in degree order on every
-    draw, so no round-off accumulates over a run, and the cumulative class
-    masses are np.cumsum(np.bincount(deg) * f) to the last bit.
+    degree (empty classes included), pos[v] is v's index in its list, and
+    deg[v] its degree, kept here from the empty graph on.  The masses are
+    summed from the class sizes in degree order on every draw, so no
+    round-off accumulates over a run, and the cumulative class masses are
+    np.cumsum(np.bincount(deg) * f) to the last bit.
     """
 
-    __slots__ = ("g", "simple", "members", "pos", "fk")
+    __slots__ = ("g", "simple", "deg", "members", "pos", "fk")
 
-    def __init__(self, g: MultiGraph, rule: GeneralF, simple: bool):
+    def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool):
         self.g = g
         self.simple = simple
+        self.deg = [0] * g.n
         self.members = [list(range(g.n))]
         self.pos = list(range(g.n))
         # fk[k] = f(k), at least to the top degree + 1
@@ -425,7 +436,11 @@ class _DegreeClassEngine:
                 return v, w
         raise ProcessExhausted("rejection budget exhausted")
 
-    def _move(self, v: int, old: int, new: int):
+    def _move(self, v: int, by: int):
+        """Add `by` to v's degree, and move v to the class of its new one."""
+        deg = self.deg
+        old = deg[v]
+        deg[v] = new = old + by
         members = self.members
         pos = self.pos
         vs = members[old]
@@ -442,12 +457,12 @@ class _DegreeClassEngine:
         dest.append(v)
 
     def sync(self, v: int, w: int):
-        deg = self.g.deg
         if v == w:
-            self._move(v, deg[v] - 2, deg[v])
+            # a loop adds 2 to its vertex
+            self._move(v, 2)
         else:
-            self._move(v, deg[v] - 1, deg[v])
-            self._move(w, deg[w] - 1, deg[w])
+            self._move(v, 1)
+            self._move(w, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +480,10 @@ def _all_stubs(n: int, r: int) -> list[int]:
     return stubs
 
 
-def _engine(cfg: ProcessConfig, g: MultiGraph | _Multiset, stubs: list[int] | None = None):
+def _engine(cfg: ProcessConfig, g: MultiGraph | _RunGraph, stubs: list[int] | None = None):
     """The step engine of cfg's rule, over the graph g (and, for the r-stub
-    rule, its free stubs, every stub by default); a multigraph-mode engine
-    reads only g's n, ends and deg."""
+    rule, its free stubs, every stub by default); an engine reads only g's
+    n and ends, and in simple mode has_edge and num_distinct_pairs."""
     simple = cfg.mode == "simple"
     rule = cfg.weight_rule
     if isinstance(rule, LinearAlpha):
@@ -628,47 +643,45 @@ def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[Check
 Run = tuple[Sequence[int] | np.ndarray, int, str | None]
 
 
-class _Multiset:
-    """What a multigraph-mode step engine reads of its graph: n, the
-    endpoint list and the degrees, grown edge by edge.  Only simple mode
-    reads a MultiGraph's pair multiplicities, so this keeps none."""
+class _RunGraph:
+    """What a step engine reads of its graph, for one run: n, the run's own
+    endpoint list and, in simple mode, the set of its pair keys min*n + max
+    (None in multigraph mode, where no engine asks for pairs)."""
 
-    __slots__ = ("n", "ends", "deg")
+    __slots__ = ("n", "ends", "keys")
 
-    def __init__(self, n: int, ends: Sequence[int]):
+    def __init__(self, n: int, ends: list[int], keys: set[int] | None):
         self.n = n
-        self.ends = list(ends)
-        self.deg = deg = [0] * n
-        for v in self.ends:
-            deg[v] += 1
+        self.ends = ends
+        self.keys = keys
+
+    @property
+    def num_distinct_pairs(self) -> int:
+        return len(self.keys)
+
+    def has_edge(self, v: int, w: int) -> bool:
+        return (v * self.n + w if v < w else w * self.n + v) in self.keys
 
     def add_edge(self, v: int, w: int) -> None:
-        ends, deg = self.ends, self.deg
+        ends, keys = self.ends, self.keys
         ends.append(v)
         ends.append(w)
-        # a loop adds 2 to its vertex
-        deg[v] += 1
-        deg[w] += 1
+        if keys is not None:
+            n = self.n
+            keys.add(v * n + w if v < w else w * n + v)
 
 
-def _run_stepped(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray | Sequence[int] = (),
-                 pairs: dict[int, int] | None = None, stubs: list[int] | None = None) -> Run:
-    """Any rule, one step at a time with no union-find, from the edges
-    `ends` on to m_max: a simple run on a MultiGraph, a multigraph run on a
-    _Multiset.  The bulk runners hand their tails here, with a simple
-    run's pair keys and the r-stub rule's free stubs; the edges of a
-    simple run may be an int64 array, as may ends that already reach m_max."""
-    m, m_max = len(ends) // 2, cfg.m_max
-    if m == m_max:
-        return ends, m, None
-    if cfg.mode == "simple":
-        g = MultiGraph.from_ends(cfg.n, ends, pairs)
-        add_edge = functools.partial(g.add_edge, allow_multi=False)
-    else:
-        g = _Multiset(cfg.n, ends)
-        add_edge = g.add_edge
+def _run_stepped(cfg: ProcessConfig, rng: random.Random, g: _RunGraph | None = None,
+                 stubs: list[int] | None = None) -> Run:
+    """Any rule, one step at a time with no union-find, on the run record g
+    (an empty run by default) to m_max.  The bulk runners hand their tails
+    here, with the edges and pair keys they accepted and the r-stub rule's
+    free stubs."""
+    if g is None:
+        g = _RunGraph(cfg.n, [], set() if cfg.mode == "simple" else None)
+    m, m_max = len(g.ends) // 2, cfg.m_max
     engine = _engine(cfg, g, stubs)
-    sample, sync = engine.sample, engine.sync
+    sample, add_edge, sync = engine.sample, g.add_edge, engine.sync
     try:
         while m < m_max:
             v, w = sample(rng)
@@ -767,26 +780,28 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
         return k
 
     j = _speculate(rng, 4, stop, m_max, batch)
-    return _run_stepped(cfg, rng, ends[:2 * j])
+    if j == m_max:
+        return ends, j, None
+    return _run_stepped(cfg, rng, _RunGraph(n, ends[:2 * j].tolist(), set(keys[:j].tolist())))
 
 
 def _stub_swaps(stubs: list[int], a: list[int], b: list[int], last: int,
-                ends: list[int], pairs: dict[int, int] | None, n: int) -> int:
+                ends: list[int], keys: set[int] | None, n: int) -> int:
     """Pair stubs a[k] and b[k] for each proposal k of a batch, as
     _StubEngine.sample does, with last the index of the last free stub at
     the batch's first proposal: append the two vertices to ends and
     swap-remove both stubs (the entries past the free ones are left stale).
-    With pairs, the accepted pair keys of a simple run, the batch ends at
+    With keys, the accepted pair keys of a simple run, the batch ends at
     its first loop or repeat.  Returns the accepted count."""
     push = ends.append
     for k, (x, y) in enumerate(zip(a, b)):
         v = stubs[x]
         w = stubs[y]
-        if pairs is not None:
+        if keys is not None:
             key = v * n + w if v < w else w * n + v
-            if v == w or key in pairs:
+            if v == w or key in keys:
                 return k
-            pairs[key] = 1
+            keys.add(key)
         push(v)
         push(w)
         if x > y:
@@ -812,9 +827,8 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
     simple = cfg.mode == "simple"
     stubs = _all_stubs(n, r)
     ends: list[int] = []
-    # a simple run's pair multiplicities, all 1, which a graph built for the
-    # tail takes over
-    pairs: dict[int, int] | None = {} if simple else None
+    # a simple run's pair keys, which the stepped tail takes over
+    keys: set[int] | None = set() if simple else None
     # a simple run's endgame starts at the first step with at most _EXACT_THRESHOLD free stubs
     stop = min(m_max, (r * n - _EXACT_THRESHOLD + 1) // 2) if simple else m_max
 
@@ -823,11 +837,11 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
         x = (u[0::2] * s).astype(np.int64)
         y = (u[1::2] * (s - 1)).astype(np.int64)
         y += y >= x
-        return _stub_swaps(stubs, x.tolist(), y.tolist(), int(s[0]) - 1, ends, pairs, n)
+        return _stub_swaps(stubs, x.tolist(), y.tolist(), int(s[0]) - 1, ends, keys, n)
 
     j = _speculate(rng, 2, stop, _OUTCOME_CHUNK, batch)
     del stubs[r * n - 2 * j:]
-    return _run_stepped(cfg, rng, ends, pairs, stubs)
+    return _run_stepped(cfg, rng, _RunGraph(n, ends, keys), stubs)
 
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
@@ -1011,6 +1025,8 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
     other case in chunks of _OUTCOME_CHUNK runs (_rows).
     """
     cfg.validate()
+    if not _is_count(runs, 0):
+        raise ValueError(f"runs must be an integer >= 0, got {runs!r}")
     n, m = cfg.n, cfg.m_max
     run = _runner(cfg, rng)
     if run is _run_urn_simple and 0 < m <= n * (n - 1) // 2:
@@ -1084,7 +1100,10 @@ def sample_configuration_model(deg: Sequence[int], rng: random.Random) -> MultiG
         raise ValueError("degree sum must be even")
     stubs = [v for v, d in enumerate(deg) for _ in range(d)]
     rng.shuffle(stubs)
-    return MultiGraph.from_ends(len(deg), stubs)
+    g = MultiGraph(len(deg))
+    for i in range(0, len(stubs), 2):
+        g.add_edge(stubs[i], stubs[i + 1])
+    return g
 
 
 def sample_birth_degrees(n: int, alpha: float, t: float, rng: random.Random) -> list[int]:
@@ -1094,6 +1113,8 @@ def sample_birth_degrees(n: int, alpha: float, t: float, rng: random.Random) -> 
     so each value is NB(alpha, 1 - e^{-t}) by construction, not by pmf
     inversion.
     """
+    if not _is_count(n, 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not 0 <= t < math.inf:
@@ -1118,11 +1139,11 @@ def sample_conditioned_degrees(n: int, alpha: float, m: int, rng: random.Random)
     sampled as theta ~ Dirichlet(alpha, ..., alpha), then
     Multinomial(2m, theta).  numpy is seeded from one rng.getrandbits(64).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_count(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+    if not _is_count(m, 0):
         raise ValueError(f"m must be an integer >= 0, got {m!r}")
     if m == 0:
         return [0] * n

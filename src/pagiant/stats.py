@@ -13,7 +13,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph_core import MultiGraph
 from .processes import Trajectory, _degree_pairs
 from .theory import DegreeModel
 
@@ -188,15 +187,19 @@ def chi_square_tail(dof: float, x: float) -> float:
     raise ArithmeticError(f"chi-square tail did not converge at dof = {dof}, x = {x}")
 
 
-def kcore_census(g: MultiGraph, k: int) -> int:
-    """Size of the k-core, peeled in rounds: each round drops every kept
-    vertex with fewer than k edge ends on the edges among the kept ones,
-    until none drops.  A loop adds 2 to its vertex's own degree and never
-    propagates a removal."""
+def kcore_census(n: int, ends: Sequence[int] | np.ndarray, k: int) -> int:
+    """Size of the k-core of the multigraph on [0, n) whose edge i is
+    (ends[2i], ends[2i+1]), as sample_edges returns a run.  It is peeled
+    in rounds: each round drops every kept vertex with fewer than k edge
+    ends on the edges among the kept ones, until none drops.  A loop adds 2
+    to its vertex's own degree and never propagates a removal."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = g.n
-    ends = np.asarray(g.ends, np.int64)
+    if len(ends) % 2:
+        raise ValueError(f"odd endpoint count {len(ends)}")
+    ends = np.asarray(ends, np.int64)
+    if len(ends) and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"endpoint out of range: {ends.min()}..{ends.max()}")
     v, w = ends[0::2], ends[1::2]
     keep = np.ones(n, bool)
     while True:

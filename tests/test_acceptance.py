@@ -255,7 +255,7 @@ def test_c11_kcore_threshold():
             for rep in range(10):
                 rng = random.Random(replicate_seed(cfg.seed + int(10 * factor), rep))
                 ends, _, _ = P.sample_edges(cfg, rng)
-                vals.append(S.kcore_census(MultiGraph.from_ends(n, ends), 3) / n)
+                vals.append(S.kcore_census(n, ends, 3) / n)
             fracs[factor] = mean(vals)
         assert fracs[1.2] > 0.01, f"supercritical core fraction {fracs[1.2]}"
         assert fracs[0.8] < 1e-3, f"subcritical core fraction {fracs[0.8]}"

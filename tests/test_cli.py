@@ -416,6 +416,11 @@ def test_sweep_susceptibility_grid(tmp_path):
       "replicates": 2}, "t[1]"),
     ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [20], "n": 4, "replicates": 2,
       "mode": "simple"}, "eps[0]"),
+    # a grid entry is a spec number: strings and booleans once ran as floats
+    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, "0.5"], "n": 200,
+      "replicates": 2}, "eps[1]: expected a number, got str"),
+    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [True], "n": 200,
+      "replicates": 2}, "eps[0]: expected a number, got bool"),
 ])
 def test_sweep_rejects_bad_grid_before_compute(tmp_path, capsys, monkeypatch, sweep, field):
     def no_runs(*args):

@@ -200,51 +200,3 @@ def test_replace_edge_bookkeeping_matches_rebuild():
         assert g.multi_edges == fresh.multi_edges
         assert Counter(map(tuple, map(sorted, g.edges()))) == \
             Counter(map(tuple, map(sorted, fresh.edges())))
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 12),
-       edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
-       simple_pairs=st.booleans())
-def test_from_ends_matches_adding_edges(n, edges, simple_pairs):
-    # small n makes loops and repeated edges common; a simple graph may
-    # hand its pair counts over instead of having them counted
-    edges = [(v % n, w % n) for v, w in edges]
-    if simple_pairs:
-        edges = list(dict.fromkeys((min(v, w), max(v, w)) for v, w in edges if v != w))
-    ref = MultiGraph(n)
-    for v, w in edges:
-        ref.add_edge(v, w)
-    ends = [x for edge in edges for x in edge]
-    pairs = dict.fromkeys((v * n + w for v, w in edges), 1) if simple_pairs else None
-    g = MultiGraph.from_ends(n, ends, pairs)
-    assert g.ends is ends or not ends
-    assert (g.n, g.ends, g.deg, g.loops, g.num_edges, g.multi_edges) == \
-        (ref.n, ref.ends, ref.deg, ref.loops, ref.num_edges, ref.multi_edges)
-    assert g._pairs == ref._pairs
-    assert all(type(x) is int for x in g.deg + list(g._pairs.values()))
-    # and it keeps growing like any graph
-    g.add_edge(0, n - 1)
-    ref.add_edge(0, n - 1)
-    assert (g.ends, g.deg, g.loops, g._pairs) == (ref.ends, ref.deg, ref.loops, ref._pairs)
-
-
-def test_from_ends_takes_an_int64_array():
-    listed = MultiGraph.from_ends(3, [0, 1, 1, 2])
-    g = MultiGraph.from_ends(3, np.array([0, 1, 1, 2]))
-    assert (g.ends, g.deg, g.loops, g._pairs) == (listed.ends, listed.deg, listed.loops,
-                                                  listed._pairs)
-    assert all(type(x) is int for x in g.ends + g.deg)
-    g.add_edge(2, 2)
-    assert g.ends == [0, 1, 1, 2, 2, 2] and g.loops == 1
-    assert MultiGraph.from_ends(3, np.array([], np.int64)).ends == []
-
-
-def test_from_ends_rejects_out_of_range_endpoints():
-    with pytest.raises(ValueError, match="out of range"):
-        MultiGraph.from_ends(3, [0, 3])
-
-
-def test_from_ends_rejects_an_odd_endpoint_count():
-    with pytest.raises(ValueError, match="odd endpoint count 3"):
-        MultiGraph.from_ends(3, [0, 1, 2])

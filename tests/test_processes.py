@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -82,8 +83,8 @@ def test_bulk_run_matches_stepping(n, m_max, alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1e6])
 @pytest.mark.parametrize("n, m_max", [(4, 6), (12, 66), (20, 250), (30, 300), (200, 4000)])
 def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alpha):
-    # dense runs accept short batches, so they step on from a graph rebuilt
-    # from the accepted edges; K12 is reached exactly, and K20 before m_max
+    # dense runs accept short batches, so they step on from the accepted
+    # edges and pair keys; K12 is reached exactly, and K20 before m_max
     built = _spy_on_handovers(monkeypatch)
     batches = _spy_on_batches(monkeypatch)
     cps = tuple(range(0, m_max + 1, max(1, m_max // 10)))
@@ -119,15 +120,17 @@ def _spy_on_batches(monkeypatch) -> list:
 
 
 def _spy_on_handovers(monkeypatch) -> list:
-    """The graphs the bulk paths build for a stepped tail, as they are built."""
+    """The edge counts of the runs the bulk paths hand to stepping with
+    steps left, as they are handed over."""
     built = []
-    from_ends = MultiGraph.from_ends.__func__
+    run_stepped = P._run_stepped
 
-    def counting(cls, n, ends, pairs=None):
-        built.append(len(ends) // 2)
-        return from_ends(cls, n, ends, pairs)
+    def counting(cfg, rng, g=None, stubs=None):
+        if g is not None and len(g.ends) // 2 < cfg.m_max:
+            built.append(len(g.ends) // 2)
+        return run_stepped(cfg, rng, g, stubs)
 
-    monkeypatch.setattr(MultiGraph, "from_ends", classmethod(counting))
+    monkeypatch.setattr(P, "_run_stepped", counting)
     return built
 
 
@@ -190,7 +193,6 @@ def test_bulk_stub_run_matches_stepping_at_scale(monkeypatch, mode):
     cfg = stub_cfg(n, 3, mode, 3 * n // 2, cps)
     bulk_rng, step_rng = random.Random(f"stub-scale:{mode}"), _SteppedRandom(f"stub-scale:{mode}")
     bulk = _outcome(P.run_process, cfg, bulk_rng)
-    # (the stepped run builds its empty start graph the same way)
     assert built == ([(3 * n - P._EXACT_THRESHOLD + 1) // 2] if mode == "simple" else [])
     assert bulk == _outcome(P.run_process, cfg, step_rng)
     assert bulk_rng.getstate() == step_rng.getstate()
@@ -418,7 +420,7 @@ def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
             state.step(rng)
     assert P._records(n, np.array(state.graph.ends, np.int64), cps) == expected
     # run_process makes the same run from the same stream, in bulk or
-    # stepped (a multigraph steps on a _Multiset, with no pair dict), and
+    # stepped (on a _RunGraph, which keeps no degrees), and
     # leaves rng where ProcessState.step does
     again = random.Random(f"builder:{rule}:{mode}:{n}")
     assert P.run_process(cfg, again).records == tuple(expected)
@@ -556,6 +558,46 @@ def test_config_bounds_n_so_pair_keys_fit_in_int64():
         lin_cfg(top + 1, 1.0, "multigraph", 1).validate()
 
 
+class _NoDraws(random.Random):
+    """A generator that fails the test on its first draw."""
+
+    def random(self):
+        raise AssertionError("drew before the input was checked")
+
+
+def _sized(**fields):
+    cfg = dict(n=4, weight_rule=P.LinearAlpha(1.0), mode="multigraph", m_max=2, checkpoints=(1,))
+    return P.ProcessConfig(**{**cfg, **fields})
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda rng: P.run_process(_sized(n=4.0), rng), "n: "),
+    (lambda rng: P.run_process(_sized(n=True), rng), "n: "),
+    (lambda rng: P.run_process(_sized(m_max=2.0), rng), "m_max: "),
+    (lambda rng: P.run_process(_sized(checkpoints=(1.5,)), rng), "checkpoints[0]: "),
+    (lambda rng: P.run_process(_sized(checkpoints=(-1, 1)), rng), "checkpoints[0]: "),
+    (lambda rng: P.run_process(_sized(weight_rule=P.NegativeInteger(3.0)), rng), "weight_rule.r: "),
+    (lambda rng: P.sample_process_outcomes(_sized(), -1, rng), "runs "),
+    (lambda rng: P.sample_process_outcomes(_sized(), 2.5, rng), "runs "),
+    (lambda rng: P.sample_process_outcomes(_sized(), True, rng), "runs "),
+    (lambda rng: P.sample_birth_degrees(-1, 1.0, 1.0, rng), "n "),
+    (lambda rng: P.sample_birth_degrees(2.0, 1.0, 1.0, rng), "n "),
+], ids=["n_float", "n_bool", "m_max_float", "checkpoint_float", "checkpoint_negative",
+        "r_float", "runs_negative", "runs_float", "runs_bool", "birth_n_negative", "birth_n_float"])
+def test_sizes_must_be_integers(call, field):
+    # each once ran (n = True as n = 1), returned nothing, or ended in a
+    # TypeError inside a runner; now a ValueError names the field first
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}must be an integer"):
+        call(_NoDraws(0))
+
+
+def test_sizes_may_be_numpy_integers():
+    cfg = _sized(n=np.int64(4), m_max=np.int64(2), checkpoints=(np.int64(1),))
+    assert P.run_process(cfg, random.Random(0)) == P.run_process(_sized(), random.Random(0))
+    assert P.sample_process_outcomes(_sized(), np.int64(3), random.Random(0)).total() == 3
+    assert len(P.sample_birth_degrees(np.int64(3), 1.0, 1.0, random.Random(0))) == 3
+
+
 # ---------------------------------------------------------------------------
 # general attachment functions
 # ---------------------------------------------------------------------------
@@ -666,6 +708,23 @@ def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
             for i, v in enumerate(vs):
                 assert state.graph.deg[v] == k
                 assert engine.pos[v] == i
+
+
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+def test_general_f_engine_keeps_its_own_degrees(mode):
+    # a stepped run's graph keeps no degrees, so the engine's own must follow
+    # the graph's, a loop adding 2, and place every vertex in its class
+    n, steps = 8, 28
+    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=(1.0, 2.0, 3.0, 0.5)),
+                                           mode=mode, m_max=steps))
+    engine = state.engine
+    rng = random.Random(f"engine-degrees:{mode}")
+    for _ in range(steps):
+        state.step(rng)
+        assert engine.deg == state.graph.deg
+        for v in range(n):
+            assert engine.members[engine.deg[v]][engine.pos[v]] == v
+    assert (state.graph.loops > 0) == (mode == "multigraph")
 
 
 def test_class_draw_past_the_end_skips_zero_weight_classes():

@@ -13,7 +13,6 @@ from scipy.special import chdtrc
 
 import pagiant
 from pagiant import processes as P, stats as S, theory as T
-from pagiant.graph_core import MultiGraph
 
 
 def test_histogram_basics():
@@ -166,22 +165,28 @@ def test_runtime_imports_no_scipy():
 
 
 def test_kcore_triangle_and_tree():
-    g = MultiGraph(3)
-    for v, w in ((0, 1), (1, 2), (0, 2)):
-        g.add_edge(v, w)
-    assert S.kcore_census(g, 2) == 3
-    tree = MultiGraph(5)
-    for v, w in ((0, 1), (1, 2), (2, 3), (2, 4)):
-        tree.add_edge(v, w)
-    assert S.kcore_census(tree, 2) == 0
-    assert S.kcore_census(tree, 1) == 5
-    assert S.kcore_census(tree, 0) == 5
+    assert S.kcore_census(3, [0, 1, 1, 2, 0, 2], 2) == 3
+    tree = np.array([0, 1, 1, 2, 2, 3, 2, 4])
+    assert S.kcore_census(5, tree, 2) == 0
+    assert S.kcore_census(5, tree, 1) == 5
+    assert S.kcore_census(5, tree, 0) == 5
+    assert S.kcore_census(5, [], 0) == 5
 
 
 def test_kcore_loop_counts_toward_own_degree():
-    g = MultiGraph(2)
-    g.add_edge(0, 0)
-    assert S.kcore_census(g, 2) == 1
+    assert S.kcore_census(2, [0, 0], 2) == 1
+
+
+def test_kcore_census_rejects_out_of_range_endpoints():
+    with pytest.raises(ValueError, match="out of range"):
+        S.kcore_census(3, [0, 3], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        S.kcore_census(3, np.array([-1, 0]), 1)
+
+
+def test_kcore_census_rejects_an_odd_endpoint_count():
+    with pytest.raises(ValueError, match="odd endpoint count 3"):
+        S.kcore_census(3, [0, 1, 2], 1)
 
 
 def _brute_kcore_size(n, edges, k):
@@ -206,10 +211,8 @@ def test_kcore_matches_brute_force_definition(n, k, data):
     # few vertices make loops, multi-edges and isolated vertices common
     vertex = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=16))
-    g = MultiGraph(n)
-    for v, w in edges:
-        g.add_edge(v, w)
-    assert S.kcore_census(g, k) == _brute_kcore_size(n, edges, k)
+    ends = [x for edge in edges for x in edge]
+    assert S.kcore_census(n, ends, k) == _brute_kcore_size(n, edges, k)
 
 
 def test_kcore_onset_within_five_percent_of_threshold():
@@ -222,17 +225,15 @@ def test_kcore_onset_within_five_percent_of_threshold():
         cfg = P.ProcessConfig(n=n, weight_rule=P.LinearAlpha(1.0), mode="multigraph",
                               m_max=m, checkpoints=(m,), seed=55)
         ends, _, _ = P.sample_edges(cfg, random.Random(55 + int(100 * factor)))
-        fractions[factor] = S.kcore_census(MultiGraph.from_ends(n, ends), 3) / n
+        fractions[factor] = S.kcore_census(n, ends, 3) / n
     assert fractions[0.95] < 1e-3
     assert fractions[1.05] > 0.01
 
 
 def test_kcore_antitone_in_k():
     rng = random.Random(34)
-    g = MultiGraph(300)
-    for _ in range(700):
-        g.add_edge(rng.randrange(300), rng.randrange(300))
-    sizes = [S.kcore_census(g, k) for k in range(6)]
+    ends = [rng.randrange(300) for _ in range(1400)]
+    sizes = [S.kcore_census(300, ends, k) for k in range(6)]
     assert all(x >= y for x, y in zip(sizes, sizes[1:]))
 
 
