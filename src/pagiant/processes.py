@@ -10,9 +10,10 @@ Three step engines cover the weight rules:
     r stubs, a step pairs two uniform distinct stubs (multigraph), or
     rejects loops/duplicates (simple).
   * GeneralF -- one member list per degree, up to the top one: an endpoint
-    is a class k drawn with weight N_k f(k), summed in degree order, then a
-    uniform member, and the multigraph step law is sampled exactly by
-    branching between the loop mass sum N_k f(k) f(k+1) and the non-loop mass.
+    is a class k drawn with weight N_k f(k), from exact integer masses that
+    sync updates as vertices move, then a uniform member, and the multigraph
+    step law is sampled exactly by branching between the loop mass
+    sum N_k f(k) f(k+1) and the non-loop mass.
 
 Simple mode always works by rejection of a proportional proposal, so the
 accepted edge has exactly the conditional law on addable pairs.  When few
@@ -75,10 +76,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -190,7 +189,7 @@ class ProcessConfig:
         for i, c in enumerate(cps):
             if not _is_count(c, 0):
                 raise ValueError(f"checkpoints[{i}]: must be an integer >= 0, got {c!r}")
-        if tuple(sorted(cps)) != cps:
+        if tuple(sorted(cps)) != tuple(cps):
             raise ValueError("checkpoints: must be sorted")
         if len(set(cps)) != len(cps):
             raise ValueError("checkpoints: must be distinct")
@@ -363,106 +362,108 @@ class _DegreeClassEngine:
     members[k] lists the vertices of degree k, for every k up to the top
     degree (empty classes included), pos[v] is v's index in its list, and
     deg[v] its degree, kept here from the empty graph on.  The masses are
-    summed from the class sizes in degree order on every draw, so no
-    round-off accumulates over a run, and the cumulative class masses are
-    np.cumsum(np.bincount(deg) * f) to the last bit.
+    exact integers: F[k] = f(k) D, with D the common power-of-two
+    denominator of the table's floats, and sync keeps T = sum N_k F_k,
+    Q = sum N_k F_k^2 and L = sum N_k F_k F_{k+1} as it moves a vertex
+    between classes.  A draw u = U / 2^53 takes the first class, scanning
+    up from degree 0, whose cumulative mass exceeds u T, compared in
+    integers, so no table entry rounds or overflows a mass.
     """
 
-    __slots__ = ("g", "simple", "deg", "members", "pos", "fk")
+    __slots__ = ("g", "simple", "deg", "members", "pos", "fk", "F", "T", "Q", "L")
 
     def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool):
         self.g = g
         self.simple = simple
-        self.deg = [0] * g.n
-        self.members = [list(range(g.n))]
-        self.pos = list(range(g.n))
-        # fk[k] = f(k), at least to the top degree + 1
+        n = g.n
+        self.deg = [0] * n
+        self.members = [list(range(n))]
+        self.pos = list(range(n))
+        # fk[k] = f(k) and F[k] = f(k) D, at least to the top degree + 1
         self.fk = [float(x) for x in (*rule.table, rule.table[-1])]
+        ratios = [x.as_integer_ratio() for x in self.fk]
+        d = max(den for _, den in ratios)
+        F = self.F = [num * (d // den) for num, den in ratios]
+        self.T, self.Q, self.L = n * F[0], n * F[0] * F[0], n * F[0] * F[1]
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
-        members = self.members
-        fk = self.fk
-        cum = []
-        total = sumsq = loop_mass = 0.0
-        # sequential += in degree order, the sums np.cumsum makes (sum()
-        # compensates its float sums from Python 3.12 on)
-        for k, vs in enumerate(members):
-            f = fk[k]
-            a = len(vs) * f
-            total += a
-            sumsq += a * f
-            loop_mass += a * fk[k + 1]
-            cum.append(total)
-        off_diag = total * total - sumsq
+        members, F, T, L = self.members, self.F, self.T, self.L
+        off_diag = T * T - self.Q
         rand = rng.random
-
-        def pick(cum: list[float]) -> int:
-            i = bisect_right(cum, rand() * cum[-1])
-            if i == len(cum):
-                # round-off carried the draw past the end: take the last
-                # class of positive weight, never a zero-weight one
-                i = bisect_left(cum, cum[-1])
-            vs = members[i]
-            return vs[int(rand() * len(vs))]
-
-        if self.simple:
+        simple = self.simple
+        if simple:
             if off_diag <= 0:
                 raise ProcessExhausted("no positive-weight pair remains")
             _check_not_complete(self.g)
             has_edge = self.g.has_edge
-            for tries in range(_REJECTION_CAP):
-                if tries == _EXACT_AFTER_REJECTIONS:
-                    # rejection is memoryless, so switching to the exact
-                    # enumeration now leaves the law unchanged
-                    live = [(vs, f) for vs, f in zip(members, fk) if f > 0]
-                    if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
-                        return _sample_addable_pair(
-                            self.g, {x: f for vs, f in live for x in vs}, rng)
-                v = pick(cum)
-                w = pick(cum)
-                if v != w and not has_edge(v, w):
-                    return v, w
-            raise ProcessExhausted("rejection budget exhausted in simple mode")
-        z = off_diag + loop_mass
-        if z <= 0:
+        elif off_diag + L <= 0:
             raise ProcessExhausted("all step weights are zero")
-        if rand() * z < loop_mass:
-            v = pick(list(accumulate(len(vs) * f * f1 for vs, f, f1 in zip(members, fk, fk[1:]))))
+        elif (int(rand() * 2.0 ** 53) * (off_diag + L)) >> 53 < L:
+            # a loop, from the class masses N_k F_k F_{k+1}
+            FL = [a * b for a, b in zip(F, F[1:])]
+            t = (int(rand() * 2.0 ** 53) * L) >> 53
+            for vs, a in zip(members, FL):
+                t -= len(vs) * a
+                if t < 0:
+                    break
+            else:
+                # only a draw of exactly 1.0 passes the end: take the last
+                # class of positive weight, never a zero-weight one
+                vs = [vs for vs, a in zip(members, FL) if vs and a][-1]
+            v = vs[int(rand() * len(vs))]
             return v, v
-        for _ in range(_REJECTION_CAP):
-            v = pick(cum)
-            w = pick(cum)
-            if v != w:
+        for tries in range(_REJECTION_CAP):
+            if simple and tries == _EXACT_AFTER_REJECTIONS:
+                # rejection is memoryless, so switching to the exact
+                # enumeration now leaves the law unchanged
+                live = [(vs, f) for vs, f in zip(members, self.fk) if f > 0]
+                if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
+                    return _sample_addable_pair(
+                        self.g, {x: f for vs, f in live for x in vs}, rng)
+            t = (int(rand() * 2.0 ** 53) * T) >> 53
+            for vs, a in zip(members, F):
+                t -= len(vs) * a
+                if t < 0:
+                    break
+            else:
+                vs = [vs for vs, a in zip(members, F) if vs and a][-1]
+            v = vs[int(rand() * len(vs))]
+            t = (int(rand() * 2.0 ** 53) * T) >> 53
+            for vs, a in zip(members, F):
+                t -= len(vs) * a
+                if t < 0:
+                    break
+            else:
+                vs = [vs for vs, a in zip(members, F) if vs and a][-1]
+            w = vs[int(rand() * len(vs))]
+            if v != w and not (simple and has_edge(v, w)):
                 return v, w
-        raise ProcessExhausted("rejection budget exhausted")
-
-    def _move(self, v: int, by: int):
-        """Add `by` to v's degree, and move v to the class of its new one."""
-        deg = self.deg
-        old = deg[v]
-        deg[v] = new = old + by
-        members = self.members
-        pos = self.pos
-        vs = members[old]
-        i = pos[v]
-        last = vs.pop()
-        if i < len(vs):
-            vs[i] = last
-            pos[last] = i
-        while len(members) <= new:
-            members.append([])
-            self.fk.append(self.fk[-1])
-        dest = members[new]
-        pos[v] = len(dest)
-        dest.append(v)
+        raise ProcessExhausted("rejection budget exhausted in simple mode" if simple
+                               else "rejection budget exhausted")
 
     def sync(self, v: int, w: int):
-        if v == w:
-            # a loop adds 2 to its vertex
-            self._move(v, 2)
-        else:
-            self._move(v, 1)
-            self._move(w, 1)
+        deg, members, pos, F = self.deg, self.members, self.pos, self.F
+        # each endpoint moves up one class: a loop moves its vertex twice
+        for x in (v, w):
+            old = deg[x]
+            deg[x] = new = old + 1
+            vs = members[old]
+            i = pos[x]
+            last = vs.pop()
+            if i < len(vs):
+                vs[i] = last
+                pos[last] = i
+            if new == len(members):
+                members.append([])
+                F.append(F[-1])
+                self.fk.append(self.fk[-1])
+            dest = members[new]
+            pos[x] = len(dest)
+            dest.append(x)
+            a, b = F[old], F[new]
+            self.T += b - a
+            self.Q += b * b - a * a
+            self.L += b * (F[new + 1] - a)
 
 
 # ---------------------------------------------------------------------------

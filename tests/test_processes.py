@@ -8,6 +8,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -598,6 +599,17 @@ def test_sizes_may_be_numpy_integers():
     assert len(P.sample_birth_degrees(np.int64(3), 1.0, 1.0, random.Random(0))) == 3
 
 
+def test_checkpoints_may_be_a_list():
+    # a sorted list once failed as unsorted: it was compared with a tuple
+    cfg = _sized(checkpoints=[1])
+    cfg.validate()
+    assert P.run_process(cfg, random.Random(0)) == P.run_process(_sized(), random.Random(0))
+    with pytest.raises(ValueError, match="^checkpoints: must be sorted$"):
+        _sized(checkpoints=[2, 1]).validate()
+    with pytest.raises(ValueError, match="^checkpoints: must be distinct$"):
+        _sized(checkpoints=[1, 1]).validate()
+
+
 # ---------------------------------------------------------------------------
 # general attachment functions
 # ---------------------------------------------------------------------------
@@ -686,6 +698,40 @@ def test_general_f_simple_reports_no_addable_pair_without_spending_the_budget():
     assert time.monotonic() - started < 1.0
 
 
+def test_heavy_tables_run_their_exact_law():
+    # float class masses once overflowed past f of about 1.4e154: the loop
+    # branch read nan, was never taken, and a multigraph run stopped at
+    # m = 1 or 2 with a spent rejection budget.  Under the exact law nearly
+    # every step (all but about 1e-198) is a loop on the first vertex to
+    # reach the heavy class, from the edge that puts it there on
+    started = time.monotonic()
+    for table, heavy in (((1.0, 1e200), 1), ((1.0, 2.0, 1e160), 2),
+                         ((1e-300, 1.0), None), ((5e-324, 1.0, 2.0), None)):
+        for seed in range(3):
+            cfg = P.ProcessConfig(n=50, weight_rule=P.GeneralF(table=table), m_max=20, seed=seed)
+            ends, m, reason = P.sample_edges(cfg)
+            assert (m, reason) == (20, None)
+            if heavy is None:
+                continue
+            pairs = ends.reshape(-1, 2).tolist()
+            deg = [0] * cfg.n
+            for i, (v, w) in enumerate(pairs):
+                deg[v] += 1
+                deg[w] += 1
+                if max(deg) >= heavy:
+                    break
+            assert max(deg) >= heavy and all(e == [v, v] for e in pairs[i:])
+    assert time.monotonic() - started < 1.0
+
+
+def _scaled(table, top):
+    """[f(0) D, ..., f(top) D] as ints, D the common denominator of the
+    table's entries."""
+    fs = [F(x) for x in table]
+    d = math.lcm(*(f.denominator for f in fs))
+    return [int(fs[min(k, len(fs) - 1)] * d) for k in range(top + 1)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(table=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=6),
        n=st.integers(1, 40), steps=st.integers(0, 60),
@@ -708,6 +754,13 @@ def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
             for i, v in enumerate(vs):
                 assert state.graph.deg[v] == k
                 assert engine.pos[v] == i
+        # the integer masses of the classes, kept by sync, as summed afresh
+        sizes = [len(vs) for vs in engine.members]
+        f = _scaled(table, len(sizes))
+        assert engine.T == sum(c * f[k] for k, c in enumerate(sizes))
+        assert engine.Q == sum(c * f[k] ** 2 for k, c in enumerate(sizes))
+        assert engine.L == sum(c * f[k] * f[k + 1] for k, c in enumerate(sizes))
+        assert all(type(x) is int for x in (engine.T, engine.Q, engine.L))
 
 
 @pytest.mark.parametrize("mode", ["multigraph", "simple"])
@@ -748,15 +801,17 @@ def test_class_draw_past_the_end_skips_zero_weight_classes():
        n=st.integers(2, 40), steps=st.integers(1, 60),
        mode=st.sampled_from(["multigraph", "simple"]), seed=st.integers(0, 2 ** 32))
 def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed):
-    # the engine sums its class masses in degree order, so each endpoint's
-    # class is where its draw falls in np.cumsum over the degree histogram
+    # the engine's class masses are exact integers f(k) D, so each
+    # endpoint's class is the first k whose integer cumulative mass cum_k
+    # has cum_k 2^53 > U T, for its draw u = U / 2^53 (float64 cumsums
+    # would round: the scaled 0.1 and 7.3 entries pass 2^53)
     state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
                                            mode=mode, m_max=steps))
     engine, g = state.engine, state.graph
     source = random.Random(seed)
     for _ in range(steps):
-        deg = np.array(g.deg)
-        f = np.array([table[min(k, len(table) - 1)] for k in range(deg.max() + 2)])
+        sizes = np.bincount(g.deg).tolist()
+        f = _scaled(table, len(sizes))
         draws: list[float] = []
 
         def record():
@@ -769,21 +824,19 @@ def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed)
             break
 
         def drawn_class(weights, u):
-            cum = np.cumsum(np.bincount(deg) * weights)
-            k = np.searchsorted(cum, u * cum[-1], side="right")
-            # round-off past the end falls back to the last positive class
-            return np.searchsorted(cum, cum[-1]) if k == len(cum) else k
+            cum = list(accumulate(c * x for c, x in zip(sizes, weights)))
+            return next(k for k, c in enumerate(cum) if c * 2 ** 53 > int(u * 2 ** 53) * cum[-1])
 
         if mode == "multigraph" and v == w:
             # a loop: one draw for the branch, then a class draw with
             # weights f(k) f(k + 1) and a member draw
             assert len(draws) == 3
-            assert deg[v] == drawn_class(f[:-1] * f[1:], draws[1])
+            assert g.deg[v] == drawn_class([a * b for a, b in zip(f, f[1:])], draws[1])
         elif len(draws) % 4 == (mode == "multigraph"):
             # the accepted pair is the last two (class, member) draws; a
             # simple step that reached the exact endgame draws once more
-            assert deg[v] == drawn_class(f[:-1], draws[-4])
-            assert deg[w] == drawn_class(f[:-1], draws[-2])
+            assert g.deg[v] == drawn_class(f, draws[-4])
+            assert g.deg[w] == drawn_class(f, draws[-2])
         g.add_edge(v, w, mode == "multigraph")
         engine.sync(v, w)
 
