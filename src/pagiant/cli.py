@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -240,21 +240,18 @@ def run_replicate(cfg: ProcessConfig, seed: int, replicate: int) -> Trajectory:
         return exc.trajectory
 
 
-def run_replicates(batches: Sequence[tuple[ProcessConfig, int, int]],
-                   jobs: int = 1) -> list[list[Trajectory]]:
-    """Replicates 0..k-1 of every (cfg, seed, k) batch, in batch order;
-    with jobs > 1 they all share one process pool."""
-    total = sum(k for _, _, k in batches)
-    if jobs <= 1 or total <= 1:
-        return [[run_replicate(cfg, seed, r) for r in range(k)] for cfg, seed, k in batches]
+def run_replicates(cfg: ProcessConfig, seed: int, k: int, jobs: int = 1) -> list[Trajectory]:
+    """Replicates 0..k-1 of cfg, replicate r from replicate_seed(seed, r);
+    with jobs > 1 they share a pool of at most min(jobs, k) processes."""
+    if jobs <= 1 or k <= 1:
+        return [run_replicate(cfg, seed, r) for r in range(k)]
     # imported here: it loads multiprocessing, which no single-process command needs
     from concurrent.futures import ProcessPoolExecutor
 
     # a pool starts all its workers at the first submit, so start no idle ones
-    with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
-        futures = [[pool.submit(run_replicate, cfg, seed, r) for r in range(k)]
-                   for cfg, seed, k in batches]
-        return [[f.result() for f in batch] for batch in futures]
+    with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
+        futures = [pool.submit(run_replicate, cfg, seed, r) for r in range(k)]
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +339,7 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
     paths = [out / name for name in (spec.trajectory_csv, spec.degree_csv, spec.summary_json)]
     _check_outputs(paths)
     cfg = spec.config
-    trajectories = run_replicates([(cfg, cfg.seed, spec.replicates)], jobs)[0]
+    trajectories = run_replicates(cfg, cfg.seed, spec.replicates, jobs)
     exhausted = {str(r): t.m_reached for r, t in enumerate(trajectories) if t.exhausted}
     # aggregate over the longest schedule shared by every replicate
     prefix_len = min(len(t.records) for t in trajectories)
@@ -373,7 +370,6 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
 class _SweepKind:
     grid_key: str
     header: str
-    seed_offset: int
     m_of: Callable[[float, int, float], float]  # (x, n, alpha) -> edge count
     value: Callable[[CheckpointRecord, int], float]  # (record, n) -> statistic
     predict: Callable[[float, float], float]  # (alpha, x) -> theory value
@@ -381,11 +377,11 @@ class _SweepKind:
 
 _SWEEP_KINDS = {
     "rho_vs_eps": _SweepKind(
-        "eps", "eps,m,l1_over_n_mean,l1_over_n_stderr,rho_theory", 10_000,
+        "eps", "eps,m,l1_over_n_mean,l1_over_n_stderr,rho_theory",
         lambda eps, n, a: theory.m_crit(a, n) * (1 + eps),
         lambda rec, n: rec.l1 / n, theory.rho),
     "susceptibility_vs_t": _SweepKind(
-        "t", "t,m,s_mean,s_stderr,s_theory", 20_000,
+        "t", "t,m,s_mean,s_stderr,s_theory",
         lambda t, n, a: t * n,
         lambda rec, n: rec.s, theory.susceptibility_closed),
 }
@@ -393,8 +389,14 @@ _SWEEP_KINDS = {
 
 def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     """Grid sweep: one CSV row per grid point with simulation and theory
-    side by side.  Kinds: rho_vs_eps, susceptibility_vs_t.  Every grid
-    point and its theory value is checked before any simulation runs."""
+    side by side.  Kinds: rho_vs_eps, susceptibility_vs_t.
+
+    Every grid point and its theory value is checked before any simulation
+    runs.  Each replicate is then one run, as simulate makes it with the
+    same seed, to the largest grid m with a checkpoint at every grid m, and
+    each row is read from the replicates' records at its m: rows share
+    replicate paths.  A replicate that stops short of a row's m raises
+    ProcessExhausted, and no CSV is written."""
     if not isinstance(sweep, dict):
         raise SpecError(": top level must be an object")
     kind_name = _need(sweep, "kind", str, "")
@@ -410,9 +412,8 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     if replicates < 1:
         raise SpecError("replicates: must be >= 1")
     _check_outputs([Path(out_path)])
-    base = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode, seed=seed)
     try:
-        base.validate()
+        ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode).validate()
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     points = []
@@ -421,19 +422,22 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
         x = _number(x, field)
         try:
             m = int(round(kind.m_of(x, n, alpha)))
-            if mode == "simple" and m > n * (n - 1) // 2:
-                raise ValueError(f"m = {m} exceeds the {n * (n - 1) // 2} pairs of a simple graph")
-            cfg = replace(base, m_max=m, checkpoints=(m,))
-            cfg.validate()
-            points.append((x, cfg, kind.predict(alpha, x)))
+            if m < 0 or mode == "simple" and m > n * (n - 1) // 2:
+                raise ValueError(f"m = {m} cannot be the edge count of a {mode} run on {n} vertices")
+            points.append((field, x, m, kind.predict(alpha, x)))
         except (TypeError, ValueError, OverflowError, theory.SolverError) as exc:
             raise SpecError(f"{field}: {exc}") from None
-    runs = run_replicates([(cfg, replicate_seed(seed, kind.seed_offset + i), replicates)
-                           for i, (_, cfg, _) in enumerate(points)], jobs)
+    cps = tuple(sorted({m for _, _, m, _ in points}))
+    cfg = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode,
+                        m_max=max(cps, default=0), checkpoints=cps, seed=seed)
+    trajectories = run_replicates(cfg, seed, replicates, jobs) if cps else []
     lines = [kind.header]
-    for (x, cfg, predicted), trajs in zip(points, runs):
-        stat = stats._mc_stat([kind.value(t.records[-1], n) for t in trajs])
-        lines.append(f"{_fmt(x)},{cfg.m_max},{_fmt(stat.mean)},{_fmt(stat.stderr)},{_fmt(predicted)}")
+    for field, x, m, predicted in points:
+        for r, t in enumerate(trajectories):
+            if t.m_reached < m:
+                raise ProcessExhausted(f"{field} (m = {m}): replicate {r} stopped at m = {t.m_reached}")
+        stat = stats._mc_stat([kind.value(t.records[cps.index(m)], n) for t in trajectories])
+        lines.append(f"{_fmt(x)},{m},{_fmt(stat.mean)},{_fmt(stat.stderr)},{_fmt(predicted)}")
     _write_atomic(Path(out_path), "\n".join(lines) + "\n")
     return lines
 
@@ -721,6 +725,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_sweep(_load_json(args.spec), args.out, args.jobs)
         except SpecError as exc:
             print(f"spec error: {exc}", file=sys.stderr)
+            return 2
+        except ProcessExhausted as exc:
+            print(f"exhausted: {exc}", file=sys.stderr)
             return 2
         except MemoryError as exc:
             return _memory_error(exc)

@@ -226,18 +226,21 @@ def _check_not_complete(g: MultiGraph):
         raise ProcessExhausted("graph is complete")
 
 
-def _sample_addable_pair(g: MultiGraph, weight: dict[int, float],
+def _sample_addable_pair(g: MultiGraph, weight: dict[int, int],
                          rng: random.Random) -> tuple[int, int]:
     """Enumerate the addable pairs among the vertices of `weight` and sample
     one with probability proportional to weight[v] * weight[w].
 
     This is the law that simple-mode rejection accepts from, so it is exact;
-    and an empty enumeration detects true exhaustion.  One rng.random().
+    and an empty enumeration detects true exhaustion.  The weights are
+    integers, and a draw u = U / 2^53 takes the first pair whose cumulative
+    mass exceeds u times the total, compared in integers as the general-f
+    class draw does, so no product rounds or overflows.  One rng.random().
     """
     verts = sorted(weight)
     has_edge = g.has_edge
-    cumulative: list[tuple[int, int, float]] = []
-    total = 0.0
+    cumulative: list[tuple[int, int, int]] = []
+    total = 0
     for i, v in enumerate(verts):
         sv = weight[v]
         for w in verts[i + 1:]:
@@ -246,10 +249,10 @@ def _sample_addable_pair(g: MultiGraph, weight: dict[int, float],
                 cumulative.append((v, w, total))
     if not cumulative:
         raise ProcessExhausted("no addable pair remains")
-    u = rng.random() * total
+    t = (int(rng.random() * 2.0 ** 53) * total) >> 53
     v, w = cumulative[-1][:2]
     for cv, cw, acc in cumulative:
-        if u < acc:
+        if t < acc:
             v, w = cv, cw
             break
     return v, w
@@ -370,7 +373,7 @@ class _DegreeClassEngine:
     integers, so no table entry rounds or overflows a mass.
     """
 
-    __slots__ = ("g", "simple", "deg", "members", "pos", "fk", "F", "T", "Q", "L")
+    __slots__ = ("g", "simple", "deg", "members", "pos", "F", "T", "Q", "L")
 
     def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool):
         self.g = g
@@ -379,9 +382,8 @@ class _DegreeClassEngine:
         self.deg = [0] * n
         self.members = [list(range(n))]
         self.pos = list(range(n))
-        # fk[k] = f(k) and F[k] = f(k) D, at least to the top degree + 1
-        self.fk = [float(x) for x in (*rule.table, rule.table[-1])]
-        ratios = [x.as_integer_ratio() for x in self.fk]
+        # F[k] = f(k) D, at least to the top degree + 1
+        ratios = [float(x).as_integer_ratio() for x in (*rule.table, rule.table[-1])]
         d = max(den for _, den in ratios)
         F = self.F = [num * (d // den) for num, den in ratios]
         self.T, self.Q, self.L = n * F[0], n * F[0] * F[0], n * F[0] * F[1]
@@ -416,10 +418,10 @@ class _DegreeClassEngine:
             if simple and tries == _EXACT_AFTER_REJECTIONS:
                 # rejection is memoryless, so switching to the exact
                 # enumeration now leaves the law unchanged
-                live = [(vs, f) for vs, f in zip(members, self.fk) if f > 0]
+                live = [(vs, a) for vs, a in zip(members, F) if a > 0]
                 if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
                     return _sample_addable_pair(
-                        self.g, {x: f for vs, f in live for x in vs}, rng)
+                        self.g, {x: a for vs, a in live for x in vs}, rng)
             t = (int(rand() * 2.0 ** 53) * T) >> 53
             for vs, a in zip(members, F):
                 t -= len(vs) * a
@@ -456,7 +458,6 @@ class _DegreeClassEngine:
             if new == len(members):
                 members.append([])
                 F.append(F[-1])
-                self.fk.append(self.fk[-1])
             dest = members[new]
             pos[x] = len(dest)
             dest.append(x)

@@ -411,6 +411,79 @@ def test_sweep_susceptibility_grid(tmp_path):
         assert abs(float(mean) - float(theo)) < 0.1 * float(theo)
 
 
+def _sweep_rows(tmp_path, sweep, name="grid.csv"):
+    spec = write_spec(tmp_path, sweep, "sweep.json")
+    out = tmp_path / name
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
+    return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("sweep, stat", [
+    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, 0.5, 1.0], "n": 2000, "replicates": 3,
+      "mode": "simple", "seed": 3}, "L1_over_n"),
+    ({"kind": "susceptibility_vs_t", "alpha": 2.0, "t": [0.05, 0.15], "n": 2000,
+      "replicates": 2, "seed": 4}, "S"),
+])
+def test_sweep_rows_are_the_simulate_summary(tmp_path, sweep, stat):
+    # replicate r of a sweep is simulate's replicate r for the same seed:
+    # one run to the largest grid m, with a checkpoint at every grid m
+    rows = _sweep_rows(tmp_path, sweep)
+    ms = [int(row[1]) for row in rows]
+    data = dict(BASE_SPEC, n=sweep["n"], mode=sweep.get("mode", "multigraph"), m_max=max(ms),
+                checkpoints=ms, seed=sweep["seed"], replicates=sweep["replicates"],
+                weight_rule={"kind": "linear_alpha", "alpha": sweep["alpha"]})
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--spec", write_spec(tmp_path, data), "--out", str(out),
+                     "--jobs", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mc"]["checkpoints"] == ms
+    expected = [[cli._fmt(s["mean"]), cli._fmt(s["stderr"])] for s in summary["mc"]["stats"][stat]]
+    assert [row[2:4] for row in rows] == expected
+
+
+def test_sweep_rows_follow_the_grid_order(tmp_path):
+    # unsorted and repeated entries share their checkpoints: each row is
+    # the row of its entry in the sorted grid
+    base = {"kind": "rho_vs_eps", "alpha": 1.0, "n": 2000, "replicates": 2, "seed": 3}
+    by_eps = {row[0]: row for row in _sweep_rows(tmp_path, dict(base, eps=[0.2, 0.5, 1.0]))}
+    rows = _sweep_rows(tmp_path, dict(base, eps=[1.0, 0.2, 1.0, 0.5, 0.2]), "shuffled.csv")
+    assert [row[0] for row in rows] == ["1.0", "0.2", "1.0", "0.5", "0.2"]
+    assert rows == [by_eps[row[0]] for row in rows]
+
+
+def test_a_one_replicate_sweep_has_zero_stderr(tmp_path):
+    rows = _sweep_rows(tmp_path, {"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.05, 0.15],
+                                  "n": 2000, "replicates": 1})
+    assert [row[3] for row in rows] == ["0.0", "0.0"]
+
+
+def test_an_empty_grid_writes_only_the_header(tmp_path, monkeypatch):
+    def no_runs(*args):
+        raise AssertionError("an empty grid ran a simulation")
+
+    monkeypatch.setattr(cli, "run_replicates", no_runs)
+    spec = write_spec(tmp_path, {"kind": "rho_vs_eps", "alpha": 1.0, "eps": [], "n": 2000,
+                                 "replicates": 2}, "sweep.json")
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
+    assert out.read_text() == "eps,m,l1_over_n_mean,l1_over_n_stderr,rho_theory\n"
+
+
+def test_an_exhausted_sweep_replicate_exits_2_and_writes_nothing(tmp_path, capsys):
+    # at alpha = 1e-7 nearly every proposal after the first edge repeats it
+    # or is a loop on its ends, so both replicates spend the rejection
+    # budget at m = 1 of the row's 9
+    sweep = {"kind": "rho_vs_eps", "alpha": 1e-7, "eps": [3e7], "n": 6, "replicates": 2,
+             "mode": "simple"}
+    spec = write_spec(tmp_path, sweep, "sweep.json")
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "exhausted: eps[0] (m = 9): replicate 0 stopped at m = 1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sweep, field", [
     ({"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.1, 0.3], "n": 200,
       "replicates": 2}, "t[1]"),
@@ -448,12 +521,12 @@ _MISSING = object()
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(SWEEP_FIELDS), value=JSON_VALUES | st.just(_MISSING))
 def test_sweep_gives_a_csv_or_a_spec_error(case, value):
-    # a valid grid point, even a huge one, runs no simulation here: each
-    # gets two one-record trajectories at its edge count, whatever the
-    # replicate count
-    def fake_runs(batches, jobs):
-        return [[Trajectory((CheckpointRecord(cfg.m_max, 1, 0, 1.0, 0, 0, ()),), cfg.m_max)] * 2
-                for cfg, _, _ in batches]
+    # a valid grid, even a huge one, runs no simulation here: each
+    # replicate, up to two whatever the replicate count, gets a trajectory
+    # with a record at every checkpoint
+    def fake_runs(cfg, seed, k, jobs):
+        records = tuple(CheckpointRecord(m, 1, 0, 1.0, 0, 0, ()) for m in cfg.checkpoints)
+        return [Trajectory(records, cfg.m_max)] * min(k, 2)
 
     base, field = case
     data = copy.deepcopy(base)
@@ -602,8 +675,8 @@ def test_jobs_start_no_more_workers_than_replicates(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = cli.parse_spec(BASE_SPEC).config
-    for batches, jobs in (([(cfg, 1, 2)], 8), ([(cfg, 1, 2), (cfg, 5, 1)], 64), ([(cfg, 1, 5)], 2)):
-        assert cli.run_replicates(batches, jobs) == cli.run_replicates(batches, 1)
+    for k, jobs in ((2, 8), (3, 64), (5, 2)):
+        assert cli.run_replicates(cfg, 1, k, jobs) == cli.run_replicates(cfg, 1, k, 1)
     assert workers == [2, 3, 2]
 
 

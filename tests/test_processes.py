@@ -681,6 +681,21 @@ def test_general_f_simple_endgame_matches_oracle(monkeypatch):
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
 
+def test_general_f_simple_endgame_draws_heavy_pairs_exactly(monkeypatch):
+    # f = (1, 1e200) on five vertices: the first edge makes two heavy
+    # vertices, the second (heavy-light, all but 1e-200 of the mass) a path
+    # of three, and the third closes its triangle, whose pair weighs 1e400
+    # against at most 1e200 for any other.  Float sums once made that mass
+    # inf, and a draw past every cumulative weight took the last pair.
+    monkeypatch.setattr(P, "_EXACT_AFTER_REJECTIONS", 0)
+    cfg = P.ProcessConfig(n=5, weight_rule=P.GeneralF((1.0, 1e200)), mode="simple", m_max=3)
+    rng = random.Random(1)
+    for _ in range(300):
+        ends, m, reason = P.sample_edges(cfg, rng)
+        assert (m, reason) == (3, None)
+        assert len(set(ends.tolist())) == 3, ends.tolist()
+
+
 def test_general_f_simple_reports_no_addable_pair_without_spending_the_budget():
     # f = (1, 1, 0) on five vertices: some runs reach a state whose only two
     # positive-weight vertices are adjacent; after a short run of rejections
