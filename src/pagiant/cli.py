@@ -37,7 +37,6 @@ from .processes import (
     sample_conditioned_degrees,
     sample_process_outcomes,
 )
-from .graph_core import MultiGraph
 
 ENV_SEED = "PAGIANT_SEED"
 
@@ -435,7 +434,8 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     for field, x, m, predicted in points:
         for r, t in enumerate(trajectories):
             if t.m_reached < m:
-                raise ProcessExhausted(f"{field} (m = {m}): replicate {r} stopped at m = {t.m_reached}")
+                raise ProcessExhausted(f"{field} (m = {m}): replicate {r} stopped at "
+                                       f"m = {t.m_reached}: {t.reason}")
         stat = stats._mc_stat([kind.value(t.records[cps.index(m)], n) for t in trajectories])
         lines.append(f"{_fmt(x)},{m},{_fmt(stat.mean)},{_fmt(stat.stderr)},{_fmt(predicted)}")
     _write_atomic(Path(out_path), "\n".join(lines) + "\n")
@@ -611,10 +611,8 @@ def _statistical_checks(seed: int) -> list[CheckResult]:
                            f"sum = 2m exactly, TV = {tv:.4f}", lap()))
 
     # rewiring long run from a star
-    g = MultiGraph(200)
-    for v in range(1, 101):
-        g.add_edge(0, v)
-    acc = rewiring_degree_average(g, 1.0, 200_000, random.Random(replicate_seed(seed, 5)))
+    star = [x for v in range(1, 101) for x in (0, v)]
+    acc = rewiring_degree_average(200, star, 1.0, 200_000, random.Random(replicate_seed(seed, 5)))
     hist = stats.DegreeHistogram.from_counts(acc)
     tv = stats.tv_distance(hist, theory.NegBinomial(1.0, 0.5))
     out.append(CheckResult("rewiring_long_run", tv < 0.05, f"TV = {tv:.4f}", lap()))

@@ -1,10 +1,11 @@
 """Multigraph storage and incremental connected-component tracking.
 
 A MultiGraph keeps a fixed vertex set [0, n) and an edge multiset stored as
-a flat endpoint list, so that the endpoint list doubles as the draw history
-of the attachment samplers; it is built edge by edge (add_edge), for the
-step-level state, the rewiring chain and configuration-model draws, while
-runs keep only their endpoints.  A ComponentTracker is a size-weighted
+a flat endpoint list, edge i at (ends[2i], ends[2i+1]), so that the
+endpoint list doubles as the draw history of the attachment samplers.  It
+is built edge by edge (add_edge) for the step-level state, ProcessState,
+and for nothing else: runs, configuration-model draws and the rewiring
+chain keep only their endpoints.  A ComponentTracker is a size-weighted
 union-find that maintains the running sum of squared component sizes, from
 which the susceptibility S = sum |C|^2 / n is read off without a rescan.
 
@@ -57,11 +58,6 @@ class MultiGraph:
         """Edges beyond the first copy of each pair (loops included)."""
         return self.num_edges - len(self._pairs)
 
-    def edges(self):
-        ends = self.ends
-        for i in range(0, len(ends), 2):
-            yield ends[i], ends[i + 1]
-
     def has_edge(self, v: int, w: int) -> bool:
         key = v * self.n + w if v <= w else w * self.n + v
         return key in self._pairs
@@ -85,35 +81,6 @@ class MultiGraph:
             self.deg[v] += 1
             self.deg[w] += 1
         self._pairs[key] = self._pairs.get(key, 0) + 1
-
-    def replace_edge(self, i: int, v: int, w: int) -> None:
-        """Swap edge i for (v, w), keeping the edge count fixed (rewiring)."""
-        n = self.n
-        if not (0 <= v < n and 0 <= w < n):
-            raise ValueError(f"endpoint out of range: ({v}, {w})")
-        a, b = self.ends[2 * i], self.ends[2 * i + 1]
-        old_key = a * n + b if a <= b else b * n + a
-        c = self._pairs[old_key] - 1
-        if c:
-            self._pairs[old_key] = c
-        else:
-            del self._pairs[old_key]
-        if a == b:
-            self.deg[a] -= 2
-            self.loops -= 1
-        else:
-            self.deg[a] -= 1
-            self.deg[b] -= 1
-        self.ends[2 * i] = v
-        self.ends[2 * i + 1] = w
-        if v == w:
-            self.deg[v] += 2
-            self.loops += 1
-        else:
-            self.deg[v] += 1
-            self.deg[w] += 1
-        new_key = v * n + w if v <= w else w * n + v
-        self._pairs[new_key] = self._pairs.get(new_key, 0) + 1
 
 
 class ComponentStats(NamedTuple):

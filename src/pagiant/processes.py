@@ -22,22 +22,22 @@ long run of rejections under a general f), _sample_addable_pair enumerates
 the addable pairs instead: the same law, and an empty enumeration is
 reported as true exhaustion, not as a spent rejection budget.
 
-Runs are made edges first: sample_edges returns a run's endpoints in the
-order of MultiGraph.ends, and run_process builds the checkpoint records
-from them with one builder (_records), with components from
-graph_core.merge_labels over the edges added since the previous
-checkpoint, and multi-edges from the first copy of each pair key, which
-one unstable argsort finds (_first_counts, which also groups the outcomes
-of sample_process_outcomes).  ProcessConfig bounds n by
-isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.  _runner
-picks the path for sample_edges and sample_process_outcomes alike: the
-linear-alpha and r-stub rules run in bulk when rng is a plain
+Runs are made edges first: sample_edges returns a run's endpoint array,
+edge i at (ends[2i], ends[2i+1]) in the order of the steps, and
+run_process builds the checkpoint records from them with one builder
+(_records), with components from graph_core.merge_labels over the edges
+added since the previous checkpoint, and multi-edges from the first copy
+of each pair key, which one unstable argsort finds (_first_counts, which
+also groups the outcomes of sample_process_outcomes).  ProcessConfig
+bounds n by isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.
+_runner picks the path for sample_edges and sample_process_outcomes
+alike: the linear-alpha and r-stub rules run in bulk when rng is a plain
 random.Random, and every other run steps its engine with no union-find
 (_run_stepped) on one run record, _RunGraph: the run's own endpoint list
-and, in simple mode, the set of its pair keys.  numpy's MT19937 draws the
-very same doubles as CPython's random once it holds the same state, so
-the draws of many steps come out of one numpy call and the advanced state
-is handed back to rng (_mt_uniforms).
+and, in simple mode, the set of its pair keys.  numpy's MT19937 draws
+the very same doubles as CPython's random once it holds the same state,
+so the draws of many steps come out of one numpy call and the advanced
+state is handed back to rng (_mt_uniforms).
 
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
@@ -68,7 +68,11 @@ order of first appearance and the final rng state equal stepping.
 
 The degree-sequence samplers are exact too: sample_conditioned_degrees
 draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
-it equals, with no rejection.
+it equals, with no rejection, and sample_configuration_model matches the
+stubs of a degree sequence uniformly, returning them as an endpoint array
+that _records and stats.kcore_census read as they read a run.  The
+rewiring chain (rewiring_step, rewiring_degree_average) rewrites an
+endpoint list and its degree list in place.
 """
 
 from __future__ import annotations
@@ -213,6 +217,8 @@ class Trajectory:
     records: tuple[CheckpointRecord, ...]
     m_reached: int
     exhausted: bool = False
+    # the ProcessExhausted message of an exhausted run
+    reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +362,23 @@ class _StubEngine:
         pass
 
 
+def _pick(members: list[list[int]], masses: list[int], total: int, rand) -> int:
+    """A uniform member of a class drawn with weight len(members[k]) *
+    masses[k], summing to total: for a draw u = U / 2^53, the first class,
+    in index order, whose cumulative mass exceeds u total, compared in
+    integers.  Two rand() calls."""
+    t = (int(rand() * 2.0 ** 53) * total) >> 53
+    for vs, a in zip(members, masses):
+        t -= len(vs) * a
+        if t < 0:
+            break
+    else:
+        # only a draw of exactly 1.0 passes the end: take the last class of
+        # positive weight, never a zero-weight one
+        vs = [vs for vs, a in zip(members, masses) if vs and a][-1]
+    return vs[int(rand() * len(vs))]
+
+
 class _DegreeClassEngine:
     """GeneralF steps over degree classes.
 
@@ -402,17 +425,7 @@ class _DegreeClassEngine:
             raise ProcessExhausted("all step weights are zero")
         elif (int(rand() * 2.0 ** 53) * (off_diag + L)) >> 53 < L:
             # a loop, from the class masses N_k F_k F_{k+1}
-            FL = [a * b for a, b in zip(F, F[1:])]
-            t = (int(rand() * 2.0 ** 53) * L) >> 53
-            for vs, a in zip(members, FL):
-                t -= len(vs) * a
-                if t < 0:
-                    break
-            else:
-                # only a draw of exactly 1.0 passes the end: take the last
-                # class of positive weight, never a zero-weight one
-                vs = [vs for vs, a in zip(members, FL) if vs and a][-1]
-            v = vs[int(rand() * len(vs))]
+            v = _pick(members, [a * b for a, b in zip(F, F[1:])], L, rand)
             return v, v
         for tries in range(_REJECTION_CAP):
             if simple and tries == _EXACT_AFTER_REJECTIONS:
@@ -422,22 +435,8 @@ class _DegreeClassEngine:
                 if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
                     return _sample_addable_pair(
                         self.g, {x: a for vs, a in live for x in vs}, rng)
-            t = (int(rand() * 2.0 ** 53) * T) >> 53
-            for vs, a in zip(members, F):
-                t -= len(vs) * a
-                if t < 0:
-                    break
-            else:
-                vs = [vs for vs, a in zip(members, F) if vs and a][-1]
-            v = vs[int(rand() * len(vs))]
-            t = (int(rand() * 2.0 ** 53) * T) >> 53
-            for vs, a in zip(members, F):
-                t -= len(vs) * a
-                if t < 0:
-                    break
-            else:
-                vs = [vs for vs, a in zip(members, F) if vs and a][-1]
-            w = vs[int(rand() * len(vs))]
+            v = _pick(members, F, T, rand)
+            w = _pick(members, F, T, rand)
             if v != w and not (simple and has_edge(v, w)):
                 return v, w
         raise ProcessExhausted("rejection budget exhausted in simple mode" if simple
@@ -568,7 +567,7 @@ def _roots(src: np.ndarray) -> np.ndarray:
 def _urn_endpoints(n: int, an: float, u: np.ndarray) -> np.ndarray:
     """Linear-alpha multigraph endpoints from the draws _UrnPairEngine.sample
     makes: row j of u holds the 4m draws of one run, and row j of the result
-    its 2m endpoints in the order of MultiGraph.ends."""
+    its 2m endpoints in endpoint-array order."""
     runs, k = u.shape
     pos = np.arange(k // 2)
     fresh, vertex, source = _urn_pick(n, an, pos.astype(np.float64), u[:, 0::2], u[:, 1::2])
@@ -611,9 +610,9 @@ def _first_counts(key: np.ndarray) -> np.ndarray:
 
 
 def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[CheckpointRecord]:
-    """The checkpoint records of the run whose endpoints, in the order of
-    MultiGraph.ends, are `ends`; every checkpoint is at most its length.
-    Every run_process path builds its records here."""
+    """The checkpoint records of the graph whose endpoint array is `ends`;
+    every checkpoint is at most its edge count.  Every run_process path
+    builds its records here, and so can a configuration-model draw."""
     v, w = ends[0::2], ends[1::2]
     loops = np.cumsum(v == w)
     # every edge but the first copy of its pair is a multi-edge
@@ -640,7 +639,7 @@ def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[Check
 
 
 # A runner makes one run of cfg from rng and returns the endpoints of its
-# edges (in the order of MultiGraph.ends), the edge count reached and the
+# edges (as an endpoint array), the edge count reached and the
 # exhaustion message, None when the run reached m_max.
 Run = tuple[Sequence[int] | np.ndarray, int, str | None]
 
@@ -861,9 +860,8 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
 def sample_edges(cfg: ProcessConfig, rng: random.Random | None = None
                  ) -> tuple[np.ndarray, int, str | None]:
     """One run of cfg (from random.Random(cfg.seed) by default), made by
-    _runner's runner: its endpoints as an int64 array in the order of
-    MultiGraph.ends, the edge count reached, and the exhaustion message,
-    None when the run reached m_max."""
+    _runner's runner: its int64 endpoint array, the edge count reached,
+    and the exhaustion message, None when the run reached m_max."""
     if rng is None:
         rng = random.Random(cfg.seed)
     cfg.validate()
@@ -881,7 +879,7 @@ def run_process(cfg: ProcessConfig, rng: random.Random | None = None) -> Traject
     ends, m, reason = sample_edges(cfg, rng)
     records = tuple(_records(cfg.n, ends, [c for c in cfg.checkpoints if c <= m]))
     if reason is not None:
-        raise ProcessExhausted(reason, m_reached=m, trajectory=Trajectory(records, m, True))
+        raise ProcessExhausted(reason, m_reached=m, trajectory=Trajectory(records, m, True, reason))
     return Trajectory(records, m, False)
 
 
@@ -1047,44 +1045,74 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
 # ---------------------------------------------------------------------------
 
 
-def rewiring_step(g: MultiGraph, alpha: float, rng: random.Random) -> None:
-    """Replace a uniform endpoint of a uniform edge by a preferential one.
-
-    The new endpoint w is drawn with weight d_w + alpha on the graph as it
-    stands (the edge about to be removed still counted): the exact
-    tiny-instance stationarity check singles out this convention.
-    """
-    m = g.num_edges
-    if m == 0:
-        raise ValueError("cannot rewire an empty graph")
+def _check_chain(n: int, ends: Sequence[int], alpha: float) -> None:
+    """The rewiring chain's input checks, made before any draw."""
+    if not _is_count(n, 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if len(ends) % 2 or len(ends) == 0:
+        raise ValueError(f"ends must hold a positive even number of endpoints, got {len(ends)}")
+    for i, x in enumerate(ends):
+        if not (_is_count(x, 0) and x < n):
+            raise ValueError(f"ends[{i}] must be a vertex of [0, {n}), got {x!r}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    rand = rng.random
-    e = int(rand() * m)
-    a, b = g.ends[2 * e], g.ends[2 * e + 1]
+
+
+def _rewire(n: int, ends: list[int], deg: list[int], an: float, rand) -> None:
+    """One rewiring step on checked input; an = alpha * n."""
+    two_m = len(ends)
+    e = int(rand() * (two_m >> 1))
+    a, b = ends[2 * e], ends[2 * e + 1]
     v = a if rand() < 0.5 else b
-    an = alpha * g.n
-    two_m = 2 * m
     if rand() * (two_m + an) < an:
-        w = int(rand() * g.n)
+        w = int(rand() * n)
     else:
-        w = g.ends[int(rand() * two_m)]
-    g.replace_edge(e, v, w)
+        w = ends[int(rand() * two_m)]
+    deg[a] -= 1
+    deg[b] -= 1
+    deg[v] += 1
+    deg[w] += 1
+    ends[2 * e] = v
+    ends[2 * e + 1] = w
 
 
-def rewiring_degree_average(g: MultiGraph, alpha: float, steps: int,
+def rewiring_step(n: int, ends: list[int], deg: list[int], alpha: float,
+                  rng: random.Random) -> None:
+    """Replace a uniform endpoint of a uniform edge by a preferential one.
+
+    Edge e of the graph on [0, n) is (ends[2e], ends[2e+1]), and deg must
+    be its degrees (a loop counts 2); both are updated in place, and the
+    rewired edge e becomes (kept endpoint, new endpoint).  The new endpoint
+    w is drawn with weight d_w + alpha on the graph as it stands (the edge
+    about to be removed still counted): the exact tiny-instance
+    stationarity check singles out this convention.
+    """
+    _check_chain(n, ends, alpha)
+    if len(deg) != n:
+        raise ValueError(f"deg must have n = {n} entries, got {len(deg)}")
+    _rewire(n, ends, deg, alpha * n, rng.random)
+
+
+def rewiring_degree_average(n: int, ends: list[int], alpha: float, steps: int,
                             rng: random.Random) -> Counter:
-    """Run the rewiring chain and accumulate degree counts every 1000 steps
-    after a burn-in of half the steps.
+    """Run the rewiring chain from the graph `ends` on [0, n), rewired in
+    place, and accumulate degree counts every 1000 steps after a burn-in of
+    half the steps.
 
     Returns a Counter over degrees whose total is n * (number of snapshots).
     """
+    _check_chain(n, ends, alpha)
+    if not _is_count(steps, 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    deg = np.bincount(ends, minlength=n).tolist()
+    an = alpha * n
+    rand = rng.random
     burn_in = steps // 2
     acc: Counter = Counter()
     for step in range(steps):
-        rewiring_step(g, alpha, rng)
+        _rewire(n, ends, deg, an, rand)
         if step >= burn_in and (step - burn_in) % 1000 == 0:
-            acc.update(g.deg)
+            acc.update(deg)
     return acc
 
 
@@ -1093,19 +1121,21 @@ def rewiring_degree_average(g: MultiGraph, alpha: float, steps: int,
 # ---------------------------------------------------------------------------
 
 
-def sample_configuration_model(deg: Sequence[int], rng: random.Random) -> MultiGraph:
-    """Uniform stub matching: shuffle the stub multiset, pair consecutively."""
+def sample_configuration_model(deg: Sequence[int], rng: random.Random) -> np.ndarray:
+    """Uniform stub matching: shuffle the stub multiset, pair consecutively.
+
+    Returns the shuffled stubs as an int64 endpoint array, edge i at
+    (ends[2i], ends[2i+1]), so _records and stats.kcore_census read it as
+    they read a run's endpoints.
+    """
     for i, d in enumerate(deg):
-        if d < 0:
-            raise ValueError(f"deg[{i}] must be nonnegative, got {d}")
+        if not _is_count(d, 0):
+            raise ValueError(f"deg[{i}] must be an integer >= 0, got {d!r}")
     if sum(deg) % 2:
         raise ValueError("degree sum must be even")
     stubs = [v for v, d in enumerate(deg) for _ in range(d)]
     rng.shuffle(stubs)
-    g = MultiGraph(len(deg))
-    for i in range(0, len(stubs), 2):
-        g.add_edge(stubs[i], stubs[i + 1])
-    return g
+    return np.array(stubs, np.int64)
 
 
 def sample_birth_degrees(n: int, alpha: float, t: float, rng: random.Random) -> list[int]:

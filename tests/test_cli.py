@@ -479,7 +479,8 @@ def test_an_exhausted_sweep_replicate_exits_2_and_writes_nothing(tmp_path, capsy
     out = tmp_path / "grid.csv"
     assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "exhausted: eps[0] (m = 9): replicate 0 stopped at m = 1\n"
+    assert captured.err == ("exhausted: eps[0] (m = 9): replicate 0 stopped at m = 1: "
+                            "rejection budget exhausted in simple mode\n")
     assert captured.out == ""
     assert not out.exists()
 

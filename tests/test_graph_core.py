@@ -176,27 +176,3 @@ def test_merge_labels_matches_union_find(n, batches):
         assert sorted(sizes[sizes > 0].tolist()) == sorted(tracker.component_sizes().tolist())
         assert size_stats(sizes[sizes > 0]) == size_stats(tracker.component_sizes())
         assert size_stats(tracker.component_sizes())[2] == tracker.sum_sq
-
-
-def test_replace_edge_bookkeeping_matches_rebuild():
-    rng = random.Random(7)
-    n = 12
-    g = MultiGraph(n)
-    edges = []
-    for _ in range(30):
-        v, w = rng.randrange(n), rng.randrange(n)
-        g.add_edge(v, w)
-        edges.append((v, w))
-    for _ in range(200):
-        i = rng.randrange(len(edges))
-        v, w = rng.randrange(n), rng.randrange(n)
-        g.replace_edge(i, v, w)
-        edges[i] = (v, w)
-        fresh = MultiGraph(n)
-        for a, b in edges:
-            fresh.add_edge(a, b)
-        assert g.deg == fresh.deg
-        assert g.loops == fresh.loops
-        assert g.multi_edges == fresh.multi_edges
-        assert Counter(map(tuple, map(sorted, g.edges()))) == \
-            Counter(map(tuple, map(sorted, fresh.edges())))

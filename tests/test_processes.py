@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pagiant import oracle, processes as P, stats as S, theory as T
-from pagiant.graph_core import MultiGraph
 
 
 def lin_cfg(n, alpha, mode, m_max, checkpoints=(), seed=0):
@@ -393,6 +392,60 @@ def test_loops_given_degrees_match_the_configuration_model(rule, a, factor, runs
     assert abs(z) < 3.29, f"loops given degrees off the configuration model: z = {z:.2f}"
 
 
+def _betabinomial_pmf(k, trials, a, b):
+    return math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                    + math.lgamma(k + a) + math.lgamma(trials - k + b) - math.lgamma(trials + a + b)
+                    + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+
+
+@pytest.mark.parametrize("rule, factor, runs, seed", [
+    (P.LinearAlpha(1.0), 1.5, 1000, 1), (P.NegativeInteger(3), 1.0, 200, 2)], ids=["alpha1", "r3"])
+def test_vertex_degree_law_is_exact_at_n_1e4(rule, factor, runs, seed):
+    # across independent multigraph runs at edge m, vertex 0's degree is
+    # BetaBinomial(2m; alpha, (n - 1) alpha), the Polya urn's count of one
+    # colour, and for r stubs Hypergeometric(rn, r, 2m): r of the rn stubs
+    # are vertex 0's, and 2m of them are drawn
+    n = 10_000
+    a = getattr(rule, "alpha", None) or -rule.r
+    m = int(factor * T.m_crit(a, n))
+    cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m)
+    rng = random.Random(20_261_100 + seed)
+    top = 8  # cell 8 holds every degree from 8 on
+    counts = Counter(min(int(np.count_nonzero(P.sample_edges(cfg, rng)[0] == 0)), top)
+                     for _ in range(runs))
+    if isinstance(rule, P.LinearAlpha):
+        exact = {k: _betabinomial_pmf(k, 2 * m, a, (n - 1) * a) for k in range(top)}
+        exact[top] = 1.0 - sum(exact.values())
+    else:
+        r = rule.r
+        exact = {k: math.comb(r, k) * math.comb(r * n - r, 2 * m - k) / math.comb(r * n, 2 * m)
+                 for k in range(r + 1)}
+    res = S.chi_square_counts(counts, exact)
+    assert res.pvalue > 1e-3, f"vertex 0's degree off its law: chi2={res.stat:.1f} p={res.pvalue:.2e}"
+
+
+def test_degrees_then_configuration_model_match_the_bulk_process_at_n_1e4():
+    # given its degrees, the linear-alpha multigraph run at edge m is the
+    # configuration model on them, and its degrees are
+    # Dirichlet-multinomial(2m; alpha, ..., alpha): so sample_conditioned_degrees
+    # followed by sample_configuration_model makes the run's law.  Both
+    # sides' records come from _records; each statistic's means are compared
+    # by a two-sample z with the Welch variance
+    n, runs = 10_000, 150
+    m = int(1.5 * T.m_crit(1.0, n))
+    cfg = P.ProcessConfig(n=n, weight_rule=P.LinearAlpha(1.0), m_max=m)
+    rng = random.Random(20_261_200)
+    bulk = [P._records(n, P.sample_edges(cfg, rng)[0], [m])[0] for _ in range(runs)]
+    cm = [P._records(n, P.sample_configuration_model(P.sample_conditioned_degrees(n, 1.0, m, rng),
+                                                     rng), [m])[0] for _ in range(runs)]
+    for stat in ("l1", "loops", "multi_edges"):
+        x = np.array([getattr(rec, stat) for rec in bulk], np.float64)
+        y = np.array([getattr(rec, stat) for rec in cm], np.float64)
+        z = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / runs + y.var(ddof=1) / runs)
+        p = math.erfc(abs(z) / math.sqrt(2))
+        assert p > 1e-3, f"{stat}: bulk {x.mean():.3f} vs DM+CM {y.mean():.3f}, p = {p:.2e}"
+
+
 # the ids are spelled out, so that a change to a rule's fields renames no test
 RULES = {"LinearAlpha(alpha=1.0)": P.LinearAlpha(1.0),
          "NegativeInteger(r=3)": P.NegativeInteger(3),
@@ -487,7 +540,11 @@ def test_simple_two_vertices_first_edge_then_exhausted():
     traj = err.value.trajectory
     assert err.value.m_reached == 1
     assert traj.exhausted
+    # the trajectory keeps the exhaustion message: two vertices and one
+    # edge make a complete graph
+    assert traj.reason == str(err.value) == "graph is complete"
     assert dict(traj.records[0].degree_hist) == {1: 2}
+    assert P.run_process(lin_cfg(2, 1.0, "simple", 1, checkpoints=(1,), seed=4)).reason is None
 
 
 def test_simple_mode_emits_no_loops_or_multi_edges():
@@ -947,27 +1004,55 @@ def test_capped_table_matches_stub_rule_law():
 # ---------------------------------------------------------------------------
 
 
+def _edge_list(ends):
+    """The edges (ends[2i], ends[2i+1]) of an endpoint list or array."""
+    ends = list(map(int, ends))
+    return list(zip(ends[0::2], ends[1::2]))
+
+
 def test_rewiring_single_loop_is_invariant():
-    g = MultiGraph(1)
-    g.add_edge(0, 0)
-    P.rewiring_step(g, 1.0, random.Random(0))
-    assert list(g.edges()) == [(0, 0)]
+    ends, deg = [0, 0], [2]
+    P.rewiring_step(1, ends, deg, 1.0, random.Random(0))
+    assert ends == [0, 0]
+    assert deg == [2]
 
 
 def test_rewiring_empty_graph_rejected():
     with pytest.raises(ValueError):
-        P.rewiring_step(MultiGraph(3), 1.0, random.Random(0))
+        P.rewiring_step(3, [], [0, 0, 0], 1.0, random.Random(0))
 
 
 def test_rewiring_rejects_infinite_alpha():
     # u * inf < inf is false, so an infinite alpha would always copy an
     # endpoint, the opposite of its uniform limit
-    g = MultiGraph(4)
-    g.add_edge(0, 1)
+    ends, deg = [0, 1], [1, 1, 0, 0]
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match="alpha"):
-        P.rewiring_step(g, math.inf, rng)
+        P.rewiring_step(4, ends, deg, math.inf, rng)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n, ends, field", [
+    (3, [0, 1, 2], "ends"), (3, [0, 3], r"ends\[1\]"), (3, [-1, 0], r"ends\[0\]"),
+    (3, [], "ends"), (0, [0, 0], "n")], ids=["odd", "above", "below", "no-edges", "no-vertices"])
+def test_rewiring_rejects_bad_input_before_any_draw(n, ends, field):
+    rng = random.Random(0)
+    state = rng.getstate()
+    before = list(ends)
+    with pytest.raises(ValueError, match=field):
+        P.rewiring_step(n, ends, [0] * 3, 1.0, rng)
+    with pytest.raises(ValueError, match=field):
+        P.rewiring_degree_average(n, ends, 1.0, 10, rng)
+    assert ends == before
+    assert rng.getstate() == state
+
+
+def test_rewiring_rejects_a_degree_list_of_the_wrong_length():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="deg"):
+        P.rewiring_step(3, [0, 1], [1, 1], 1.0, rng)
     assert rng.getstate() == state
 
 
@@ -979,24 +1064,56 @@ def test_rewiring_transitions_match_oracle_kernel():
     for start in states:
         counts = Counter()
         for _ in range(60_000):
-            g = MultiGraph(2)
-            g.add_edge(*start[0])
-            P.rewiring_step(g, 1.0, rng)
-            counts[oracle.canonical_key(g.edges())] += 1
+            ends = list(start[0])
+            P.rewiring_step(2, ends, np.bincount(ends, minlength=2).tolist(), 1.0, rng)
+            counts[oracle.canonical_key(_edge_list(ends))] += 1
         probs = {k: float(v) for k, v in matrix[start].items()}
         res = S.chi_square_counts(counts, probs)
         assert res.pvalue > 1e-3, f"kernel mismatch from {start}"
 
 
 def test_rewiring_preserves_edge_count_and_degree_sum():
-    g = MultiGraph(30)
     rng = random.Random(22)
-    for _ in range(40):
-        g.add_edge(rng.randrange(30), rng.randrange(30))
+    ends = [x for _ in range(40) for x in (rng.randrange(30), rng.randrange(30))]
+    deg = np.bincount(ends, minlength=30).tolist()
     for _ in range(2000):
-        P.rewiring_step(g, 0.5, rng)
-    assert g.num_edges == 40
-    assert sum(g.deg) == 80
+        P.rewiring_step(30, ends, deg, 0.5, rng)
+    assert len(ends) == 80
+    assert sum(deg) == 80
+
+
+def test_rewiring_chain_keeps_degrees_and_edge_count():
+    # deg is updated in place, a loop moving 2 at once; on 12 vertices the
+    # chain makes and unmakes loops often
+    rng = random.Random(7)
+    n = 12
+    ends = [rng.randrange(n) for _ in range(60)]
+    deg = np.bincount(ends, minlength=n).tolist()
+    loops = made = unmade = 0
+    for _ in range(10_000):
+        P.rewiring_step(n, ends, deg, 0.5, rng)
+        assert len(ends) == 60
+        assert deg == np.bincount(ends, minlength=n).tolist()
+        now = sum(v == w for v, w in _edge_list(ends))
+        made += now > loops
+        unmade += now < loops
+        loops = now
+    assert made and unmade
+
+
+def test_rewiring_degree_average_rewires_in_place():
+    # the long run steps the same chain as rewiring_step, on the same draws
+    star = [x for v in range(1, 11) for x in (0, v)]
+    ends, deg = list(star), np.bincount(star, minlength=20).tolist()
+    stepped, snapshots = random.Random(5), Counter()
+    for step in range(3000):
+        P.rewiring_step(20, ends, deg, 1.0, stepped)
+        if step in (1500, 2500):
+            snapshots.update(deg)
+    rng = random.Random(5)
+    assert P.rewiring_degree_average(20, star, 1.0, 3000, rng) == snapshots
+    assert star == ends
+    assert rng.getstate() == stepped.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -1006,10 +1123,11 @@ def test_rewiring_preserves_edge_count_and_degree_sum():
 
 def test_cm_forced_loop_and_single_edge():
     rng = random.Random(23)
-    g = P.sample_configuration_model([2, 0, 0], rng)
-    assert list(g.edges()) == [(0, 0)]
-    g = P.sample_configuration_model([1, 1], rng)
-    assert oracle.canonical_key(g.edges()) == ((0, 1),)
+    ends = P.sample_configuration_model([2, 0, 0], rng)
+    assert ends.dtype == np.int64
+    assert ends.tolist() == [0, 0]
+    ends = P.sample_configuration_model([1, 1], rng)
+    assert oracle.canonical_key(_edge_list(ends)) == ((0, 1),)
 
 
 def test_cm_odd_sum_rejected():
@@ -1028,8 +1146,8 @@ def test_cm_law_matches_enumeration():
     exact = {k: float(v) for k, v in oracle.enumerate_cm((2, 1, 1)).items()}
     counts = Counter()
     for _ in range(100_000):
-        g = P.sample_configuration_model([2, 1, 1], rng)
-        counts[oracle.canonical_key(g.edges())] += 1
+        ends = P.sample_configuration_model([2, 1, 1], rng)
+        counts[oracle.canonical_key(_edge_list(ends))] += 1
     res = S.chi_square_counts(counts, exact)
     assert res.pvalue > 1e-3
 
