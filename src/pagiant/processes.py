@@ -42,23 +42,26 @@ state is handed back to rng (_mt_uniforms).
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
 _UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints).  The
-linear-alpha simple rule and the r-stub rule run in speculative batches
-(_speculate) that resolve their proposals as if every one were accepted
-and keep the prefix before the first rejection, exactly what stepping
-accepts.  The driver alone sizes the batches, hands a dense run (and the
-r-stub endgame) over to stepping, on a _RunGraph of the endpoints and pair
-keys the runner accepted, and leaves rng where stepping takes over, so the
-edges, records, exhaustion, rejection cap and final rng state are
-stepping's own.  Each rule keeps only its batch resolution: pointer
-doubling and pair keys for linear alpha; for r stubs, indices that depend
-only on the s = rn - 2i free stubs, with the swap-removes and pair checks
-in a loop (_stub_swaps).
+linear-alpha simple rule runs in speculative batches (_speculate) that
+resolve their proposals as if every one were accepted and keep the prefix
+before the first rejection, exactly what stepping accepts; the driver
+sizes the batches, hands a dense run over to stepping, on a _RunGraph of
+the endpoints and pair keys it accepted, and leaves rng where stepping
+takes over.  The r-stub rule is one uniform stub matching revealed pair by
+pair: its free stubs are shuffled once, as the order of rn draws
+(_shuffled_stubs), and each step proposes the last two.  So a multigraph
+run is the shuffled list read backwards in pairs, and a simple run reads
+it in numpy batches up to each loop or repeated pair (_stub_batch), whose
+step _stub_proposals makes as stepping does, until a short batch or the
+exact endgame hands it over.  Either way the edges, records, exhaustion,
+rejection cap and final rng state are stepping's own.
 
 sample_process_outcomes counts runs edges first too: every path yields
 chunks of endpoint rows, one per run, and one numpy keyer counts them
-(_count_outcomes).  Multigraph steps of the linear-alpha and r-stub rules
-make four and two rng.random() calls, so a chunk of runs is one numpy draw
-(_urn_endpoints; _stub_endpoints swap-removes on a (runs, rn) stub array).
+(_count_outcomes).  A linear-alpha multigraph step makes four
+rng.random() calls and an r-stub multigraph run only its shuffle's rn, so
+a chunk of such runs is one numpy draw (_urn_endpoints; for r stubs, one
+argsort per row, and a chunk whose draws hold a tie goes run by run).
 Linear-alpha simple runs read a chunk of four-draw proposals: the run that
 would start at each proposal is resolved for all of them at once, and the
 runs from the first proposal on follow one another (_urn_simple_chunk).
@@ -95,12 +98,12 @@ _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
 # sample_process_outcomes counts this many runs (linear-alpha simple:
-# proposals) at a time, and an r-stub batch draws at most this many
-# proposals: enough to amortize numpy's per-call cost, few enough that a
-# chunk's arrays stay small
+# proposals) at a time, and a simple r-stub batch reads at most this many
+# proposals off its shuffled stubs: enough to amortize numpy's per-call
+# cost, few enough that a chunk's arrays stay small
 _OUTCOME_CHUNK = 1 << 13
-# a speculative run steps on once a batch accepts fewer proposals before a
-# rejection, and from the start when it has fewer steps to batch
+# a bulk simple run steps on once a batch accepts fewer proposals before a
+# rejection, and a bulk run from the start when it has fewer steps to batch
 _HANDOVER = 64
 
 
@@ -304,59 +307,92 @@ class _UrnPairEngine:
         pass
 
 
+def _stub_order(u: np.ndarray) -> np.ndarray | None:
+    """The order that sorts each row of the draws u, or None when a row
+    holds two equal draws: the order of distinct draws is a uniform
+    permutation, and draws with a tie are made again."""
+    ranked = np.sort(u, axis=-1)
+    if (ranked[..., 1:] == ranked[..., :-1]).any():
+        return None
+    return np.argsort(u, axis=-1)
+
+
+def _shuffled_stubs(n: int, r: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The stubs of every vertex, r each, as their vertices, in uniformly
+    random order: stub t, of vertex t // r, sorted by the t-th of r n
+    draws, which draw(r n) makes again while they hold a tie."""
+    while (order := _stub_order(draw(r * n))) is None:
+        pass
+    return order // r
+
+
+def _stub_proposals(stubs: list[int] | np.ndarray, s: int, g: MultiGraph | _RunGraph,
+                    rng: random.Random) -> tuple[int, int]:
+    """A simple-mode step on the free stubs stubs[:s], in uniform order:
+    propose the last two, and while they form a loop or one of g's pairs,
+    put them back at uniform places by two inside-out shuffle swaps (one
+    rng.random() each), which leaves the order uniform, and propose again.
+    Returns the accepted pair, which the caller takes off the end."""
+    _check_not_complete(g)
+    has_edge = g.has_edge
+    rand = rng.random
+    for _ in range(_REJECTION_CAP):
+        v, w = int(stubs[s - 1]), int(stubs[s - 2])
+        if v != w and not has_edge(v, w):
+            return v, w
+        for i in (s - 2, s - 1):
+            j = int(rand() * (i + 1))
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+    raise ProcessExhausted("rejection budget exhausted in simple mode")
+
+
 class _StubEngine:
-    """NegativeInteger(r) steps over the list of free half-edges."""
+    """NegativeInteger(r) steps over the list of free half-edges.
+
+    From the first step outside the simple-mode endgame on, the list is in
+    uniformly random order (_shuffled_stubs), and a step proposes its last
+    two stubs: a uniform pair of distinct free stubs, the step law of
+    weights r - d.  A multigraph run is thus one uniform stub matching,
+    the list read backwards in pairs; a simple step rejects as
+    _stub_proposals does.  The endgame of at most _EXACT_THRESHOLD stubs
+    never reads their order, so a run that starts in it never shuffles.
+    """
 
     __slots__ = ("g", "r", "simple", "stubs")
 
-    def __init__(self, g: MultiGraph, r: int, simple: bool, stubs: list[int] | None = None):
+    def __init__(self, g: MultiGraph | _RunGraph, r: int, simple: bool,
+                 stubs: list[int] | None = None):
         self.g = g
         self.r = r
         self.simple = simple
-        # the free stubs of g (every stub of the empty graph by default)
-        self.stubs = _all_stubs(g.n, r) if stubs is None else stubs
-
-    def _pop_two(self, a: int, b: int):
-        stubs = self.stubs
-        hi, lo = (a, b) if a > b else (b, a)
-        last = len(stubs) - 1
-        stubs[hi] = stubs[last]
-        stubs.pop()
-        last -= 1
-        if lo != last:
-            stubs[lo] = stubs[last]
-        stubs.pop()
+        # the free stubs of g, shuffled; None for every stub of the empty
+        # graph, not yet shuffled
+        self.stubs = stubs
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
         stubs = self.stubs
+        simple = self.simple
+        if stubs is None:
+            n, r = self.g.n, self.r
+            if simple and r * n <= _EXACT_THRESHOLD:
+                stubs = list(range(n)) * r
+            else:
+                rand = rng.random
+                stubs = _shuffled_stubs(n, r, lambda k: np.array([rand() for _ in range(k)])).tolist()
+            self.stubs = stubs
         s = len(stubs)
         if s < 2:
             raise ProcessExhausted("fewer than two free half-edges remain")
-        rand = rng.random
-        if not self.simple:
-            a = int(rand() * s)
-            b = int(rand() * (s - 1))
-            if b >= a:
-                b += 1
-            v, w = stubs[a], stubs[b]
-            self._pop_two(a, b)
-            return v, w
+        if not simple:
+            return stubs.pop(), stubs.pop()
         if s <= _EXACT_THRESHOLD:
             v, w = _sample_addable_pair(self.g, Counter(stubs), rng)
-            self._pop_two(stubs.index(v), stubs.index(w))
+            stubs.remove(v)
+            stubs.remove(w)
             return v, w
-        _check_not_complete(self.g)
-        has_edge = self.g.has_edge
-        for _ in range(_REJECTION_CAP):
-            a = int(rand() * s)
-            b = int(rand() * (s - 1))
-            if b >= a:
-                b += 1
-            v, w = stubs[a], stubs[b]
-            if v != w and not has_edge(v, w):
-                self._pop_two(a, b)
-                return v, w
-        raise ProcessExhausted("rejection budget exhausted in simple mode")
+        v, w = _stub_proposals(stubs, s, self.g, rng)
+        del stubs[-2:]
+        return v, w
 
     def sync(self, v: int, w: int):
         pass
@@ -471,20 +507,11 @@ class _DegreeClassEngine:
 # ---------------------------------------------------------------------------
 
 
-def _all_stubs(n: int, r: int) -> list[int]:
-    """r stubs of every vertex, vertex by vertex; the r stubs of a vertex
-    share one int object."""
-    stubs = [0] * (r * n)
-    vertices = list(range(n))
-    for i in range(r):
-        stubs[i::r] = vertices
-    return stubs
-
-
 def _engine(cfg: ProcessConfig, g: MultiGraph | _RunGraph, stubs: list[int] | None = None):
     """The step engine of cfg's rule, over the graph g (and, for the r-stub
-    rule, its free stubs, every stub by default); an engine reads only g's
-    n and ends, and in simple mode has_edge and num_distinct_pairs."""
+    rule, its shuffled free stubs; by default every stub, shuffled at the
+    first step that needs their order); an engine reads only g's n and
+    ends, and in simple mode has_edge and num_distinct_pairs."""
     simple = cfg.mode == "simple"
     rule = cfg.weight_rule
     if isinstance(rule, LinearAlpha):
@@ -577,25 +604,6 @@ def _urn_endpoints(n: int, an: float, u: np.ndarray) -> np.ndarray:
     src = np.where(fresh, pos, source) + (k // 2) * np.arange(runs)[:, None]
     del fresh, source  # freed before the doubling allocates its own arrays
     return vertex.ravel()[_roots(src.ravel())].reshape(runs, k // 2)
-
-
-def _stub_endpoints(n: int, r: int, u: np.ndarray) -> np.ndarray:
-    """r-stub multigraph endpoints from the draws _StubEngine.sample makes,
-    one run per row of u (2m draws), with its swap-remove done row-wise."""
-    runs, k = u.shape
-    rows = np.arange(runs)
-    stubs = np.tile(np.repeat(np.arange(n), r), (runs, 1))
-    ends = np.empty((runs, k), np.int64)
-    for i in range(k // 2):
-        s = r * n - 2 * i
-        a = (u[:, 2 * i] * s).astype(np.int64)
-        b = (u[:, 2 * i + 1] * (s - 1)).astype(np.int64)
-        b += b >= a
-        ends[:, 2 * i] = stubs[rows, a]
-        ends[:, 2 * i + 1] = stubs[rows, b]
-        stubs[rows, np.maximum(a, b)] = stubs[:, s - 1]
-        stubs[rows, np.minimum(a, b)] = stubs[:, s - 2]
-    return ends
 
 
 def _first_counts(key: np.ndarray) -> np.ndarray:
@@ -711,41 +719,41 @@ def _rewind(rng: random.Random, state: tuple, draws: int) -> None:
         _mt_uniforms(rng, draws)
 
 
-def _speculate(rng: random.Random, per: int, stop: int, cap: int,
-               batch: Callable[[int, np.ndarray], int]) -> int:
-    """Make the first `stop` steps of a run in speculative batches; return
-    the count j of steps they accepted, with rng left at step j's first
-    proposal, where stepping takes over.
+def _speculate(rng: random.Random, stop: int, batch: Callable[[int, np.ndarray], int]) -> int:
+    """Make the first `stop` steps of a linear-alpha simple run in
+    speculative batches; return the count j of steps they accepted, with
+    rng left at step j's first proposal, where stepping takes over.
 
-    A proposal makes `per` rng.random() calls.  batch(j, u) resolves the
+    A proposal makes four rng.random() calls.  batch(j, u) resolves the
     proposals of draws u from step j on as if all were accepted, keeps the
     prefix before the first rejection (what stepping accepts) and returns
-    its length k.  Batches hold `cap` proposals, then min(cap, 2(k + 1)).
-    A batch consumes the rejection that ends it, and the next one makes the
-    same step again, until a batch accepts fewer than _HANDOVER before a
-    rejection (or stop is below _HANDOVER).  So a step makes at most two
-    proposals in the batches, which stepping makes again under its
-    rejection cap, and a completed graph hands over at the next batch.
+    its length k.  The first batch holds every step, the next ones
+    2(k + 1) proposals.  A batch consumes the rejection that ends it, and
+    the next one makes the same step again, until a batch accepts fewer
+    than _HANDOVER before a rejection (or stop is below _HANDOVER).  So a
+    step makes at most two proposals in the batches, which stepping makes
+    again under its rejection cap, and a completed graph hands over at the
+    next batch.
     """
     if stop < _HANDOVER:
         return 0
     j = 0
-    size = cap
+    size = stop
     # the state and draw count at which the current step's first proposal starts
     start = rng.getstate(), 0
     while j < stop:
         b = min(size, stop - j)
         saved = rng.getstate()
-        k = batch(j, _mt_uniforms(rng, per * b))
+        k = batch(j, _mt_uniforms(rng, 4 * b))
         j += k
         if k:
-            start = saved, per * k
+            start = saved, 4 * k
         if k < b:
             if k < _HANDOVER:
                 _rewind(rng, *start)
                 break
-            _rewind(rng, saved, per * (k + 1))
-        size = min(cap, 2 * (k + 1))
+            _rewind(rng, saved, 4 * (k + 1))
+        size = 2 * (k + 1)
     return j
 
 
@@ -780,69 +788,89 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
         keys[j:j + k] = key[:k]
         return k
 
-    j = _speculate(rng, 4, stop, m_max, batch)
+    j = _speculate(rng, stop, batch)
     if j == m_max:
         return ends, j, None
     return _run_stepped(cfg, rng, _RunGraph(n, ends[:2 * j].tolist(), set(keys[:j].tolist())))
 
 
-def _stub_swaps(stubs: list[int], a: list[int], b: list[int], last: int,
-                ends: list[int], keys: set[int] | None, n: int) -> int:
-    """Pair stubs a[k] and b[k] for each proposal k of a batch, as
-    _StubEngine.sample does, with last the index of the last free stub at
-    the batch's first proposal: append the two vertices to ends and
-    swap-remove both stubs (the entries past the free ones are left stale).
-    With keys, the accepted pair keys of a simple run, the batch ends at
-    its first loop or repeat.  Returns the accepted count."""
-    push = ends.append
-    for k, (x, y) in enumerate(zip(a, b)):
-        v = stubs[x]
-        w = stubs[y]
-        if keys is not None:
-            key = v * n + w if v < w else w * n + v
-            if v == w or key in keys:
-                return k
-            keys.add(key)
-        push(v)
-        push(w)
-        if x > y:
-            stubs[x] = stubs[last]
-            stubs[y] = stubs[last - 1]
-        else:
-            stubs[y] = stubs[last]
-            stubs[x] = stubs[last - 1]
-        last -= 2
-    return len(a)
+def _stub_batch(stubs: np.ndarray, s: int, b: int, n: int, keys: set[int] | None,
+                out: np.ndarray) -> int:
+    """Write to out the endpoints of the next b proposals of a run whose
+    free stubs are stubs[:s], in uniform order: proposal i pairs
+    stubs[s - 1 - 2i] and stubs[s - 2 - 2i].  With keys, the pair keys of a
+    simple run, the batch ends before its first loop or pair seen before,
+    and the keys of the pairs it keeps are added to keys.  Returns the
+    count of pairs kept."""
+    new = stubs[s - 2 * b:s][::-1]
+    k = b
+    if keys is not None:
+        v, w = new[0::2], new[1::2]
+        key = np.minimum(v, w) * n + np.maximum(v, w)
+        listed = key.tolist()
+        bad = (v == w) | (_first_counts(key) == 0)
+        if not keys.isdisjoint(listed):
+            bad |= np.isin(key, list(keys.intersection(listed)))
+        if bad.any():
+            k = int(np.argmax(bad))
+        keys.update(listed[:k])
+    out[:2 * k] = new[:2 * k]
+    return k
 
 
 def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The r-stub rule, in speculative batches (_speculate).
+    """The r-stub rule from one shuffled stub list, drawn by numpy.
 
-    A proposal at step i pairs stubs a = floor(u s) and b = floor(u' (s - 1)),
-    shifted past a, of the s = rn - 2i free ones, so a batch works out every
-    proposal's indices at once; only the swap-removes, and the pair check of
-    simple mode, run in a loop (_stub_swaps).  A simple run steps its last
-    _EXACT_THRESHOLD stubs, so the exact endgame is stepping's own.
+    A multigraph run is the list read backwards in pairs.  A simple run
+    reads it in batches (_stub_batch) up to their first loop or repeated
+    pair, whose step _stub_proposals makes, as stepping does.  It steps on
+    from a batch that keeps fewer than _HANDOVER pairs before a rejection,
+    and from the exact endgame of the last _EXACT_THRESHOLD stubs; a run
+    with fewer steps to batch steps from the start, shuffling as stepping
+    does.
     """
     n, r, m_max = cfg.n, cfg.weight_rule.r, cfg.m_max
     simple = cfg.mode == "simple"
-    stubs = _all_stubs(n, r)
-    ends: list[int] = []
-    # a simple run's pair keys, which the stepped tail takes over
-    keys: set[int] | None = set() if simple else None
     # a simple run's endgame starts at the first step with at most _EXACT_THRESHOLD free stubs
     stop = min(m_max, (r * n - _EXACT_THRESHOLD + 1) // 2) if simple else m_max
-
-    def batch(j: int, u: np.ndarray) -> int:
-        s = r * n - 2 * np.arange(j, j + len(u) // 2)
-        x = (u[0::2] * s).astype(np.int64)
-        y = (u[1::2] * (s - 1)).astype(np.int64)
-        y += y >= x
-        return _stub_swaps(stubs, x.tolist(), y.tolist(), int(s[0]) - 1, ends, keys, n)
-
-    j = _speculate(rng, 2, stop, _OUTCOME_CHUNK, batch)
-    del stubs[r * n - 2 * j:]
-    return _run_stepped(cfg, rng, _RunGraph(n, ends, keys), stubs)
+    if stop < _HANDOVER:
+        return _run_stepped(cfg, rng)
+    stubs = _shuffled_stubs(n, r, functools.partial(_mt_uniforms, rng))
+    ends = np.empty(2 * m_max, np.int64)
+    if not simple:
+        _stub_batch(stubs, r * n, m_max, n, None, ends)
+        return ends, m_max, None
+    g = _RunGraph(n, [], set())
+    s = r * n
+    j = 0
+    while j < stop:
+        b = min(_OUTCOME_CHUNK, stop - j)
+        k = _stub_batch(stubs, s, b, n, g.keys, ends[2 * j:])
+        j += k
+        s -= 2 * k
+        if k == b:
+            continue
+        if k < _HANDOVER:
+            break
+        try:
+            v, w = _stub_proposals(stubs, s, g, rng)
+        except ProcessExhausted as exc:
+            return ends[:2 * j], j, str(exc)
+        ends[2 * j:2 * j + 2] = v, w
+        g.keys.add(v * n + w if v < w else w * n + v)
+        j += 1
+        s -= 2
+    if j == m_max:
+        return ends, j, None
+    free = stubs[:s].tolist()
+    del stubs  # freed before the stepped tail's endpoint list is built
+    # one int object per vertex, shared by its endpoints: under half the
+    # memory of a list of fresh ints
+    g.ends = np.arange(n, dtype=object)[ends[:2 * j]].tolist()
+    tail, m, reason = _run_stepped(cfg, rng, g, free)
+    # the accepted endpoints stay an array: only the stepped tail is converted
+    ends[2 * j:2 * m] = tail[2 * j:]
+    return ends[:2 * m], m, reason
 
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
@@ -970,8 +998,14 @@ def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
     n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
     if run is _run_urn_multigraph:
         return _urn_endpoints(n, rule.alpha * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
-    if run is _run_stub and cfg.mode == "multigraph":
-        return _stub_endpoints(n, rule.r, _mt_uniforms(rng, runs * 2 * m).reshape(runs, 2 * m))
+    if run is _run_stub and cfg.mode == "multigraph" and m:
+        # one shuffle per run, each read backwards in pairs; a chunk that
+        # holds a tie goes run by run, from where it started
+        saved = rng.getstate()
+        order = _stub_order(_mt_uniforms(rng, runs * rule.r * n).reshape(runs, rule.r * n))
+        if order is not None:
+            return order[:, ::-1][:, :2 * m] // rule.r
+        rng.setstate(saved)
     flat: list[int] = []
     for _ in range(runs):
         ends, _, reason = run(cfg, rng)
@@ -1133,7 +1167,7 @@ def sample_configuration_model(deg: Sequence[int], rng: random.Random) -> np.nda
             raise ValueError(f"deg[{i}] must be an integer >= 0, got {d!r}")
     if sum(deg) % 2:
         raise ValueError("degree sum must be even")
-    stubs = [v for v, d in enumerate(deg) for _ in range(d)]
+    stubs = np.repeat(np.arange(len(deg)), np.asarray(deg, np.int64)).tolist()
     rng.shuffle(stubs)
     return np.array(stubs, np.int64)
 

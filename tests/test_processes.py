@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -104,18 +105,24 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
 
 
 def _spy_on_batches(monkeypatch) -> list:
-    """The sizes of the speculative batches of the bulk paths, as they are
-    drawn."""
+    """The sizes of the numpy batches of the bulk paths, as they are made:
+    the speculative batches of linear-alpha simple runs, and the proposals
+    read at once off an r-stub run's shuffled stubs."""
     sizes = []
-    speculate = P._speculate
+    speculate, stub_batch = P._speculate, P._stub_batch
 
-    def counting(rng, per, stop, cap, batch):
+    def counting(rng, stop, batch):
         def spied(j, u):
-            sizes.append(len(u) // per)
+            sizes.append(len(u) // 4)
             return batch(j, u)
-        return speculate(rng, per, stop, cap, spied)
+        return speculate(rng, stop, spied)
+
+    def stub_counting(stubs, s, b, n, keys, out):
+        sizes.append(b)
+        return stub_batch(stubs, s, b, n, keys, out)
 
     monkeypatch.setattr(P, "_speculate", counting)
+    monkeypatch.setattr(P, "_stub_batch", stub_counting)
     return sizes
 
 
@@ -212,6 +219,91 @@ def test_bulk_stub_run_keeps_the_rejection_cap(monkeypatch):
             assert bulk_rng.getstate() == step_rng.getstate(), (r, n, m, seed)
             budget += isinstance(bulk, tuple) and "budget" in bulk[1]
     assert budget
+
+
+def test_stub_rejection_leaves_the_order_uniform(monkeypatch):
+    # a rejected proposal goes back by two inside-out shuffle swaps: the
+    # stubs before it are in uniform order, and the list is then again a
+    # uniform permutation; with a cap of one proposal, it is kept
+    monkeypatch.setattr(P, "_REJECTION_CAP", 1)
+    g = P._RunGraph(4, [], {0 * 4 + 1})  # (0, 1) is an edge, so (1, 0) is rejected
+    rng = random.Random(31)
+    counts = Counter()
+    for _ in range(24_000):
+        stubs = rng.sample([2, 3], 2) + [0, 1]
+        with pytest.raises(P.ProcessExhausted, match="budget"):
+            P._stub_proposals(stubs, 4, g, rng)
+        counts[tuple(stubs)] += 1
+    res = S.chi_square_counts(counts, {perm: 1 / 24 for perm in itertools.permutations(range(4))})
+    assert res.pvalue > 1e-3, f"repaired order not uniform: chi2={res.stat:.1f} p={res.pvalue:.2e}"
+
+
+def test_stub_order_reports_a_tie():
+    # the order of distinct draws sorts them; a tie in any row is reported
+    u = np.array([[0.5, 0.25, 0.75], [0.125, 0.375, 0.0]])
+    assert P._stub_order(u).tolist() == [[1, 0, 2], [2, 0, 1]]
+    assert P._stub_order(u[1]).tolist() == [2, 0, 1]
+    u[1, 2] = 0.375
+    assert P._stub_order(u) is None and P._stub_order(u[1]) is None
+    assert P._stub_order(u[0]) is not None
+
+
+def _tie_at(monkeypatch, draw: float) -> list:
+    """Make the shuffle's order helper report a tie in every row of draws
+    that holds `draw`; returns, call by call, whether it did."""
+    ties = []
+    order = P._stub_order
+
+    def tied(u):
+        ties.append(bool((u == draw).any()))
+        return None if ties[-1] else order(u)
+
+    monkeypatch.setattr(P, "_stub_order", tied)
+    return ties
+
+
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+def test_bulk_stub_run_draws_again_on_a_tie(monkeypatch, mode):
+    # draws with a tie would order the stubs non-uniformly, so bulk and
+    # stepping both draw the shuffle again
+    n, r, m = 200, 3, 250
+    cfg = stub_cfg(n, r, mode, m, (m // 2, m))
+    seed = f"stub-tie:{mode}"
+    ties = _tie_at(monkeypatch, random.Random(seed).random())
+    bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+    bulk = _outcome(P.run_process, cfg, bulk_rng)
+    assert ties == [True, False]
+    assert bulk == _outcome(P.run_process, cfg, step_rng)
+    assert bulk_rng.getstate() == step_rng.getstate()
+    assert ties == [True, False] * 2
+    if mode == "multigraph":
+        # a multigraph run makes no draw but its shuffles
+        ref = random.Random(seed)
+        for _ in range(2 * r * n):
+            ref.random()
+        assert bulk_rng.getstate() == ref.getstate()
+
+
+def test_batched_stub_outcomes_go_run_by_run_on_a_tie(monkeypatch):
+    # a chunk of tiny multigraph runs that holds a tie goes run by run, and
+    # the tied run draws again; the next chunk is drawn at once
+    n, r, m = 3, 3, 2
+    runs = P._OUTCOME_CHUNK + 300
+    cfg = stub_cfg(n, r, "multigraph", m)
+    seed = "stub-tie:outcomes"
+    ref = random.Random(seed)
+    draws = [ref.random() for _ in range(8 * r * n)]
+    ties = _tie_at(monkeypatch, draws[7 * r * n])
+    batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+    batched = _counts(cfg, runs, batched_rng)
+    # the chunk, then its runs one by one (the eighth twice), then the next chunk
+    assert ties == [True] + [False] * 7 + [True] + [False] * (P._OUTCOME_CHUNK - 7) + [False]
+    assert batched == _counts(cfg, runs, stepped_rng) == _reference_counts(cfg, runs, _SteppedRandom(seed))
+    assert batched_rng.getstate() == stepped_rng.getstate()
+    ref = random.Random(seed)
+    for _ in range((runs + 1) * r * n):
+        ref.random()
+    assert batched_rng.getstate() == ref.getstate()
 
 
 def test_numpy_draws_continue_the_python_stream():
@@ -390,6 +482,36 @@ def test_loops_given_degrees_match_the_configuration_model(rule, a, factor, runs
         variance += expected
     z = excess / math.sqrt(variance)
     assert abs(z) < 3.29, f"loops given degrees off the configuration model: z = {z:.2f}"
+
+
+@pytest.mark.parametrize("rule, a, factor, runs, seed", [
+    (P.LinearAlpha(1.0), 1.0, 1.5, 400, 1), (P.NegativeInteger(3), -3, 1.2, 200, 3)],
+    ids=["alpha1", "r3"])
+def test_multi_edges_given_degrees_match_the_configuration_model(rule, a, factor, runs, seed):
+    # given its degrees d, a multigraph run at edge m is the configuration
+    # model on d, where two of i's d_i stubs meet two of j's with
+    # probability 2 / ((2m - 1)(2m - 3)): so the pairs of parallel edges,
+    # sum_{i<j} C(M_ij, 2) over the multiplicities M_ij of the pairs, have
+    # mean sum_{i<j} d_i (d_i - 1) d_j (d_j - 1) / (2 (2m - 1)(2m - 3)); the
+    # observed excess over the runs is scaled by its Poisson variance
+    n = 10_000
+    m = int(factor * T.m_crit(a, n))
+    cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m)
+    rng = random.Random(20_261_300 + seed)
+    excess = variance = 0.0
+    for _ in range(runs):
+        ends, reached, _ = P.sample_edges(cfg, rng)
+        assert reached == m
+        d = np.bincount(ends, minlength=n)
+        x = (d * (d - 1)).astype(np.float64)
+        expected = (x.sum() ** 2 - np.dot(x, x)) / 2 / (2 * (2 * m - 1) * (2 * m - 3))
+        v, w = ends[0::2], ends[1::2]
+        keep = v != w
+        mult = np.unique(np.minimum(v, w)[keep] * n + np.maximum(v, w)[keep], return_counts=True)[1]
+        excess += int(np.sum(mult * (mult - 1) // 2)) - expected
+        variance += expected
+    z = excess / math.sqrt(variance)
+    assert abs(z) < 3.29, f"parallel edges given degrees off the configuration model: z = {z:.2f}"
 
 
 def _betabinomial_pmf(k, trials, a, b):
@@ -1139,6 +1261,17 @@ def test_cm_odd_sum_rejected():
 def test_cm_rejects_negative_degrees(deg, index):
     with pytest.raises(ValueError, match=rf"deg\[{index}\]"):
         P.sample_configuration_model(deg, random.Random(0))
+
+
+def test_cm_keeps_the_stream_of_its_stub_list():
+    # the stub list is built in numpy, vertex by vertex as before, so the
+    # shuffle of the same rng state gives the same matching
+    for deg in ([], [0, 0], [2, 0, 0], [3, 1, 0, 2, 2], [5] * 40 + [0, 2]):
+        rng, ref = random.Random(f"cm-stubs:{deg}"), random.Random(f"cm-stubs:{deg}")
+        stubs = [v for v, d in enumerate(deg) for _ in range(d)]
+        ref.shuffle(stubs)
+        assert P.sample_configuration_model(deg, rng).tolist() == stubs
+        assert rng.getstate() == ref.getstate()
 
 
 def test_cm_law_matches_enumeration():
