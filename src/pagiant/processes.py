@@ -311,10 +311,12 @@ def _stub_order(u: np.ndarray) -> np.ndarray | None:
     """The order that sorts each row of the draws u, or None when a row
     holds two equal draws: the order of distinct draws is a uniform
     permutation, and draws with a tie are made again."""
-    ranked = np.sort(u, axis=-1)
+    order = u.argsort(axis=-1)
+    # a stepped run's one row is gathered directly, at a third of the cost
+    ranked = u[order] if u.ndim == 1 else np.take_along_axis(u, order, -1)
     if (ranked[..., 1:] == ranked[..., :-1]).any():
         return None
-    return np.argsort(u, axis=-1)
+    return order
 
 
 def _shuffled_stubs(n: int, r: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
