@@ -18,9 +18,10 @@ Three step engines cover the weight rules:
 Simple mode always works by rejection of a proportional proposal, so the
 accepted edge has exactly the conditional law on addable pairs.  When few
 candidates remain (few free stubs, or few positive-weight vertices after a
-long run of rejections under a general f), _sample_addable_pair enumerates
-the addable pairs instead: the same law, and an empty enumeration is
-reported as true exhaustion, not as a spent rejection budget.
+long run of rejections under a general f), _sample_addable_pair draws from
+the addable pairs instead (_addable_pairs; the r-stub endgame lists them
+once and drops the pairs each step uses up): the same law, and no pair
+left is reported as true exhaustion, not as a spent rejection budget.
 
 Runs are made edges first: sample_edges returns a run's endpoint array,
 edge i at (ends[2i], ends[2i+1]) in the order of the steps, and
@@ -31,8 +32,9 @@ of each pair key, which one unstable argsort finds (_first_counts, which
 also groups the outcomes of sample_process_outcomes).  ProcessConfig
 bounds n by isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.
 _runner picks the path for sample_edges and sample_process_outcomes
-alike: the linear-alpha and r-stub rules run in bulk when rng is a plain
-random.Random, and every other run steps its engine with no union-find
+alike: the linear-alpha and r-stub rules, and the general-f rule in
+multigraph mode, run in bulk when rng is a plain random.Random, and every
+other run steps its engine with no union-find
 (_run_stepped) on one run record, _RunGraph: the run's own endpoint list
 and, in simple mode, the set of its pair keys.  numpy's MT19937 draws
 the very same doubles as CPython's random once it holds the same state,
@@ -53,8 +55,15 @@ pair: its free stubs are shuffled once, as the order of rn draws
 run is the shuffled list read backwards in pairs, and a simple run reads
 it in numpy batches up to each loop or repeated pair (_stub_batch), whose
 step _stub_proposals makes as stepping does, until a short batch or the
-exact endgame hands it over.  Either way the edges, records, exhaustion,
-rejection cap and final rng state are stepping's own.
+exact endgame hands it over.  A general-f multigraph run reads five
+draws per step in numpy batches: its degree classes are drawn in exact
+integers, round by round, from the class sizes the last round's classes
+imply (_class_draws), and the vertices they move are found by sorting the
+class slots the steps read and write (_class_moves).  A batch ends at its
+first possible loop or repeated vertex, which _DegreeClassEngine.sample
+makes (_class_slots), and a short batch hands the run over.  Either way
+the edges, records, exhaustion, rejection cap and final rng state are
+stepping's own.
 
 sample_process_outcomes counts runs edges first too: every path yields
 chunks of endpoint rows, one per run, and one numpy keyer counts them
@@ -80,7 +89,9 @@ endpoint list and its degree list in place.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -98,9 +109,10 @@ _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
 # sample_process_outcomes counts this many runs (linear-alpha simple:
-# proposals) at a time, and a simple r-stub batch reads at most this many
-# proposals off its shuffled stubs: enough to amortize numpy's per-call
-# cost, few enough that a chunk's arrays stay small
+# proposals) at a time, a simple r-stub batch reads at most this many
+# proposals off its shuffled stubs, and a general-f batch makes at most
+# this many class draws: enough to amortize numpy's per-call cost, few
+# enough that a chunk's arrays stay small
 _OUTCOME_CHUNK = 1 << 13
 # a bulk simple run steps on once a batch accepts fewer proposals before a
 # rejection, and a bulk run from the start when it has fewer steps to batch
@@ -235,36 +247,29 @@ def _check_not_complete(g: MultiGraph):
         raise ProcessExhausted("graph is complete")
 
 
-def _sample_addable_pair(g: MultiGraph, weight: dict[int, int],
+def _addable_pairs(g: MultiGraph | _RunGraph, verts: list[int]) -> list[tuple[int, int]]:
+    """The pairs v < w of the sorted vertices verts that g does not hold, in
+    lexicographic order."""
+    has_edge = g.has_edge
+    return [(v, w) for i, v in enumerate(verts) for w in verts[i + 1:] if not has_edge(v, w)]
+
+
+def _sample_addable_pair(pairs: list[tuple[int, int]], weight: dict[int, int],
                          rng: random.Random) -> tuple[int, int]:
-    """Enumerate the addable pairs among the vertices of `weight` and sample
-    one with probability proportional to weight[v] * weight[w].
+    """Sample one of the addable pairs with probability proportional to
+    weight[v] * weight[w].
 
     This is the law that simple-mode rejection accepts from, so it is exact;
-    and an empty enumeration detects true exhaustion.  The weights are
-    integers, and a draw u = U / 2^53 takes the first pair whose cumulative
-    mass exceeds u times the total, compared in integers as the general-f
-    class draw does, so no product rounds or overflows.  One rng.random().
+    and no pair left is true exhaustion.  The weights are integers, and a
+    draw u = U / 2^53 takes the first pair whose cumulative mass exceeds u
+    times the total, compared in integers as the general-f class draw does,
+    so no product rounds or overflows.  One rng.random().
     """
-    verts = sorted(weight)
-    has_edge = g.has_edge
-    cumulative: list[tuple[int, int, int]] = []
-    total = 0
-    for i, v in enumerate(verts):
-        sv = weight[v]
-        for w in verts[i + 1:]:
-            if not has_edge(v, w):
-                total += sv * weight[w]
-                cumulative.append((v, w, total))
-    if not cumulative:
+    if not pairs:
         raise ProcessExhausted("no addable pair remains")
-    t = (int(rng.random() * 2.0 ** 53) * total) >> 53
-    v, w = cumulative[-1][:2]
-    for cv, cw, acc in cumulative:
-        if t < acc:
-            v, w = cv, cw
-            break
-    return v, w
+    cumulative = list(itertools.accumulate([weight[v] * weight[w] for v, w in pairs]))
+    t = (int(rng.random() * 2.0 ** 53) * cumulative[-1]) >> 53
+    return pairs[bisect.bisect_right(cumulative, t)]
 
 
 class _UrnPairEngine:
@@ -360,7 +365,7 @@ class _StubEngine:
     never reads their order, so a run that starts in it never shuffles.
     """
 
-    __slots__ = ("g", "r", "simple", "stubs")
+    __slots__ = ("g", "r", "simple", "stubs", "pairs")
 
     def __init__(self, g: MultiGraph | _RunGraph, r: int, simple: bool,
                  stubs: list[int] | None = None):
@@ -370,6 +375,8 @@ class _StubEngine:
         # the free stubs of g, shuffled; None for every stub of the empty
         # graph, not yet shuffled
         self.stubs = stubs
+        # the endgame's addable pairs, enumerated at its first step
+        self.pairs: list[tuple[int, int]] | None = None
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
         stubs = self.stubs
@@ -388,7 +395,14 @@ class _StubEngine:
         if not simple:
             return stubs.pop(), stubs.pop()
         if s <= _EXACT_THRESHOLD:
-            v, w = _sample_addable_pair(self.g, Counter(stubs), rng)
+            weight = Counter(stubs)
+            if self.pairs is None:
+                self.pairs = _addable_pairs(self.g, sorted(weight))
+            else:
+                # the last step took a pair and maybe a vertex's last stub
+                self.pairs = [p for p in self.pairs if p[0] in weight and p[1] in weight]
+            v, w = _sample_addable_pair(self.pairs, weight, rng)
+            self.pairs.remove((v, w))
             stubs.remove(v)
             stubs.remove(w)
             return v, w
@@ -398,6 +412,15 @@ class _StubEngine:
 
     def sync(self, v: int, w: int):
         pass
+
+
+def _scaled(table: Sequence[float]) -> list[int]:
+    """f(k) D for k = 0, ..., len(table), the entries of a general-f table
+    (its last one twice) times D, their common power-of-two denominator:
+    general f's exact integer masses."""
+    ratios = [float(x).as_integer_ratio() for x in (*table, table[-1])]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios]
 
 
 def _pick(members: list[list[int]], masses: list[int], total: int, rand) -> int:
@@ -436,18 +459,33 @@ class _DegreeClassEngine:
 
     __slots__ = ("g", "simple", "deg", "members", "pos", "F", "T", "Q", "L")
 
-    def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool):
+    def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool,
+                 members: list[list[int]] | None = None):
         self.g = g
         self.simple = simple
         n = g.n
-        self.deg = [0] * n
-        self.members = [list(range(n))]
-        self.pos = list(range(n))
-        # F[k] = f(k) D, at least to the top degree + 1
-        ratios = [float(x).as_integer_ratio() for x in (*rule.table, rule.table[-1])]
-        d = max(den for _, den in ratios)
-        F = self.F = [num * (d // den) for num, den in ratios]
-        self.T, self.Q, self.L = n * F[0], n * F[0] * F[0], n * F[0] * F[1]
+        if members is None:
+            self.deg = [0] * n
+            self.members = [list(range(n))]
+            self.pos = list(range(n))
+        else:
+            # the classes a bulk run hands over, top class nonempty
+            self.deg, self.pos, self.members = [0] * n, [0] * n, members
+            for k, vs in enumerate(members):
+                for i, x in enumerate(vs):
+                    self.deg[x] = k
+                    self.pos[x] = i
+        self.F = _scaled(rule.table)
+        self._weigh()
+
+    def _weigh(self):
+        """Set T, Q and L from the class sizes, with F to the top degree + 1."""
+        F = self.F
+        sizes = [len(vs) for vs in self.members]
+        F.extend([F[-1]] * (len(sizes) + 1 - len(F)))
+        self.T = sum(c * a for c, a in zip(sizes, F))
+        self.Q = sum(c * a * a for c, a in zip(sizes, F))
+        self.L = sum(c * a * b for c, a, b in zip(sizes, F, F[1:]))
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
         members, F, T, L = self.members, self.F, self.T, self.L
@@ -471,8 +509,8 @@ class _DegreeClassEngine:
                 # enumeration now leaves the law unchanged
                 live = [(vs, a) for vs, a in zip(members, F) if a > 0]
                 if sum(len(vs) for vs, _ in live) <= _EXACT_THRESHOLD:
-                    return _sample_addable_pair(
-                        self.g, {x: a for vs, a in live for x in vs}, rng)
+                    weight = {x: a for vs, a in live for x in vs}
+                    return _sample_addable_pair(_addable_pairs(self.g, sorted(weight)), weight, rng)
             v = _pick(members, F, T, rand)
             w = _pick(members, F, T, rand)
             if v != w and not (simple and has_edge(v, w)):
@@ -509,18 +547,20 @@ class _DegreeClassEngine:
 # ---------------------------------------------------------------------------
 
 
-def _engine(cfg: ProcessConfig, g: MultiGraph | _RunGraph, stubs: list[int] | None = None):
-    """The step engine of cfg's rule, over the graph g (and, for the r-stub
-    rule, its shuffled free stubs; by default every stub, shuffled at the
-    first step that needs their order); an engine reads only g's n and
-    ends, and in simple mode has_edge and num_distinct_pairs."""
+def _engine(cfg: ProcessConfig, g: MultiGraph | _RunGraph, state: list | None = None):
+    """The step engine of cfg's rule, over the graph g and the state a bulk
+    run hands over: the r-stub rule's shuffled free stubs (by default every
+    stub, shuffled at the first step that needs their order), or general
+    f's degree classes (by default the empty graph's).  An engine reads
+    only g's n, in simple mode has_edge and num_distinct_pairs, and for
+    the linear-alpha rule ends."""
     simple = cfg.mode == "simple"
     rule = cfg.weight_rule
     if isinstance(rule, LinearAlpha):
         return _UrnPairEngine(g, rule.alpha, simple)
     if isinstance(rule, NegativeInteger):
-        return _StubEngine(g, rule.r, simple, stubs)
-    return _DegreeClassEngine(g, rule, simple)
+        return _StubEngine(g, rule.r, simple, state)
+    return _DegreeClassEngine(g, rule, simple, state)
 
 
 class ProcessState:
@@ -683,15 +723,15 @@ class _RunGraph:
 
 
 def _run_stepped(cfg: ProcessConfig, rng: random.Random, g: _RunGraph | None = None,
-                 stubs: list[int] | None = None) -> Run:
+                 state: list | None = None) -> Run:
     """Any rule, one step at a time with no union-find, on the run record g
     (an empty run by default) to m_max.  The bulk runners hand their tails
-    here, with the edges and pair keys they accepted and the r-stub rule's
-    free stubs."""
+    here, with the edges and pair keys they accepted and their engine
+    state (_engine)."""
     if g is None:
         g = _RunGraph(cfg.n, [], set() if cfg.mode == "simple" else None)
     m, m_max = len(g.ends) // 2, cfg.m_max
-    engine = _engine(cfg, g, stubs)
+    engine = _engine(cfg, g, state)
     sample, add_edge, sync = engine.sample, g.add_edge, engine.sync
     try:
         while m < m_max:
@@ -793,7 +833,7 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
     j = _speculate(rng, stop, batch)
     if j == m_max:
         return ends, j, None
-    return _run_stepped(cfg, rng, _RunGraph(n, ends[:2 * j].tolist(), set(keys[:j].tolist())))
+    return _step_on(cfg, rng, ends, j, set(keys[:j].tolist()), None)
 
 
 def _stub_batch(stubs: np.ndarray, s: int, b: int, n: int, keys: set[int] | None,
@@ -866,21 +906,260 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
         return ends, j, None
     free = stubs[:s].tolist()
     del stubs  # freed before the stepped tail's endpoint list is built
-    # one int object per vertex, shared by its endpoints: under half the
-    # memory of a list of fresh ints
-    g.ends = np.arange(n, dtype=object)[ends[:2 * j]].tolist()
-    tail, m, reason = _run_stepped(cfg, rng, g, free)
+    return _step_on(cfg, rng, ends, j, g.keys, free)
+
+
+def _class_draws(sizes: np.ndarray, F: list[int], u: np.ndarray
+                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The degree classes of a batch of general-f multigraph steps from
+    its draws u, one row of five per step (branch, class and member of v,
+    class and member of w), as _DegreeClassEngine.sample makes them, from
+    the class sizes `sizes` at the start.
+
+    A class draw U / 2^53 takes the first class whose integer cumulative
+    mass exceeds (U T) >> 53, worked out in int64 for T < 2^36.  The sizes
+    before step i follow from the classes of the steps before it, so the
+    classes are drawn round by round, each time from the sizes that the
+    last round's classes imply.  The steps up to a round's first changed
+    class are final, since their sizes came from final steps, and the next
+    round draws only the steps after them, up to the first special step:
+    a possible loop (by floats, with a margin of 1e-9 of the masses) or
+    the same vertex drawn twice.  A final step that moves a vertex past
+    the last class adds one.  Returns the index s of the first special
+    step (the step count when there is none) once it is final, the class
+    sizes N[k, i] before each step i <= s, and the steps' classes and
+    member indices, one row for v and one for w.
+    """
+    b = len(u)
+    c = len(sizes) + 1  # a move can open one class past the top
+    F.extend([F[-1]] * (c + 1 - len(F)))
+    U = (u[:, 1::2].T * 2.0 ** 53).astype(np.int64)
+    hi, low = U >> 26, U & ((1 << 26) - 1)
+    # the first round draws from the sizes that the expected moves give:
+    # each endpoint leaves class k with probability N_k F_k / T
+    mass = np.append(sizes, 0) * np.array(F[:c], np.float64)
+    drift = 2 * (np.append(0, mass[:-1]) - mass) / max(mass.sum(), 1)
+    N = np.append(sizes, 0)[:, None] + np.rint(drift[:, None] * np.arange(b)).astype(np.int64)
+    # the classes and member indices of the last round; none at first, so
+    # that the first round finds only step 0 final
+    k = np.full((2, b), -1, np.int64)
+    idx = np.empty((2, b), np.int64)
+
+    def follow(r: int, end: int) -> None:
+        # the sizes of steps r + 1 to end - 1, from step r's and the classes from r on
+        w = end - 1 - r
+        moves = np.minimum(k[:, r:end - 1], c - 2) * w + np.arange(w)
+        step = np.bincount((moves + w).ravel(), minlength=c * w)
+        step -= np.bincount(moves.ravel(), minlength=c * w)
+        step = step.reshape(c, w)
+        step[:, :1] += N[:, r:r + 1]
+        np.cumsum(step, axis=1, out=N[:, r + 1:end])
+
+    start, end = 0, b  # steps before start are final; a round draws up to end
+    while True:
+        Fa = np.array(F[:c + 1], np.int64)
+        rows = N[:, start:end]
+        cum = rows * Fa[:c, None]
+        for q in range(1, c):
+            cum[q] += cum[q - 1]
+        T = cum[-1]
+        t = (hi[:, start:end] * T + ((low[:, start:end] * T) >> 26)) >> 27
+        new = (cum <= t[:, None]).sum(axis=1)
+        new_idx = (u[start:end, 2::2].T * rows[np.minimum(new, c - 1), np.arange(end - start)]
+                   ).astype(np.int64)
+        T2 = T.astype(np.float64) ** 2
+        Fs = Fa.astype(np.float64)
+        L = (Fs[:c] * Fs[1:]) @ rows
+        sure = u[start:end, 0] * (T2 - Fs[:c] ** 2 @ rows + L) - L > 1e-9 * (T2 + L)
+        special = ~sure | ((new[0] == new[1]) & (new_idx[0] == new_idx[1]))
+        s = start + int(np.argmax(special)) if special.any() else end
+        changed = (new != k[:, start:end]).any(axis=0)
+        # the steps before `final` are final: those before the first changed
+        # class, and that one, whose sizes came from final steps
+        final = start + int(np.argmax(changed)) + 1 if changed.any() else end
+        top = new.max(axis=0) >= c - 1
+        p = start + int(np.argmax(top)) if top.any() else end
+        if p < s and p < final:
+            # follow the last round's classes again, with one more class
+            N = np.concatenate((N, np.zeros((1, b), np.int64)))
+            c += 1
+            F.extend([F[-1]] * (c + 1 - len(F)))
+            follow(start, end)
+            continue
+        k[:, start:end], idx[:, start:end] = new, new_idx
+        if s < final or final == b:
+            return s, N[:, :s + 1], k, idx
+        # draw again from the first step not final, up to the first special
+        # step, or to the end of the batch once every step to `end` is final
+        start, end = final, b if final == end else min(s + 1, end)
+        follow(start - 1, end)
+
+
+def _class_slots(sizes: Sequence[int], F: list[int], n: int, rng: random.Random) -> tuple[int, int]:
+    """One general-f multigraph step made by _DegreeClassEngine.sample
+    itself, over classes of the given sizes whose members are slot codes:
+    member j of class k is k n + j.  Raises its ProcessExhausted."""
+    engine = _DegreeClassEngine.__new__(_DegreeClassEngine)
+    engine.simple = False
+    engine.members = [range(k * n, k * n + c) for k, c in enumerate(sizes)]
+    engine.F = F
+    engine._weigh()
+    return engine.sample(rng)
+
+
+def _class_moves(flat: np.ndarray, sizes: np.ndarray, n: int, steps: np.ndarray,
+                 loop: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The endpoints of a batch of general-f multigraph steps, and the class
+    lists after them.
+
+    Class k lists flat[off[k]:off[k] + sizes[k]], off the sizes' running
+    sum; the slot code of its member j is k n + j.  Row i of steps holds
+    step i's classes and member indices kv, jv, kw, jw and the sizes of
+    classes kv, kv + 1, kw and kw + 1 before it; with `loop`, the last
+    step is a loop, whose w is v and whose w slot is where v's first move
+    puts it.  _DegreeClassEngine.sync moves v, then w, up one class each:
+    it pops the last member of the class into the freed slot (w's slot is
+    then v's, when w was that last member) and appends the vertex to the
+    next class.  So a step reads four slots (v, w and the two last
+    members) and writes four, in this order.  Each read is sent to the
+    read that the latest write to its slot before it moved (one argsort by
+    slot, then time), and pointer doubling (_roots) ends every chain at a
+    read of a slot's starting content.
+    """
+    kv, jv, kw, jw, nv, nv1, nw, nw1 = steps.T
+    same = kw == kv
+    slot = np.stack((kv * n + jv, kw * n + jw, kv * n + nv - 1,
+                     kv * n + jv, (kv + 1) * n + nv1,
+                     kw * n + nw - 1 - same + (kw == kv + 1),
+                     kw * n + np.where(same & (jw == nv - 1), jv, jw),
+                     (kw + 1) * n + nw1 - (kw + 1 == kv) + same), axis=1).ravel()
+    write = np.tile(np.array([0, 0, 0, 1, 1, 0, 1, 1], bool), len(steps))
+    # a write moves the read before it: v's last member, v, w's last, w
+    src = np.arange(len(slot))
+    src[write] = (8 * np.arange(len(steps))[:, None] + np.array([2, 0, 5, 1])).ravel()
+    if slot.max() < (1 << 63) // len(slot):
+        order = np.argsort(slot * len(slot) + np.arange(len(slot)))
+    else:
+        order = np.argsort(slot, kind="stable")
+    ranked = slot[order]
+    latest = np.maximum.accumulate(np.where(write[order], np.arange(len(order)), -1))
+    hit = ~write[order] & (latest >= 0)
+    hit[hit] = ranked[latest[hit]] == ranked[hit]
+    src[order[hit]] = src[order[latest[hit]]]
+    if loop:
+        src[-7] = len(src) - 8
+    # the last write to each slot, at the end of the slot's run
+    end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    last = latest[end]
+    last = order[last[(last >= 0) & (ranked[last] == ranked[end])]]
+    del order, ranked, latest, hit
+    at = _roots(src)[np.concatenate((np.arange(2 * len(steps)) // 2 * 8 + np.tile([0, 1], len(steps)),
+                                     last))]
+    off = np.cumsum(sizes) - sizes
+    vertex = flat[off[slot[at] // n] + slot[at] % n]
+    # the new lists: each class keeps the start of its old one, and its
+    # written slots take their last writes' vertices
+    moved = steps[:, [0, 2]].ravel()
+    new = np.bincount(moved + 1, minlength=len(sizes) + 1)
+    new[:len(sizes)] += sizes
+    new -= np.bincount(moved, minlength=len(new))
+    new = new[:np.flatnonzero(new)[-1] + 1]
+    new_off = np.cumsum(new) - new
+    out = np.empty(n, np.int64)
+    for o, no, keep in zip(off.tolist(), new_off.tolist(), np.minimum(sizes, new[:len(sizes)]).tolist()):
+        out[no:no + keep] = flat[o:o + keep]
+    k, j = np.divmod(slot[last], n)
+    kept = j < new[k]
+    out[new_off[k[kept]] + j[kept]] = vertex[2 * len(steps):][kept]
+    return vertex[:2 * len(steps)], out, new
+
+
+def _run_classes(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """The general-f multigraph rule in numpy batches of five draws per
+    step (_class_draws), whose moves _class_moves applies to the class
+    lists, kept in one array of the n vertices.  A batch ends at its first
+    special step, which _class_slots then makes with its own draws and
+    which is applied with the batch; a run steps on (_step_on) from a
+    batch that keeps fewer than _HANDOVER steps before its special one.
+    A batch holds at most _OUTCOME_CHUNK / 2 steps, twice the steps the
+    last one kept, and n / (classes + 1) steps or _HANDOVER, the larger,
+    so that its class sizes take about n entries.
+    """
+    n, m_max = cfg.n, cfg.m_max
+    F = _scaled(cfg.weight_rule.table)
+    sizes = np.array([n])  # class k's members are flat[off[k]:off[k] + sizes[k]]
+    flat = np.arange(n)
+    ends = np.empty(2 * m_max, np.int64)
+    j = 0
+    b = _OUTCOME_CHUNK
+    while j < m_max:
+        b = min(_OUTCOME_CHUNK // 2, b, m_max - j, max(_HANDOVER, n // (len(sizes) + 1)))
+        saved = rng.getstate()
+        s, N, k, idx = _class_draws(sizes, F, _mt_uniforms(rng, 5 * b).reshape(b, 5))
+        r = np.arange(s)
+        kv, kw = k[:, :s]
+        steps = np.stack((kv, idx[0, :s], kw, idx[1, :s],
+                          N[kv, r], N[kv + 1, r], N[kw, r], N[kw + 1, r]), axis=1)
+        loop, reason = False, None
+        if s < b:
+            _rewind(rng, saved, 5 * s)
+            if s >= _HANDOVER:
+                size = N[:, s].tolist() + [0, 0]
+                try:
+                    x, y = _class_slots(size, F, n, rng)
+                except ProcessExhausted as exc:
+                    reason = str(exc)
+                else:
+                    (a, ja), (c, jc) = divmod(x, n), divmod(y, n)
+                    loop = x == y
+                    if loop:
+                        c, jc = a + 1, size[a + 1]
+                    steps = np.vstack((steps, [[a, ja, c, jc, size[a], size[a + 1], size[c], size[c + 1]]]))
+        if len(steps):
+            ends[2 * j:2 * (j + len(steps))], flat, sizes = _class_moves(flat, sizes, n, steps, loop)
+            j += len(steps)
+        if reason is not None:
+            return ends[:2 * j], j, reason
+        if s < min(b, _HANDOVER):
+            off = np.cumsum(sizes) - sizes
+            return _step_on(cfg, rng, ends, j, None,
+                            [flat[o:o + c].tolist() for o, c in zip(off.tolist(), sizes.tolist())])
+        # the next batch holds twice the steps this one kept
+        b = 2 * (s + 1)
+    return ends, j, None
+
+
+def _step_on(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, j: int,
+             keys: set[int] | None, state) -> Run:
+    """A bulk run that steps on (_run_stepped) from its first j edges,
+    ends[:2j], with the pair keys of a simple run and the engine state
+    handed over, filling ends in place to the edge count reached."""
+    if isinstance(cfg.weight_rule, LinearAlpha):
+        # the urn engine copies earlier endpoints: one int object per
+        # vertex, shared by its endpoints, is under half the memory of a
+        # list of fresh ints
+        prefix = np.arange(cfg.n, dtype=object)[ends[:2 * j]].tolist()
+    else:
+        # the other engines read the edge count alone
+        prefix = [0] * (2 * j)
+    tail, m, reason = _run_stepped(cfg, rng, _RunGraph(cfg.n, prefix, keys), state)
     # the accepted endpoints stay an array: only the stepped tail is converted
     ends[2 * j:2 * m] = tail[2 * j:]
     return ends[:2 * m], m, reason
 
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
-    """The runner of cfg: the bulk runner of the linear-alpha and r-stub
-    rules when rng is a plain random.Random, whose random() numpy
-    reproduces, and stepping otherwise."""
+    """The runner of cfg: when rng is a plain random.Random, whose random()
+    numpy reproduces, the bulk runner of the linear-alpha and r-stub rules
+    and of general-f multigraph runs of at least _HANDOVER steps whose
+    class masses stay below 2^36 (n max F), and stepping otherwise."""
     rule = cfg.weight_rule
-    if type(rng) is not random.Random or isinstance(rule, GeneralF):
+    if type(rng) is not random.Random:
+        return _run_stepped
+    if isinstance(rule, GeneralF):
+        if (cfg.mode == "multigraph" and cfg.m_max >= _HANDOVER
+                and cfg.n * max(_scaled(rule.table)) < 2 ** 36):
+            return _run_classes
         return _run_stepped
     if isinstance(rule, NegativeInteger):
         return _run_stub
@@ -918,7 +1197,12 @@ def _count_outcomes(ends: np.ndarray, n: int, out: Counter) -> None:
     to out, in the order of first appearance, as stepping would."""
     runs, k = ends.shape
     v, w = ends[:, 0::2], ends[:, 1::2]
-    pairs = np.sort(np.minimum(v, w) * n + np.maximum(v, w), axis=1)
+    pairs = np.minimum(v, w) * n + np.maximum(v, w)
+    if k == 4:
+        a, b = pairs.T
+        pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+    else:
+        pairs.sort(axis=1)
     if (n * n) ** (k // 2) < 2 ** 63:
         code = np.zeros(runs, np.int64)
         for j in range(k // 2):

@@ -106,10 +106,11 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
 
 def _spy_on_batches(monkeypatch) -> list:
     """The sizes of the numpy batches of the bulk paths, as they are made:
-    the speculative batches of linear-alpha simple runs, and the proposals
-    read at once off an r-stub run's shuffled stubs."""
+    the speculative batches of linear-alpha simple runs, the proposals
+    read at once off an r-stub run's shuffled stubs, and the steps of a
+    general-f multigraph batch."""
     sizes = []
-    speculate, stub_batch = P._speculate, P._stub_batch
+    speculate, stub_batch, class_draws = P._speculate, P._stub_batch, P._class_draws
 
     def counting(rng, stop, batch):
         def spied(j, u):
@@ -121,8 +122,13 @@ def _spy_on_batches(monkeypatch) -> list:
         sizes.append(b)
         return stub_batch(stubs, s, b, n, keys, out)
 
+    def class_counting(class_sizes, F, u):
+        sizes.append(len(u))
+        return class_draws(class_sizes, F, u)
+
     monkeypatch.setattr(P, "_speculate", counting)
     monkeypatch.setattr(P, "_stub_batch", stub_counting)
+    monkeypatch.setattr(P, "_class_draws", class_counting)
     return sizes
 
 
@@ -1033,6 +1039,98 @@ def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed)
             assert g.deg[w] == drawn_class(f, draws[-2])
         g.add_edge(v, w, mode == "multigraph")
         engine.sync(v, w)
+
+
+@pytest.mark.parametrize("table, n, m_max, path", [
+    # f(d) = d + 1 below degree 32, as in the benchmark, and a capped table
+    # with a zero entry
+    (tuple(range(1, 33)), 2000, 1000, "batched"),
+    ((3, 2, 1, 0), 1000, 1400, "batched"),
+    # loop-heavy tables: a run of short batches, or none at all
+    ((0.5, 3, 1, 7.25), 1000, 3000, "handed over"),
+    ((1, 1e3), 500, 400, "handed over"),
+    # every vertex saturates at degree 2: all weights vanish at m = 200
+    ((1, 1, 0), 200, 300, "handed over"),
+    # 0.1 brings a denominator of 2^55: the class masses leave int64
+    ((0.1, 1), 1000, 500, "stepped"),
+    # m_max on either side of _HANDOVER
+    ((1, 2), 1000, 63, "stepped"),
+    ((1, 2), 1000, 64, "batched"),
+])
+def test_bulk_general_f_run_matches_stepping(monkeypatch, table, n, m_max, path):
+    # the bulk runner's edges, records, exhaustion and rng state are
+    # stepping's own, and a run steps on from a short batch
+    batches = _spy_on_batches(monkeypatch)
+    built = _spy_on_handovers(monkeypatch)
+    rule = P.GeneralF(tuple(float(x) for x in table))
+    for cps in ((), (0, m_max // 2, m_max), tuple(range(0, m_max + 1, max(1, m_max // 20)))):
+        cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m_max, checkpoints=cps)
+        seed = f"general-f:{table[:4]}:{n}:{m_max}"
+        bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+        bulk = _outcome(P.run_process, cfg, bulk_rng)
+        assert bulk == _outcome(P.run_process, cfg, step_rng), cps
+        assert bulk_rng.getstate() == step_rng.getstate(), cps
+    assert (bool(batches), bool(built)) == {"stepped": (False, False), "batched": (True, False),
+                                            "handed over": (True, True)}[path]
+    if table == (1, 1, 0):
+        assert bulk[:3] == ("exhausted", "all step weights are zero", 200)
+
+
+def test_bulk_general_f_run_exhausts_where_stepping_does(monkeypatch):
+    # f = (2, 1, 0) saturates every vertex at degree 2; this run reaches its
+    # last edge in a batch, and the special step after it finds no weight
+    specials = []
+    class_slots = P._class_slots
+
+    def spied(sizes, F, n, rng):
+        try:
+            return class_slots(sizes, F, n, rng)
+        except P.ProcessExhausted as exc:
+            specials.append(str(exc))
+            raise
+
+    monkeypatch.setattr(P, "_class_slots", spied)
+    built = _spy_on_handovers(monkeypatch)
+    cfg = P.ProcessConfig(n=3000, weight_rule=P.GeneralF((2.0, 1.0, 0.0)), m_max=3100,
+                          checkpoints=(1000, 3000, 3100))
+    bulk_rng, step_rng = random.Random(13), _SteppedRandom(13)
+    bulk = _outcome(P.run_process, cfg, bulk_rng)
+    assert specials == ["all step weights are zero"] and not built
+    assert bulk[:3] == ("exhausted", "all step weights are zero", 3000)
+    assert bulk == _outcome(P.run_process, cfg, step_rng)
+    assert bulk_rng.getstate() == step_rng.getstate()
+
+
+def test_bulk_general_f_leaves_branch_draws_near_the_loop_mass_to_integers():
+    # a branch draw within float round-off of the loop mass is a special
+    # step, which _DegreeClassEngine.sample decides in integers: loop iff
+    # U S < L 2^53 for the draw U / 2^53 and step weight S
+    n, F = 1000, P._scaled((1.0, 2.0))
+    T, Q, L = n * F[0], n * F[0] ** 2, n * F[0] * F[1]
+    S = T * T - Q + L
+    last_loop = -(-L * 2 ** 53 // S) - 1
+    for U, loop in ((last_loop, True), (last_loop + 1, False)):
+        u = np.tile([0.99, 0.5, 0.25, 0.5, 0.75], (100, 1))
+        u[0, 0] = U / 2 ** 53
+        s, N, _, _ = P._class_draws(np.array([n]), list(F), u)
+        assert s == 0 and N[:, 0].tolist() == [n, 0]
+        v, w = P._class_slots([n, 0, 0], list(F), n, SimpleNamespace(random=iter(u[0]).__next__))
+        assert (v == w) == loop
+
+
+def test_bulk_general_f_run_matches_stepping_at_scale(monkeypatch):
+    # the benchmark's general-f spec: f(d) = d + 1 below degree 32, n = 10^5,
+    # to m = n / 2, in batches with no hand-over
+    batches = _spy_on_batches(monkeypatch)
+    built = _spy_on_handovers(monkeypatch)
+    n = 100_000
+    cfg = P.ProcessConfig(n=n, weight_rule=P.GeneralF(tuple(float(d + 1) for d in range(32))),
+                          m_max=n // 2, checkpoints=(n // 4, n // 2))
+    bulk_rng, step_rng = random.Random("general-f-scale"), _SteppedRandom("general-f-scale")
+    bulk = _outcome(P.run_process, cfg, bulk_rng)
+    assert batches and not built
+    assert bulk == _outcome(P.run_process, cfg, step_rng)
+    assert bulk_rng.getstate() == step_rng.getstate()
 
 
 def test_general_f_rejects_bad_tables():
