@@ -39,7 +39,10 @@ other run steps its engine with no union-find
 and, in simple mode, the set of its pair keys.  numpy's MT19937 draws
 the very same doubles as CPython's random once it holds the same state,
 so the draws of many steps come out of one numpy call and the advanced
-state is handed back to rng (_mt_uniforms).
+state is handed back to rng (_mt_uniforms).  The state is handed over as
+the words of numpy's state struct, its 624 key words and then pos,
+written and read through a view of that struct (_mt19937), since
+numpy's `state` dict costs more than a small draw.
 
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
@@ -72,8 +75,12 @@ rng.random() calls and an r-stub multigraph run only its shuffle's rn, so
 a chunk of such runs is one numpy draw (_urn_endpoints; for r stubs, one
 argsort per row, and a chunk whose draws hold a tie goes run by run).
 Linear-alpha simple runs read a chunk of four-draw proposals: the run that
-would start at each proposal is resolved for all of them at once, and the
-runs from the first proposal on follow one another (_urn_simple_chunk).
+would start at each proposal is resolved for all of them at once, one lane
+per run, each endpoint by one gather from a table of the lane's own
+endpoints, and the runs from the first proposal on follow one another,
+found by pointer doubling (_urn_simple_chunk).  The proposals a chunk
+leaves unused open the next chunk, and rng is set back once, at the end,
+to just after the last run's proposals (_urn_simple_rows).
 Every other run is made by _runner's runner and stacked (_rows).  The
 float operations are the step engines' own, so the outcome counts, their
 order of first appearance and the final rng state equal stepping.
@@ -90,10 +97,12 @@ endpoint list and its degree list in place.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import functools
 import itertools
 import math
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -589,10 +598,17 @@ def _degree_pairs(deg: np.ndarray | Sequence[int]) -> tuple[tuple[int, int], ...
 
 
 @functools.cache
-def _mt19937() -> np.random.Generator:
-    """One numpy MT19937 per process; _mt_uniforms overwrites its state on
-    every use, so it never carries anything from one call to the next."""
-    return np.random.Generator(np.random.MT19937(0))
+def _mt19937() -> tuple[np.random.Generator, ctypes.Array]:
+    """One numpy MT19937 per process, and a ctypes view of its state
+    struct: 625 uint32 words, the 624 of the key and then pos.
+    _mt_uniforms overwrites that state on every use, so it never carries
+    anything from one call to the next."""
+    gen = np.random.Generator(np.random.MT19937(0))
+    return gen, (ctypes.c_uint32 * 625).from_address(gen.bit_generator.ctypes.state_address)
+
+
+# rng.getstate()'s 625 state words, packed as the struct holds them
+_MT_WORDS = struct.Struct("625I")
 
 
 def _mt_uniforms(rng: random.Random, k: int) -> np.ndarray:
@@ -601,17 +617,17 @@ def _mt_uniforms(rng: random.Random, k: int) -> np.ndarray:
 
     Both generators are MT19937 and both build a double from two 32-bit
     outputs as ((a >> 5) * 2^26 + (b >> 6)) / 2^53, so with rng's state
-    copied in, numpy draws the same values and leaves the same state.
+    copied in, numpy draws the same values and leaves the same state.  The
+    state words go straight in and out of numpy's state struct (_mt19937),
+    which skips the dict that numpy's `state` property builds and parses.
     """
     version, internal, gauss = rng.getstate()
-    gen = _mt19937()
-    bitgen = gen.bit_generator
-    with bitgen.lock:
-        bitgen.state = {"bit_generator": "MT19937",
-                        "state": {"key": np.fromiter(internal, np.uint32, 624), "pos": internal[624]}}
+    gen, words = _mt19937()
+    with gen.bit_generator.lock:
+        _MT_WORDS.pack_into(words, 0, *internal)
         u = gen.random(k)
-        state = bitgen.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss))
+        internal = _MT_WORDS.unpack_from(words)
+    rng.setstate((version, internal, gauss))
     return u
 
 
@@ -1152,13 +1168,15 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
     """The runner of cfg: when rng is a plain random.Random, whose random()
     numpy reproduces, the bulk runner of the linear-alpha and r-stub rules
     and of general-f multigraph runs of at least _HANDOVER steps whose
-    class masses stay below 2^36 (n max F), and stepping otherwise."""
+    class masses start positive (f(0) > 0) and stay below 2^36 (n max F),
+    and stepping otherwise, which ends an f(0) = 0 run before any draw."""
     rule = cfg.weight_rule
     if type(rng) is not random.Random:
         return _run_stepped
     if isinstance(rule, GeneralF):
+        F = _scaled(rule.table)
         if (cfg.mode == "multigraph" and cfg.m_max >= _HANDOVER
-                and cfg.n * max(_scaled(rule.table)) < 2 ** 36):
+                and 0 < F[0] and cfg.n * max(F) < 2 ** 36):
             return _run_classes
         return _run_stepped
     if isinstance(rule, NegativeInteger):
@@ -1225,54 +1243,63 @@ def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,
     The run that would start at each proposal is worked out, all at once.
     At step 0 both endpoints are fresh (t = an), so that run's first edge
     is the next proposal with two distinct vertices, and runs are kept by
-    that proposal.  Step j searches on from each run's last edge, past
-    loops and repeats of the run's own accepted pairs, while the runs it
-    would leave the chunk with drop out.  The runs from proposal 0 on then
-    follow one another.
+    that proposal, one lane each.  At step j each proposal endpoint is a
+    symbol: its vertex if fresh, else n + 2 plus the endpoint it copies.  A
+    lane owns a table of the symbols' values, the numbers 0..n + 1 and
+    then its own endpoints, so one gather resolves an endpoint.  Each lane
+    searches on from its last edge, past loops and repeats of its own
+    pairs, to a sentinel proposal after the last one: the pair (n, n + 1),
+    which ends a lane that would leave the chunk.  The runs from proposal 0
+    on then follow one another, found by pointer doubling.
     """
     rows = len(u)
     # row 0 of each: the first endpoint of every proposal, row 1 the second
     ua, ub = u[:, 0::2].T, u[:, 1::2].T
     vertex = _urn_pick(n, an, 0.0, ua, ub)[1]
     starts = np.flatnonzero(vertex[0] != vertex[1])
-    width = 2 * m
-    ends = np.empty((len(starts), width), np.int64)
-    v, w = vertex[0, starts], vertex[1, starts]
-    ends[:, 0], ends[:, 1] = v, w
-    keys = np.empty((m, len(starts)), np.int64)
-    keys[0] = np.minimum(v, w) * n + np.maximum(v, w)
+    lanes, base, width = len(starts), n + 2, n + 2 + 2 * m
+    table = np.empty((lanes, width), np.int64)
+    table[:, :base] = np.arange(base)
+    table[:, base:base + 2] = vertex[:, starts].T
+    flat = table.reshape(-1)
+    # a lane's pairs as min * width + max, one row per step
+    keys = np.empty((m, lanes), np.int64)
+    v, w = vertex[:, starts]
+    keys[0] = np.minimum(v, w) * width + np.maximum(v, w)
     nxt = starts + 1
-    alive = np.ones(len(starts), bool)
-    flat = ends.reshape(-1)
     for j in range(1, m):
         fresh, vertex, source = _urn_pick(n, an, 2.0 * j, ua, ub)
-        runs = np.flatnonzero(alive)
-        at = nxt[runs]
-        while len(runs):
-            fits = at < rows
-            if not fits.all():
-                alive[runs[~fits]] = False
-                runs, at = runs[fits], at[fits]
-            base = runs * width
-            v = np.where(fresh[0, at], vertex[0, at], flat[base + source[0, at]])
-            w = np.where(fresh[1, at], vertex[1, at], flat[base + source[1, at]])
-            key = np.minimum(v, w) * n + np.maximum(v, w)
-            ok = v != w
+        sv, sw = np.append(np.where(fresh, vertex, base + source), [[n], [n + 1]], axis=1)
+        live = lane = np.flatnonzero(nxt <= rows)
+        if not len(live):
+            break
+        at = nxt[lane]
+        while len(lane):
+            row = lane * width
+            v, w = flat[row + sv[at]], flat[row + sw[at]]
+            key = np.minimum(v, w) * width + np.maximum(v, w)
+            bad = v == w
             for c in range(j):
-                ok &= keys[c, runs] != key
-            flat[base[ok] + 2 * j] = v[ok]
-            flat[base[ok] + 2 * j + 1] = w[ok]
-            keys[j, runs[ok]] = key[ok]
-            nxt[runs[ok]] = at[ok] + 1
-            runs, at = runs[~ok], at[~ok] + 1
-    following = np.searchsorted(starts, nxt).tolist()
-    alive = alive.tolist()
-    chain: list[int] = []
-    i = 0
-    while len(chain) < want and i < len(alive) and alive[i]:
-        chain.append(i)
-        i = following[i]
-    return ends[chain], int(nxt[chain[-1]]) if chain else 0
+                bad |= keys[c, lane] == key
+            at += 1
+            nxt[lane] = at
+            again = np.flatnonzero(bad)
+            lane, at = lane[again], at[again]
+        row, at = live * width, nxt[live] - 1
+        v, w = flat[row + sv[at]], flat[row + sw[at]]
+        table[live, base + 2 * j] = v
+        table[live, base + 2 * j + 1] = w
+        keys[j, live] = np.minimum(v, w) * width + np.maximum(v, w)
+    # run i is followed by the run at the first start past its last
+    # proposal; a run that left the chunk ends the chain at `lanes`
+    alive = np.append(nxt <= rows, False)
+    step = np.append(np.where(alive[:-1], np.searchsorted(starts, nxt), lanes), lanes)
+    chain = np.zeros(1, np.int64)
+    while len(chain) < want and chain[-1] < lanes:
+        chain = np.append(chain, step[chain])
+        step = step[step]
+    chain = chain[:np.count_nonzero(alive[chain[:want]])]
+    return table[chain, base:], int(nxt[chain[-1]]) if len(chain) else 0
 
 
 def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
@@ -1303,36 +1330,44 @@ def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
 
 def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Iterator[np.ndarray]:
     """The endpoint rows of `runs` linear-alpha simple runs of 1 <= m_max <=
-    n(n-1)/2 edges, in chunks of proposals: each chunk is drawn at once, and
-    rng is then set to just after the proposals its runs used.  A chunk that
-    holds no whole run is drawn again twice as long, and a run longer than
-    the longest chunk is made on its own by the rule's runner."""
+    n(n-1)/2 edges, in chunks of proposals.  The proposals a chunk's runs
+    leave unused are carried to the head of the next chunk, which draws at
+    least as many new ones: the first run they start left the chunk, so
+    they hold no whole run.  So a chunk that holds no whole run is followed
+    by one at least twice as long, and a run longer than the longest chunk
+    is made on its own by the rule's runner.  rng is set back to just after
+    the used proposals once, at the end, or before such a run."""
     n, m = cfg.n, cfg.m_max
     an = cfg.weight_rule.alpha * n
-    # so no step of a chunk can reach the rejection cap
-    longest = min(_OUTCOME_CHUNK, _REJECTION_CAP)
+    # chunks of about this many proposals (a few times it at most) reach no
+    # step's rejection cap and keep their lane tables, n + 2 + 2m numbers
+    # each and a lane at most per proposal, to a few MB
+    longest = min(_OUTCOME_CHUNK, _REJECTION_CAP, 64 * _OUTCOME_CHUNK // (n + 2 + 2 * m))
     done = used_total = 0
-    grow = 1
+    carried = np.empty((0, 4))
+    # the first unused proposal is `ahead` draws past `state`
+    state, ahead = rng.getstate(), 0
     while done < runs:
         # 5% over the proposals per run so far, for the runs left
-        per_run = used_total / done if done else m
-        size = min(grow * math.ceil(1.05 * per_run * (runs - done)), longest)
-        saved = rng.getstate()
-        ends, used = _urn_simple_chunk(n, an, m, _mt_uniforms(rng, 4 * size).reshape(size, 4),
-                                       runs - done)
-        if used < size:
-            _rewind(rng, saved, 4 * used)
+        per_run = used_total / done if used_total else m
+        size = min(math.ceil(1.05 * per_run * (runs - done)), longest)
+        drawn, c = rng.getstate(), len(carried)
+        u = np.concatenate((carried, _mt_uniforms(rng, 4 * max(size - c, c)).reshape(-1, 4)))
+        ends, used = _urn_simple_chunk(n, an, m, u, runs - done)
+        carried = u[used:]
         if not used:
-            if size < longest:
-                grow *= 2
-            else:
+            if len(u) >= longest:
+                _rewind(rng, state, ahead)
                 yield _rows(cfg, 1, rng, _run_urn_simple)
                 done += 1
+                carried = carried[:0]
+                state, ahead = rng.getstate(), 0
             continue
-        grow = 1
+        state, ahead = drawn, 4 * (used - c)
         yield ends
         done += len(ends)
         used_total += used
+    _rewind(rng, state, ahead)
 
 
 def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -> Counter:

@@ -323,6 +323,21 @@ def test_numpy_draws_continue_the_python_stream():
     assert rng.random() == ref.random()
 
 
+def test_mt_state_view_is_numpys_state_struct():
+    # _mt_uniforms hands the state over through a view of numpy's MT19937
+    # struct, assumed to be 625 uint32 words: the 624 of the key, then pos
+    gen, words = P._mt19937()
+    key = np.random.default_rng(7).integers(0, 2 ** 32, 624, dtype=np.uint32).tolist()
+    with gen.bit_generator.lock:
+        words[:624], words[624] = key, 17
+        state = gen.bit_generator.state["state"]
+        assert state["key"].tolist() == key and state["pos"] == 17
+        # and numpy's own setter writes where the view reads
+        gen.bit_generator.state = {"bit_generator": "MT19937",
+                                   "state": {"key": np.array(key[::-1], np.uint32), "pos": 3}}
+        assert words[:] == [*key[::-1], 3]
+
+
 @pytest.mark.parametrize("rule", [P.LinearAlpha(0.5), P.LinearAlpha(1.0), P.LinearAlpha(2.0),
                                   P.LinearAlpha(1e6), P.NegativeInteger(3), P.NegativeInteger(4),
                                   P.GeneralF((1.0, 2.0, 0.5))],
@@ -373,6 +388,76 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
         # a chunk that holds no whole run is drawn again, twice as long
         assert any(used == 0 and grown == 2 * size
                    for (size, used), (grown, _) in zip(chunks, chunks[1:]))
+
+
+def _spy_on_draws(monkeypatch) -> list:
+    """The numpy draws and linear-alpha simple outcome chunks, in order:
+    ("draw", k) for an _mt_uniforms call of k draws, and ("chunk",
+    proposals, used) for a chunk."""
+    events = []
+    mt_uniforms, chunk = P._mt_uniforms, P._urn_simple_chunk
+
+    def drawing(rng, k):
+        events.append(("draw", k))
+        return mt_uniforms(rng, k)
+
+    def chunking(n, an, m, u, want):
+        ends, used = chunk(n, an, m, u, want)
+        events.append(("chunk", len(u), used))
+        return ends, used
+
+    monkeypatch.setattr(P, "_mt_uniforms", drawing)
+    monkeypatch.setattr(P, "_urn_simple_chunk", chunking)
+    return events
+
+
+@pytest.mark.parametrize("n, m, alpha, runs", [(3, 2, 0.5, 20_000), (3, 2, 2.0, 20_000),
+                                                (5000, 2, 1.0, 300)])
+def test_simple_outcome_chunks_draw_once_each(monkeypatch, n, m, alpha, runs):
+    # a chunk carries the proposals the last one left unused and draws only
+    # the rest; rng is rewound once, at the end.  At n = 5000 the lane
+    # tables, n + 2 + 2m numbers each, make the chunks shorter
+    events = _spy_on_draws(monkeypatch)
+    cfg = lin_cfg(n, alpha, "simple", m)
+    seed = f"chunk-draws:{n}:{alpha}"
+    batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+    batched = _counts(cfg, runs, batched_rng)
+    chunks = [e for e in events if e[0] == "chunk"]
+    draws = [e for e in events if e[0] == "draw"]
+    assert len(chunks) > 2 and len(draws) <= len(chunks) + 1
+    assert max(size for _, size, _ in chunks) * (n + 2 + 2 * m) <= 2 * 64 * P._OUTCOME_CHUNK
+    assert batched == _counts(cfg, runs, stepped_rng)
+    assert batched_rng.getstate() == stepped_rng.getstate()
+
+
+def test_simple_outcome_chunk_of_carried_proposals(monkeypatch):
+    # the first chunk makes one of two runs from 2 of its 5 proposals, so
+    # the last chunk's estimate, 1.05 x 2 proposals for the run left, is
+    # within the 3 it carries; they hold no whole run (their first run
+    # left the first chunk), so it draws as many again, and its run and
+    # the state rng is set back to are stepping's own
+    events = _spy_on_draws(monkeypatch)
+    cfg = lin_cfg(3, 0.5, "simple", 2)
+    batched_rng, stepped_rng = random.Random("carried:5"), _SteppedRandom("carried:5")
+    batched = _counts(cfg, 2, batched_rng)
+    assert events[:4] == [("draw", 20), ("chunk", 5, 2), ("draw", 12), ("chunk", 6, 6)]
+    assert batched == _counts(cfg, 2, stepped_rng)
+    assert batched_rng.getstate() == stepped_rng.getstate()
+
+
+def test_simple_outcomes_of_runs_longer_than_any_chunk(monkeypatch):
+    # at n = 60 a chunk's lane tables leave room for fewer proposals than a
+    # run of 1500 edges needs, so every run is made on its own, and the
+    # runs after the first are still sized from the chunks' proposals
+    events = _spy_on_draws(monkeypatch)
+    cfg = lin_cfg(60, 1.0, "simple", 1500)
+    batched_rng, stepped_rng = random.Random("longer"), _SteppedRandom("longer")
+    batched = _counts(cfg, 3, batched_rng)
+    chunks = [e for e in events if e[0] == "chunk"]
+    assert sum(count for _, count in batched) == 3
+    assert chunks and all(used == 0 for _, _, used in chunks)
+    assert batched == _counts(cfg, 3, stepped_rng)
+    assert batched_rng.getstate() == stepped_rng.getstate()
 
 
 def _counts(cfg, runs, rng):
@@ -1099,6 +1184,21 @@ def test_bulk_general_f_run_exhausts_where_stepping_does(monkeypatch):
     assert bulk[:3] == ("exhausted", "all step weights are zero", 3000)
     assert bulk == _outcome(P.run_process, cfg, step_rng)
     assert bulk_rng.getstate() == step_rng.getstate()
+
+
+def test_general_f_run_with_zero_start_mass_draws_nothing(monkeypatch):
+    # with f(0) = 0 every step weight of the empty graph is zero: the run
+    # steps, and ends before any draw, with stepping's message and state
+    draws = _spy_on_draws(monkeypatch)
+    cfg = P.ProcessConfig(n=300, weight_rule=P.GeneralF((0.0, 1.0, 2.0)), m_max=300,
+                          checkpoints=(0, 300))
+    bulk_rng, step_rng = random.Random(3), _SteppedRandom(3)
+    before = bulk_rng.getstate()
+    bulk = _outcome(P.run_process, cfg, bulk_rng)
+    assert bulk[:3] == ("exhausted", "all step weights are zero", 0)
+    assert bulk == _outcome(P.run_process, cfg, step_rng)
+    assert bulk_rng.getstate() == step_rng.getstate() == before
+    assert not draws
 
 
 def test_bulk_general_f_leaves_branch_draws_near_the_loop_mass_to_integers():
