@@ -645,6 +645,12 @@ def _parse_alpha(text: str) -> float:
     return float(text)
 
 
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pagiant",
                                      description="Fixed-vertex preferential attachment laboratory")
@@ -653,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a spec file of Monte Carlo replicates")
     sim.add_argument("--spec", required=True)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sim.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     sim.add_argument("--out", default=".")
     sim.add_argument("--checkpoints-rel", action="store_true",
                      help="interpret spec checkpoints as multiples of m_c")
@@ -668,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="simulate along a parameter grid")
     swp.add_argument("--spec", required=True)
     swp.add_argument("--out", required=True)
-    swp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    swp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
 
     ver = sub.add_parser("verify", help="run the oracle and consistency suites")
     ver.add_argument("--level", choices=("quick", "full"), default="quick")

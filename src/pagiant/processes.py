@@ -46,27 +46,27 @@ numpy's `state` dict costs more than a small draw.
 
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
-_UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints).  The
-linear-alpha simple rule runs in speculative batches (_speculate) that
-resolve their proposals as if every one were accepted and keep the prefix
-before the first rejection, exactly what stepping accepts; the driver
-sizes the batches, hands a dense run over to stepping, on a _RunGraph of
-the endpoints and pair keys it accepted, and leaves rng where stepping
-takes over.  The r-stub rule is one uniform stub matching revealed pair by
-pair: its free stubs are shuffled once, as the order of rn draws
-(_shuffled_stubs), and each step proposes the last two.  So a multigraph
-run is the shuffled list read backwards in pairs, and a simple run reads
-it in numpy batches up to each loop or repeated pair (_stub_batch), whose
-step _stub_proposals makes as stepping does, until a short batch or the
-exact endgame hands it over.  A general-f multigraph run reads five
-draws per step in numpy batches: its degree classes are drawn in exact
-integers, round by round, from the class sizes the last round's classes
-imply (_class_draws), and the vertices they move are found by sorting the
-class slots the steps read and write (_class_moves).  A batch ends at its
-first possible loop or repeated vertex, which _DegreeClassEngine.sample
-makes (_class_slots), and a short batch hands the run over.  Either way
-the edges, records, exhaustion, rejection cap and final rng state are
-stepping's own.
+_UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints).
+The other bulk runs go through one driver, _batches, in numpy batches.
+A rule's batch makes the steps of its draws up to the first special
+step, which it cannot make from them; rng is set back to the draws those
+steps used, and the rule's special makes that step as stepping does.
+The driver alone sizes the batches, and hands a run whose special steps
+come closer than _HANDOVER apart over to stepping, on a _RunGraph of the
+edges and pair keys made, with rng where stepping takes over.  A
+linear-alpha simple batch resolves four-draw proposals as if all were
+accepted; its special step is a rejection, consumed, after which the
+next batch makes the step again.  The r-stub rule is one uniform stub
+matching revealed pair by pair: its free stubs are shuffled once, as the
+order of rn draws (_shuffled_stubs), and each step proposes the last
+two, so its batches draw nothing; _stub_proposals makes a simple run's
+special step, a loop or repeated pair.  A general-f multigraph step
+reads five draws: its degree classes are drawn in exact integers, round
+by round, from the class sizes the last round's classes imply
+(_class_draws), and the vertices they move are found by sorting the
+class slots the steps read and write (_class_moves); a possible loop or
+repeated vertex is special (_class_slots).  Either way the edges,
+records, exhaustion, rejection cap and final rng state are stepping's own.
 
 sample_process_outcomes counts runs edges first too: every path yields
 chunks of endpoint rows, one per run, and one numpy keyer counts them
@@ -118,13 +118,13 @@ _EXACT_THRESHOLD = 64
 # general-f simple mode checks for that endgame after this many rejections
 _EXACT_AFTER_REJECTIONS = 1000
 # sample_process_outcomes counts this many runs (linear-alpha simple:
-# proposals) at a time, a simple r-stub batch reads at most this many
+# proposals) at a time, an r-stub batch reads at most this many
 # proposals off its shuffled stubs, and a general-f batch makes at most
 # this many class draws: enough to amortize numpy's per-call cost, few
 # enough that a chunk's arrays stay small
 _OUTCOME_CHUNK = 1 << 13
-# a bulk simple run steps on once a batch accepts fewer proposals before a
-# rejection, and a bulk run from the start when it has fewer steps to batch
+# a bulk run steps on from a special step that comes fewer steps after the
+# last one, and from the start when it has fewer steps to batch
 _HANDOVER = 64
 
 
@@ -777,49 +777,64 @@ def _rewind(rng: random.Random, state: tuple, draws: int) -> None:
         _mt_uniforms(rng, draws)
 
 
-def _speculate(rng: random.Random, stop: int, batch: Callable[[int, np.ndarray], int]) -> int:
-    """Make the first `stop` steps of a linear-alpha simple run in
-    speculative batches; return the count j of steps they accepted, with
-    rng left at step j's first proposal, where stepping takes over.
+def _batches(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, stop: int, per: int,
+             cap: Callable[[], int], batch: Callable[[int, np.ndarray], int],
+             special: Callable[[int], bool], handover: Callable[[int], tuple]) -> Run:
+    """A bulk run: its first `stop` steps in numpy batches if there are
+    _HANDOVER or more, then stepping (_run_stepped), filling ends.
 
-    A proposal makes four rng.random() calls.  batch(j, u) resolves the
-    proposals of draws u from step j on as if all were accepted, keeps the
-    prefix before the first rejection (what stepping accepts) and returns
-    its length k.  The first batch holds every step, the next ones
-    2(k + 1) proposals.  A batch consumes the rejection that ends it, and
-    the next one makes the same step again, until a batch accepts fewer
-    than _HANDOVER before a rejection (or stop is below _HANDOVER).  So a
-    step makes at most two proposals in the batches, which stepping makes
-    again under its rejection cap, and a completed graph hands over at the
-    next batch.
+    A batch of b steps draws b rows of `per` rng.random() values.
+    batch(j, u) makes the steps of rows u from step j on, up to the first
+    special step, which the rule cannot make from its row, writes their
+    endpoints to ends and returns their count k.  rng is set back to the
+    draws of those k steps, and special(j) makes step j as stepping does
+    and returns whether it made an edge (a consumed proposal makes none);
+    a ProcessExhausted from it ends the run.  A batch holds at most cap()
+    steps, and after the first, twice the steps since the last special
+    step, plus 2: as rng is set back to the draws used, sizes change no
+    stream.  A special step fewer than _HANDOVER steps after the last one
+    (or the start) hands the run over, with rng at step j's first draw,
+    to step on the run record and engine state that handover(j) gives.
     """
-    if stop < _HANDOVER:
-        return 0
-    j = 0
-    size = stop
-    # the state and draw count at which the current step's first proposal starts
-    start = rng.getstate(), 0
-    while j < stop:
-        b = min(size, stop - j)
+    # j steps made, `run` of them since the last special step
+    j, run, size = 0, 0, stop
+    # the state and draw count at which step j's first draw lies; None
+    # when it is the next batch's first
+    start = None
+    while _HANDOVER <= stop and j < stop:
+        b = min(cap(), size, stop - j)
         saved = rng.getstate()
-        k = batch(j, _mt_uniforms(rng, 4 * b))
+        k = batch(j, _mt_uniforms(rng, per * b).reshape(b, per))
         j += k
-        if k:
-            start = saved, 4 * k
+        run += k
+        size = 2 * (run + 1)
+        if k or start is None:
+            start = saved, per * k
         if k < b:
-            if k < _HANDOVER:
-                _rewind(rng, *start)
+            _rewind(rng, *start)
+            if run < _HANDOVER:
                 break
-            _rewind(rng, saved, 4 * (k + 1))
-        size = 2 * (k + 1)
-    return j
+            run = 0
+            try:
+                if special(j):
+                    j += 1
+                    start = None
+            except ProcessExhausted as exc:
+                return ends[:2 * j], j, str(exc)
+    if j == cfg.m_max:
+        return ends, j, None
+    tail, m, reason = _run_stepped(cfg, rng, *handover(j))
+    # the accepted endpoints stay an array: only the stepped tail is converted
+    ends[2 * j:2 * m] = tail[2 * j:]
+    return ends[:2 * m], m, reason
 
 
 def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The linear-alpha simple rule, in speculative batches (_speculate):
+    """The linear-alpha simple rule in speculative batches (_batches):
     proposal k of a batch from step j draws from 2(j + k) accepted endpoints,
     copies within the batch are followed by pointer doubling, and its first
-    loop or repeated pair is its first rejection."""
+    loop or repeated pair is its first rejection, which the batch consumes.
+    So a step makes at most two proposals before stepping makes it again."""
     n, m_max = cfg.n, cfg.m_max
     an = cfg.weight_rule.alpha * n
     stop = min(m_max, n * (n - 1) // 2)
@@ -827,7 +842,7 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
     keys = np.empty(stop, np.int64)
 
     def batch(j: int, u: np.ndarray) -> int:
-        b = len(u) // 4
+        b = len(u)
         u = u.reshape(b, 2, 2)
         fresh, vertex, source = _urn_pick(n, an, 2.0 * np.arange(j, j + b)[:, None],
                                           u[:, :, 0], u[:, :, 1])
@@ -846,46 +861,31 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
         keys[j:j + k] = key[:k]
         return k
 
-    j = _speculate(rng, stop, batch)
-    if j == m_max:
-        return ends, j, None
-    return _step_on(cfg, rng, ends, j, set(keys[:j].tolist()), None)
+    def consume(j: int) -> bool:
+        for _ in range(4):
+            rng.random()
+        return False
 
+    def handover(j: int) -> tuple:
+        # the urn engine copies earlier endpoints: one int object per
+        # vertex, shared by its endpoints, is under half the memory of a
+        # list of fresh ints
+        prefix = np.arange(n, dtype=object)[ends[:2 * j]].tolist()
+        return _RunGraph(n, prefix, set(keys[:j].tolist())), None
 
-def _stub_batch(stubs: np.ndarray, s: int, b: int, n: int, keys: set[int] | None,
-                out: np.ndarray) -> int:
-    """Write to out the endpoints of the next b proposals of a run whose
-    free stubs are stubs[:s], in uniform order: proposal i pairs
-    stubs[s - 1 - 2i] and stubs[s - 2 - 2i].  With keys, the pair keys of a
-    simple run, the batch ends before its first loop or pair seen before,
-    and the keys of the pairs it keeps are added to keys.  Returns the
-    count of pairs kept."""
-    new = stubs[s - 2 * b:s][::-1]
-    k = b
-    if keys is not None:
-        v, w = new[0::2], new[1::2]
-        key = np.minimum(v, w) * n + np.maximum(v, w)
-        listed = key.tolist()
-        bad = (v == w) | (_first_counts(key) == 0)
-        if not keys.isdisjoint(listed):
-            bad |= np.isin(key, list(keys.intersection(listed)))
-        if bad.any():
-            k = int(np.argmax(bad))
-        keys.update(listed[:k])
-    out[:2 * k] = new[:2 * k]
-    return k
+    return _batches(cfg, rng, ends, stop, 4, lambda: stop, batch, consume, handover)
 
 
 def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
     """The r-stub rule from one shuffled stub list, drawn by numpy.
 
-    A multigraph run is the list read backwards in pairs.  A simple run
-    reads it in batches (_stub_batch) up to their first loop or repeated
-    pair, whose step _stub_proposals makes, as stepping does.  It steps on
-    from a batch that keeps fewer than _HANDOVER pairs before a rejection,
-    and from the exact endgame of the last _EXACT_THRESHOLD stubs; a run
-    with fewer steps to batch steps from the start, shuffling as stepping
-    does.
+    The list is read in batches of no draws (_batches): a multigraph run
+    reads it backwards in pairs, and a simple run up to each loop or
+    repeated pair, whose step _stub_proposals makes, as stepping does.
+    Each step takes two stubs off the end, so after j steps the free ones
+    are stubs[:rn - 2j].  A simple run steps on from the exact endgame of
+    the last _EXACT_THRESHOLD stubs; a run with fewer steps to batch steps
+    from the start, shuffling as stepping does.
     """
     n, r, m_max = cfg.n, cfg.weight_rule.r, cfg.m_max
     simple = cfg.mode == "simple"
@@ -895,34 +895,40 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
         return _run_stepped(cfg, rng)
     stubs = _shuffled_stubs(n, r, functools.partial(_mt_uniforms, rng))
     ends = np.empty(2 * m_max, np.int64)
-    if not simple:
-        _stub_batch(stubs, r * n, m_max, n, None, ends)
-        return ends, m_max, None
-    g = _RunGraph(n, [], set())
-    s = r * n
-    j = 0
-    while j < stop:
-        b = min(_OUTCOME_CHUNK, stop - j)
-        k = _stub_batch(stubs, s, b, n, g.keys, ends[2 * j:])
-        j += k
-        s -= 2 * k
-        if k == b:
-            continue
-        if k < _HANDOVER:
-            break
-        try:
-            v, w = _stub_proposals(stubs, s, g, rng)
-        except ProcessExhausted as exc:
-            return ends[:2 * j], j, str(exc)
+    g = _RunGraph(n, [], set() if simple else None)
+
+    def batch(j: int, u: np.ndarray) -> int:
+        # proposal i pairs the free stubs s - 1 - 2i and s - 2 - 2i; a
+        # simple batch ends before its first loop or pair seen before
+        s, k = r * n - 2 * j, len(u)
+        new = stubs[s - 2 * k:s][::-1]
+        if simple:
+            v, w = new[0::2], new[1::2]
+            key = np.minimum(v, w) * n + np.maximum(v, w)
+            listed = key.tolist()
+            bad = (v == w) | (_first_counts(key) == 0)
+            if not g.keys.isdisjoint(listed):
+                bad |= np.isin(key, list(g.keys.intersection(listed)))
+            if bad.any():
+                k = int(np.argmax(bad))
+            g.keys.update(listed[:k])
+        ends[2 * j:2 * (j + k)] = new[:2 * k]
+        return k
+
+    def propose(j: int) -> bool:
+        v, w = _stub_proposals(stubs, r * n - 2 * j, g, rng)
         ends[2 * j:2 * j + 2] = v, w
         g.keys.add(v * n + w if v < w else w * n + v)
-        j += 1
-        s -= 2
-    if j == m_max:
-        return ends, j, None
-    free = stubs[:s].tolist()
-    del stubs  # freed before the stepped tail's endpoint list is built
-    return _step_on(cfg, rng, ends, j, g.keys, free)
+        return True
+
+    def handover(j: int) -> tuple:
+        nonlocal stubs
+        # the array is freed before the stepped tail's endpoint list is
+        # built, whose entries the engine does not read, only their count
+        free, stubs = stubs[:r * n - 2 * j].tolist(), None
+        return _RunGraph(n, [0] * (2 * j), g.keys), free
+
+    return _batches(cfg, rng, ends, stop, 0, lambda: _OUTCOME_CHUNK, batch, propose, handover)
 
 
 def _class_draws(sizes: np.ndarray, F: list[int], u: np.ndarray
@@ -1091,77 +1097,64 @@ def _class_moves(flat: np.ndarray, sizes: np.ndarray, n: int, steps: np.ndarray,
 
 
 def _run_classes(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The general-f multigraph rule in numpy batches of five draws per
-    step (_class_draws), whose moves _class_moves applies to the class
-    lists, kept in one array of the n vertices.  A batch ends at its first
-    special step, which _class_slots then makes with its own draws and
-    which is applied with the batch; a run steps on (_step_on) from a
-    batch that keeps fewer than _HANDOVER steps before its special one.
-    A batch holds at most _OUTCOME_CHUNK / 2 steps, twice the steps the
-    last one kept, and n / (classes + 1) steps or _HANDOVER, the larger,
-    so that its class sizes take about n entries.
+    """The general-f multigraph rule in numpy batches (_batches) of five
+    draws per step (_class_draws), whose moves _class_moves applies to the
+    class lists, kept in one array of the n vertices.  A batch that ends
+    at a special step waits for it: _class_slots makes that step with its
+    own draws, and it is applied with the batch, since a _class_moves call
+    costs about as much for one step as for thousands.  A batch holds at
+    most _OUTCOME_CHUNK / 2 steps, and n / (classes + 1) steps or
+    _HANDOVER, the larger, so that its class sizes take about n entries.
     """
     n, m_max = cfg.n, cfg.m_max
     F = _scaled(cfg.weight_rule.table)
     sizes = np.array([n])  # class k's members are flat[off[k]:off[k] + sizes[k]]
     flat = np.arange(n)
     ends = np.empty(2 * m_max, np.int64)
-    j = 0
-    b = _OUTCOME_CHUNK
-    while j < m_max:
-        b = min(_OUTCOME_CHUNK // 2, b, m_max - j, max(_HANDOVER, n // (len(sizes) + 1)))
-        saved = rng.getstate()
-        s, N, k, idx = _class_draws(sizes, F, _mt_uniforms(rng, 5 * b).reshape(b, 5))
+    held = None  # a batch that waits for its special step: first step, rows, sizes after them
+
+    def move(j: int, steps: np.ndarray, loop: bool = False) -> None:
+        nonlocal flat, sizes
+        if len(steps):
+            ends[2 * j:2 * (j + len(steps))], flat, sizes = _class_moves(flat, sizes, n, steps, loop)
+
+    def batch(j: int, u: np.ndarray) -> int:
+        nonlocal held
+        s, N, k, idx = _class_draws(sizes, F, u)
         r = np.arange(s)
         kv, kw = k[:, :s]
         steps = np.stack((kv, idx[0, :s], kw, idx[1, :s],
                           N[kv, r], N[kv + 1, r], N[kw, r], N[kw + 1, r]), axis=1)
-        loop, reason = False, None
-        if s < b:
-            _rewind(rng, saved, 5 * s)
-            if s >= _HANDOVER:
-                size = N[:, s].tolist() + [0, 0]
-                try:
-                    x, y = _class_slots(size, F, n, rng)
-                except ProcessExhausted as exc:
-                    reason = str(exc)
-                else:
-                    (a, ja), (c, jc) = divmod(x, n), divmod(y, n)
-                    loop = x == y
-                    if loop:
-                        c, jc = a + 1, size[a + 1]
-                    steps = np.vstack((steps, [[a, ja, c, jc, size[a], size[a + 1], size[c], size[c + 1]]]))
-        if len(steps):
-            ends[2 * j:2 * (j + len(steps))], flat, sizes = _class_moves(flat, sizes, n, steps, loop)
-            j += len(steps)
-        if reason is not None:
-            return ends[:2 * j], j, reason
-        if s < min(b, _HANDOVER):
-            off = np.cumsum(sizes) - sizes
-            return _step_on(cfg, rng, ends, j, None,
-                            [flat[o:o + c].tolist() for o, c in zip(off.tolist(), sizes.tolist())])
-        # the next batch holds twice the steps this one kept
-        b = 2 * (s + 1)
-    return ends, j, None
+        if s == len(u):
+            move(j, steps)
+        else:
+            held = j, steps, N[:, s].tolist() + [0, 0]
+        return s
 
+    def special(j: int) -> bool:
+        first, steps, size = held
+        try:
+            x, y = _class_slots(size, F, n, rng)
+        except ProcessExhausted:
+            move(first, steps)  # an exhausted run still ends with the batch's steps
+            raise
+        (a, ja), (c, jc) = divmod(x, n), divmod(y, n)
+        if x == y:
+            c, jc = a + 1, size[a + 1]
+        row = [a, ja, c, jc, size[a], size[a + 1], size[c], size[c + 1]]
+        move(first, np.vstack((steps, [row])), x == y)
+        return True
 
-def _step_on(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, j: int,
-             keys: set[int] | None, state) -> Run:
-    """A bulk run that steps on (_run_stepped) from its first j edges,
-    ends[:2j], with the pair keys of a simple run and the engine state
-    handed over, filling ends in place to the edge count reached."""
-    if isinstance(cfg.weight_rule, LinearAlpha):
-        # the urn engine copies earlier endpoints: one int object per
-        # vertex, shared by its endpoints, is under half the memory of a
-        # list of fresh ints
-        prefix = np.arange(cfg.n, dtype=object)[ends[:2 * j]].tolist()
-    else:
-        # the other engines read the edge count alone
-        prefix = [0] * (2 * j)
-    tail, m, reason = _run_stepped(cfg, rng, _RunGraph(cfg.n, prefix, keys), state)
-    # the accepted endpoints stay an array: only the stepped tail is converted
-    ends[2 * j:2 * m] = tail[2 * j:]
-    return ends[:2 * m], m, reason
+    def handover(j: int) -> tuple:
+        # the engine reads the run's edge count, not its endpoints
+        move(*held[:2])
+        off = np.cumsum(sizes) - sizes
+        return (_RunGraph(n, [0] * (2 * j), None),
+                [flat[o:o + c].tolist() for o, c in zip(off.tolist(), sizes.tolist())])
+
+    return _batches(cfg, rng, ends, m_max, 5,
+                    lambda: min(_OUTCOME_CHUNK // 2, max(_HANDOVER, n // (len(sizes) + 1))),
+                    batch, special, handover)
 
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:

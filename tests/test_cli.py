@@ -717,3 +717,21 @@ def test_verify_full_passes_within_budget():
             "rewiring_long_run"} <= names
     assert all(0 <= c["seconds"] < math.inf for c in report["checks"])
     assert elapsed < 600
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_exits_2_naming_the_flag_before_any_run(tmp_path, capsys, monkeypatch,
+                                                               command, jobs):
+    monkeypatch.setattr(cli, "run_replicates", _no_compute)
+    if command == "simulate":
+        spec = write_spec(tmp_path, BASE_SPEC)
+    else:
+        spec = write_spec(tmp_path, SWEEPS[1], "sweep.json")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--spec", spec, "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --jobs: must be an integer >= 1, got {jobs!r}" in err
+    assert not out.exists()

@@ -105,31 +105,86 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
 
 
 def _spy_on_batches(monkeypatch) -> list:
-    """The sizes of the numpy batches of the bulk paths, as they are made:
-    the speculative batches of linear-alpha simple runs, the proposals
-    read at once off an r-stub run's shuffled stubs, and the steps of a
+    """The sizes of the numpy batches of the bulk runners' one driver, as
+    they are made: the speculative proposals of linear-alpha simple runs,
+    the pairs read off an r-stub run's shuffled stubs, and the steps of a
     general-f multigraph batch."""
     sizes = []
-    speculate, stub_batch, class_draws = P._speculate, P._stub_batch, P._class_draws
+    batches = P._batches
 
-    def counting(rng, stop, batch):
+    def counting(cfg, rng, ends, stop, per, cap, batch, special, handover):
         def spied(j, u):
-            sizes.append(len(u) // 4)
+            sizes.append(len(u))
             return batch(j, u)
-        return speculate(rng, stop, spied)
+        return batches(cfg, rng, ends, stop, per, cap, spied, special, handover)
 
-    def stub_counting(stubs, s, b, n, keys, out):
-        sizes.append(b)
-        return stub_batch(stubs, s, b, n, keys, out)
-
-    def class_counting(class_sizes, F, u):
-        sizes.append(len(u))
-        return class_draws(class_sizes, F, u)
-
-    monkeypatch.setattr(P, "_speculate", counting)
-    monkeypatch.setattr(P, "_stub_batch", stub_counting)
-    monkeypatch.setattr(P, "_class_draws", class_counting)
+    monkeypatch.setattr(P, "_batches", counting)
     return sizes
+
+
+def test_batch_driver_leaves_rng_at_the_draws_it_used(monkeypatch):
+    # the bulk runners' one driver with scripted rules: batch i keeps
+    # kept[i] steps and a special step makes its own draws; each batch's
+    # rows are the draws after those of the steps made, and a run ends or
+    # is handed over with rng past exactly those draws
+    handed = []
+
+    def stepped(cfg, rng, g, state):
+        handed.append((len(g.ends) // 2, rng.getstate(), state))
+        return g.ends, len(g.ends) // 2, None
+
+    monkeypatch.setattr(P, "_run_stepped", stepped)
+    source = random.Random("driver")
+    draws = [source.random() for _ in range(1000)]
+
+    def advanced(k):
+        ref = random.Random("driver")
+        for _ in range(k):
+            ref.random()
+        return ref.getstate()
+
+    def drive(per, stop, cap, kept, special_draws, made):
+        rng, seen, kept = random.Random("driver"), [], iter(kept)
+        handed.clear()
+
+        def batch(j, u):
+            seen.append((j, len(u), u[0, 0]))
+            return next(kept)
+
+        def special(j):
+            for _ in range(special_draws):
+                rng.random()
+            if made is None:
+                raise P.ProcessExhausted("no step")
+            return made
+
+        run = P._batches(SimpleNamespace(m_max=stop), rng, np.arange(2 * stop), stop, per,
+                         lambda: cap, batch, special,
+                         lambda j: (P._RunGraph(10, [0] * (2 * j), None), "state"))
+        return run[1:], seen, rng.getstate()
+
+    # a kept prefix, then a special step of two draws: the next batch's
+    # rows start after them, and the last batch stops at `stop`
+    run, seen, state = drive(3, 200, 100, [70, 100, 29], 2, True)
+    assert seen == [(0, 100, draws[0]), (71, 100, draws[212]), (171, 29, draws[512])]
+    assert run == (200, None) and state == advanced(599) and not handed
+    # the same special step, then a batch that keeps nothing: handed over
+    # at the step after it, with rng past its draws
+    run, seen, state = drive(3, 200, 100, [70, 0], 2, True)
+    assert seen == [(0, 100, draws[0]), (71, 100, draws[212])]
+    assert handed == [(71, advanced(212), "state")] and run == (71, None)
+    # a consumed proposal of step 70, which the next batch rejects again:
+    # the run is handed over at that step's first draw, in the first batch
+    run, seen, state = drive(4, 300, 300, [70, 0], 4, False)
+    assert seen == [(0, 300, draws[0]), (70, 142, draws[284])]
+    assert handed == [(70, advanced(280), "state")] and run == (70, None)
+    # a special step that raises after three draws ends the run
+    run, seen, state = drive(5, 400, 100, [80], 3, None)
+    assert seen == [(0, 100, draws[0])]
+    assert run == (80, "no step") and state == advanced(403) and not handed
+    # fewer than _HANDOVER steps to batch: handed over at once, no draw made
+    run, seen, state = drive(4, P._HANDOVER - 1, 100, [], 0, True)
+    assert seen == [] and handed == [(0, advanced(0), "state")]
 
 
 def _spy_on_handovers(monkeypatch) -> list:
@@ -145,22 +200,6 @@ def _spy_on_handovers(monkeypatch) -> list:
 
     monkeypatch.setattr(P, "_run_stepped", counting)
     return built
-
-
-def test_bulk_simple_run_keeps_the_rejection_cap(monkeypatch):
-    # a step past the cap exhausts the budget where stepping does, even
-    # when the batches rejected some of its proposals before the hand-over
-    monkeypatch.setattr(P, "_REJECTION_CAP", 3)
-    budget = 0
-    for alpha, n, m in ((0.5, 10, 45), (1.0, 30, 300), (1e6, 200, 3000), (1e6, 2000, 1500)):
-        for seed in range(4):
-            cfg = lin_cfg(n, alpha, "simple", m, checkpoints=(m // 2,))
-            bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
-            bulk = _outcome(P.run_process, cfg, bulk_rng)
-            assert bulk == _outcome(P.run_process, cfg, step_rng), (alpha, n, m, seed)
-            assert bulk_rng.getstate() == step_rng.getstate(), (alpha, n, m, seed)
-            budget += isinstance(bulk, tuple) and "budget" in bulk[1]
-    assert budget
 
 
 def stub_cfg(n, r, mode, m_max, checkpoints=(), seed=0):
@@ -211,18 +250,26 @@ def test_bulk_stub_run_matches_stepping_at_scale(monkeypatch, mode):
     assert bulk_rng.getstate() == step_rng.getstate()
 
 
-def test_bulk_stub_run_keeps_the_rejection_cap(monkeypatch):
+@pytest.mark.parametrize("cap, cfgs, seeds", [
+    (3, [lin_cfg(n, alpha, "simple", m, (m // 2,)) for alpha, n, m in
+         ((0.5, 10, 45), (1.0, 30, 300), (1e6, 200, 3000), (1e6, 2000, 1500))], range(4)),
+    (3, [stub_cfg(n, r, "simple", m, (m // 2,)) for r, n, m in
+         ((30, 20, 300), (20, 30, 300), (12, 40, 240), (3, 2000, 3000))], range(4)),
+    # a repeated vertex is rejected: seeds 0 and 1 exhaust at m = 581 and 1066
+    (2, [P.ProcessConfig(n=1000, weight_rule=P.GeneralF((1.0, 10.0, 100.0)), m_max=1500,
+                         checkpoints=(750,))], range(2)),
+], ids=["linear-simple", "stub-simple", "general-f"])
+def test_bulk_run_keeps_the_rejection_cap(monkeypatch, cap, cfgs, seeds):
     # a step past the cap exhausts the budget where stepping does, even
     # when the batches rejected some of its proposals before the hand-over
-    monkeypatch.setattr(P, "_REJECTION_CAP", 3)
+    monkeypatch.setattr(P, "_REJECTION_CAP", cap)
     budget = 0
-    for r, n, m in ((30, 20, 300), (20, 30, 300), (12, 40, 240), (3, 2000, 3000)):
-        for seed in range(4):
-            cfg = stub_cfg(n, r, "simple", m, checkpoints=(m // 2,))
+    for cfg in cfgs:
+        for seed in seeds:
             bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
             bulk = _outcome(P.run_process, cfg, bulk_rng)
-            assert bulk == _outcome(P.run_process, cfg, step_rng), (r, n, m, seed)
-            assert bulk_rng.getstate() == step_rng.getstate(), (r, n, m, seed)
+            assert bulk == _outcome(P.run_process, cfg, step_rng), (cfg, seed)
+            assert bulk_rng.getstate() == step_rng.getstate(), (cfg, seed)
             budget += isinstance(bulk, tuple) and "budget" in bulk[1]
     assert budget
 
