@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -97,6 +98,15 @@ class ExperimentSpec:
             out["comparison"] = {"eps": self.comparison_eps}
         return out
 
+    @functools.cached_property
+    def theory_record(self) -> dict | None:
+        """summary.json's theory record, made once per spec: parse_spec checks
+        the theory's domain with it, and cmd_simulate writes it."""
+        shape = _theory_shape(self.config.weight_rule)
+        if self.comparison_eps is None or shape is None:
+            return None
+        return theory.predict(shape, eps=self.comparison_eps, n=self.config.n).to_json_dict()
+
 
 def _number(x, field: str) -> float:
     """A spec number (an int or a float, never a bool) as a float; every
@@ -141,13 +151,6 @@ def _theory_shape(rule) -> float | None:
     if isinstance(rule, NegativeInteger):
         return -rule.r
     return None
-
-
-def _theory_record(cfg: ProcessConfig, eps: float | None) -> dict | None:
-    shape = _theory_shape(cfg.weight_rule)
-    if eps is None or shape is None:
-        return None
-    return theory.predict(shape, eps=eps, n=cfg.n).to_json_dict()
 
 
 def parse_spec(data: dict, seed_override: int | None = None,
@@ -200,7 +203,7 @@ def parse_spec(data: dict, seed_override: int | None = None,
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     try:
-        _theory_record(cfg, comparison_eps)  # the theory's own domain check, before any run
+        spec.theory_record  # the theory's own domain check, before any run
     except (ValueError, theory.SolverError) as exc:
         raise SpecError(f"comparison.eps: {exc}") from None
     return spec
@@ -352,9 +355,8 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
     }
     if spec.replicates >= 2 and prefix_len:
         summary["mc"] = stats.aggregate(trimmed, cfg.n).to_json_dict()
-    record = _theory_record(cfg, spec.comparison_eps)
-    if record is not None:
-        summary["theory"] = record
+    if spec.theory_record is not None:
+        summary["theory"] = spec.theory_record
     _write_files(list(zip(paths, (_trajectory_csv(trajectories), _degree_csv(trajectories),
                                   _json_dumps(summary)))))
     return summary

@@ -46,7 +46,8 @@ numpy's `state` dict costs more than a small draw.
 
 A linear-alpha multigraph step makes exactly four rng.random() calls, so
 a run takes all its draws at once and resolves every endpoint with
-_UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints).
+_UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints);
+below _HANDOVER steps, the measured crossover, it steps the same draws.
 The other bulk runs go through one driver, _batches, in numpy batches.
 A rule's batch makes the steps of its draws up to the first special
 step, which it cannot make from them; rng is set back to the draws those
@@ -85,11 +86,12 @@ Every other run is made by _runner's runner and stacked (_rows).  The
 float operations are the step engines' own, so the outcome counts, their
 order of first appearance and the final rng state equal stepping.
 
-The degree-sequence samplers are exact too: sample_conditioned_degrees
-draws iid NB(alpha, p) conditioned on its sum as the Dirichlet-multinomial
-it equals, with no rejection, and sample_configuration_model matches the
-stubs of a degree sequence uniformly, returning them as an endpoint array
-that _records and stats.kcore_census read as they read a run.  The
+The degree-sequence samplers are exact too: iid NB(alpha, p) conditioned
+on its sum 2m is Dirichlet-multinomial, the degree count of a Polya urn,
+so sample_conditioned_degrees counts the endpoints of a linear-alpha
+multigraph run of m edges; sample_configuration_model matches the stubs
+of a degree sequence uniformly, returning them as an endpoint array that
+_records and stats.kcore_census read as they read a run.  The
 rewiring chain (rewiring_step, rewiring_degree_average) rewrites an
 endpoint list and its degree list in place.
 """
@@ -787,14 +789,15 @@ def _batches(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, stop: int
     batch(j, u) makes the steps of rows u from step j on, up to the first
     special step, which the rule cannot make from its row, writes their
     endpoints to ends and returns their count k.  rng is set back to the
-    draws of those k steps, and special(j) makes step j as stepping does
-    and returns whether it made an edge (a consumed proposal makes none);
-    a ProcessExhausted from it ends the run.  A batch holds at most cap()
-    steps, and after the first, twice the steps since the last special
-    step, plus 2: as rng is set back to the draws used, sizes change no
-    stream.  A special step fewer than _HANDOVER steps after the last one
-    (or the start) hands the run over, with rng at step j's first draw,
-    to step on the run record and engine state that handover(j) gives.
+    draws of those k steps (per = 0 draws none, and leaves rng alone),
+    and special(j) makes step j as stepping does and returns whether it
+    made an edge (a consumed proposal makes none); a ProcessExhausted
+    from it ends the run.  A batch holds at most cap() steps, and after
+    the first, twice the steps since the last special step, plus 2: as
+    rng is set back to the draws used, sizes change no stream.  A special
+    step fewer than _HANDOVER steps after the last one (or the start)
+    hands the run over, with rng at step j's first draw, to step on the
+    run record and engine state that handover(j) gives.
     """
     # j steps made, `run` of them since the last special step
     j, run, size = 0, 0, stop
@@ -803,15 +806,16 @@ def _batches(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, stop: int
     start = None
     while _HANDOVER <= stop and j < stop:
         b = min(cap(), size, stop - j)
-        saved = rng.getstate()
-        k = batch(j, _mt_uniforms(rng, per * b).reshape(b, per))
+        saved = rng.getstate() if per else None
+        k = batch(j, _mt_uniforms(rng, per * b).reshape(b, per) if per else np.empty((b, 0)))
         j += k
         run += k
         size = 2 * (run + 1)
         if k or start is None:
             start = saved, per * k
         if k < b:
-            _rewind(rng, *start)
+            if per:
+                _rewind(rng, *start)
             if run < _HANDOVER:
                 break
             run = 0
@@ -1159,22 +1163,24 @@ def _run_classes(cfg: ProcessConfig, rng: random.Random) -> Run:
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
     """The runner of cfg: when rng is a plain random.Random, whose random()
-    numpy reproduces, the bulk runner of the linear-alpha and r-stub rules
-    and of general-f multigraph runs of at least _HANDOVER steps whose
-    class masses start positive (f(0) > 0) and stay below 2^36 (n max F),
-    and stepping otherwise, which ends an f(0) = 0 run before any draw."""
+    numpy reproduces, the bulk runner of the r-stub rule, linear-alpha
+    simple runs and multigraph runs of _HANDOVER steps or more (the
+    measured crossover) of the linear-alpha rule and of general f whose
+    class masses start positive (f(0) > 0) and stay below 2^36 (n max F);
+    stepping otherwise, which ends an f(0) = 0 run before any draw."""
     rule = cfg.weight_rule
     if type(rng) is not random.Random:
         return _run_stepped
-    if isinstance(rule, GeneralF):
-        F = _scaled(rule.table)
-        if (cfg.mode == "multigraph" and cfg.m_max >= _HANDOVER
-                and 0 < F[0] and cfg.n * max(F) < 2 ** 36):
-            return _run_classes
-        return _run_stepped
     if isinstance(rule, NegativeInteger):
         return _run_stub
-    return _run_urn_multigraph if cfg.mode == "multigraph" else _run_urn_simple
+    if cfg.mode == "simple":
+        return _run_urn_simple if isinstance(rule, LinearAlpha) else _run_stepped
+    if cfg.m_max < _HANDOVER:
+        return _run_stepped
+    if isinstance(rule, LinearAlpha):
+        return _run_urn_multigraph
+    F = _scaled(rule.table)
+    return _run_classes if 0 < F[0] and cfg.n * max(F) < 2 ** 36 else _run_stepped
 
 
 def sample_edges(cfg: ProcessConfig, rng: random.Random | None = None
@@ -1302,7 +1308,8 @@ def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
     one numpy draw, any other run made by `run` and stacked.  The first run
     that exhausts raises ProcessExhausted."""
     n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
-    if run is _run_urn_multigraph:
+    # one draw at every m_max, though _runner steps a short single run
+    if isinstance(rule, LinearAlpha) and cfg.mode == "multigraph" and type(rng) is random.Random:
         return _urn_endpoints(n, rule.alpha * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
     if run is _run_stub and cfg.mode == "multigraph" and m:
         # one shuffle per run, each read backwards in pairs; a chunk that
@@ -1515,9 +1522,9 @@ def sample_conditioned_degrees(n: int, alpha: float, m: int, rng: random.Random)
     """iid NB(alpha, p) conditioned on total 2m, drawn exactly.
 
     For any p that law is Dirichlet-multinomial(2m; alpha, ..., alpha), the
-    degree count of 2m Polya-urn draws (Blackwell & MacQueen 1973), so it is
-    sampled as theta ~ Dirichlet(alpha, ..., alpha), then
-    Multinomial(2m, theta).  numpy is seeded from one rng.getrandbits(64).
+    degree count of 2m Polya-urn draws (Blackwell & MacQueen 1973), and
+    the linear-alpha multigraph run of m edges is that urn: so it is the
+    degree count of such a run from rng, made by sample_edges.
     """
     if not _is_count(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -1525,8 +1532,5 @@ def sample_conditioned_degrees(n: int, alpha: float, m: int, rng: random.Random)
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not _is_count(m, 0):
         raise ValueError(f"m must be an integer >= 0, got {m!r}")
-    if m == 0:
-        return [0] * n
-    npr = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-    theta = npr.dirichlet(np.full(n, float(alpha)))
-    return npr.multinomial(2 * m, theta).tolist()
+    ends = sample_edges(ProcessConfig(n, LinearAlpha(alpha), "multigraph", m_max=m), rng)[0]
+    return np.bincount(ends, minlength=n).tolist()

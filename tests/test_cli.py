@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import dataclasses
 import errno
 import json
 import math
@@ -256,6 +257,29 @@ def test_simulate_rejects_eps_outside_theory_domain(tmp_path, capsys):
     data["comparison"] = {"eps": "big"}
     with pytest.raises(cli.SpecError, match="comparison.eps"):
         cli.parse_spec(data)
+
+
+def test_simulate_predicts_the_theory_once(tmp_path, monkeypatch):
+    # parse_spec's domain check makes the record that cmd_simulate writes;
+    # a spec built without parse_spec makes it in cmd_simulate, and a
+    # replaced spec makes its own
+    calls = []
+    predict = T.predict
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["eps"])
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(T, "predict", counting)
+    data = dict(BASE_SPEC, m_max=70, checkpoints=[70], replicates=2)
+    spec = cli.parse_spec(data)
+    summary = cli.cmd_simulate(spec, str(tmp_path / "a"))
+    assert calls == [0.5] and summary["theory"] == predict(1.0, eps=0.5, n=800).to_json_dict()
+    built = cli.ExperimentSpec(spec.config, 2, "t.csv", "d.csv", "s.json", comparison_eps=0.5)
+    assert cli.cmd_simulate(built, str(tmp_path / "b"))["theory"] == summary["theory"]
+    other = dataclasses.replace(spec, comparison_eps=0.25)
+    assert cli.cmd_simulate(other, str(tmp_path / "c"))["theory"]["eps"] == 0.25
+    assert calls == [0.5, 0.5, 0.25]
 
 
 def test_theory_command(capsys):

@@ -79,6 +79,30 @@ def test_bulk_run_matches_stepping(n, m_max, alpha):
             assert bulk_rng.getstate() == step_rng.getstate(), (mode, m, cps)
             if mode == "multigraph":
                 assert bulk.m_reached == m and not bulk.exhausted
+                # the bulk runner itself, which _runner takes only from
+                # _HANDOVER steps on
+                bulk_rng = random.Random(seed)
+                ends, reached, reason = P._run_urn_multigraph(cfg, bulk_rng)
+                assert (reached, reason) == (m, None)
+                assert tuple(P._records(n, ends, cps)) == bulk.records, (m, cps)
+                assert bulk_rng.getstate() == step_rng.getstate(), (m, cps)
+
+
+def test_runner_steps_urn_multigraph_runs_below_the_crossover(monkeypatch):
+    # a linear-alpha multigraph run of fewer than _HANDOVER = 64 steps
+    # steps, on the draws the bulk runner would take; a simple run's own
+    # runner hands short runs over, and a Random subclass always steps
+    assert P._HANDOVER == 64
+    for m_max, bulk in ((63, P._run_stepped), (64, P._run_urn_multigraph)):
+        for mode, runner in (("multigraph", bulk), ("simple", P._run_urn_simple)):
+            cfg = lin_cfg(1000, 1.0, mode, m_max)
+            assert P._runner(cfg, random.Random(0)) is runner, (m_max, mode)
+            assert P._runner(cfg, _SteppedRandom(0)) is P._run_stepped, (m_max, mode)
+    # the outcome counts of short runs still draw a chunk of runs at a time
+    draws = _spy_on_draws(monkeypatch)
+    P.sample_process_outcomes(lin_cfg(3, 1.0, "multigraph", 2), 20_000, random.Random(0))
+    chunks = [P._OUTCOME_CHUNK] * 2 + [20_000 - 2 * P._OUTCOME_CHUNK]
+    assert draws == [("draw", 8 * runs) for runs in chunks]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1e6])
@@ -248,6 +272,17 @@ def test_bulk_stub_run_matches_stepping_at_scale(monkeypatch, mode):
     assert built == ([(3 * n - P._EXACT_THRESHOLD + 1) // 2] if mode == "simple" else [])
     assert bulk == _outcome(P.run_process, cfg, step_rng)
     assert bulk_rng.getstate() == step_rng.getstate()
+
+
+def test_stub_simple_run_draws_only_its_shuffle(monkeypatch):
+    # the r-stub batches draw nothing, so the r = 3 simple run to
+    # saturation makes one _mt_uniforms call, its shuffle's (and one more
+    # per tie in the shuffle's draws, which this seed's hold none of); the
+    # endgame steps on rng.random()
+    draws = _spy_on_draws(monkeypatch)
+    n = 100_000
+    P.sample_edges(stub_cfg(n, 3, "simple", 3 * n // 2), random.Random("stub-draws"))
+    assert draws == [("draw", 3 * n)]
 
 
 @pytest.mark.parametrize("cap, cfgs, seeds", [
@@ -556,9 +591,11 @@ def test_bulk_run_final_record_matches_oracle(alpha):
     exact = Counter()
     for key, pr in oracle.enumerate_process(3, 2, alpha).items():
         exact[_record_key(_final_record(3, key))] += float(pr)
+    # the bulk runner itself: _runner steps runs this short
     rng = random.Random(20_260_500 + int(alpha * 4))
     cfg = lin_cfg(3, float(alpha), "multigraph", 2, checkpoints=(2,))
-    counts = Counter(_record_key(P.run_process(cfg, rng).records[-1]) for _ in range(4000))
+    counts = Counter(_record_key(P._records(3, P._run_urn_multigraph(cfg, rng)[0], [2])[0])
+                     for _ in range(4000))
     res = S.chi_square_counts(counts, dict(exact))
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
@@ -1578,6 +1615,21 @@ def test_conditioned_degrees_tiny_exact_law(n, alpha, m):
     exact = {k: float(v) for k, v in oracle.enumerate_conditioned_degrees(n, m, alpha).items()}
     res = S.chi_square_counts(counts, exact)
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (3, 2), (50, 63), (50, 64), (1000, 700)])
+def test_conditioned_degrees_are_the_urn_run_degree_count(n, m):
+    # Dirichlet-multinomial(2m; alpha, ..., alpha) is the degree count of
+    # the linear-alpha multigraph run: the stepped run from the same state
+    # gives the same degrees and leaves the same state, below and above
+    # _HANDOVER
+    for alpha in (0.5, 1.0, 1e6):
+        seed = f"dm:{n}:{m}:{alpha}"
+        rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+        degs = P.sample_conditioned_degrees(n, alpha, m, rng)
+        ends = P.sample_edges(lin_cfg(n, alpha, "multigraph", m), step_rng)[0]
+        assert degs == np.bincount(ends, minlength=n).tolist(), alpha
+        assert rng.getstate() == step_rng.getstate(), alpha
 
 
 def test_conditioned_degrees_large_scale_marginal():
