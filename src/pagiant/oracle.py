@@ -35,16 +35,19 @@ def degrees_of(key: GraphKey, n: int) -> tuple[int, ...]:
     return tuple(deg)
 
 
-def enumerate_process(n: int, m: int, alpha, mode: str = "multigraph") -> dict[GraphKey, Fraction]:
+def enumerate_process(n: int, m: int, alpha=None, mode: str = "multigraph", *,
+                      table=None) -> dict[GraphKey, Fraction]:
     """Exact outcome distribution of the m-step attachment process.
 
-    Vertex weights are d_v + alpha.  Multigraph mode uses the one-step law
-    with normalizer (2i+an)(2i+an+1); simple mode restricts to non-adjacent
-    pairs with normalizer (2i+an)^2 - Q(G_i), where Q sums the weights of
-    the unavailable ordered pairs.  alpha is positive, or an integer -r <= -3
-    for the r-stub rule: every weight d_v - r is then <= 0, the signs cancel
-    in each product, and the loop term (d_v - r)(d_v - r + 1) counts the
-    ordered stub pairs of v.  Outcomes of probability 0 are left out.
+    Vertex weights are f(d_v), from the table f(0), f(1), ... extended
+    with its last entry, as GeneralF reads it; each entry becomes its exact
+    Fraction (a float through as_integer_ratio).  Given alpha instead, f(d)
+    is d + alpha for alpha > 0, and r - d (0 from r on) for an integer
+    alpha = -r <= -3, the r-stub rule.  A step takes a loop at v with
+    weight f(d_v) f(d_v + 1) (multigraph mode only) and a pair v != w with
+    weight 2 f(d_v) f(d_w) (in simple mode, only a pair not yet joined),
+    normalised by the sum of the terms.  Outcomes of probability 0 are
+    left out; a state with no positive term raises.
     """
     if n > _MAX_PROCESS_N or m > _MAX_PROCESS_M or n < 1 or m < 0:
         raise ValueError(f"instance out of oracle bounds: n={n}, m={m}")
@@ -52,31 +55,42 @@ def enumerate_process(n: int, m: int, alpha, mode: str = "multigraph") -> dict[G
         raise ValueError(f"unknown mode: {mode}")
     if mode == "simple" and m > n * (n - 1) // 2:
         raise ValueError(f"a simple graph on {n} vertices cannot reach {m} edges")
-    a = Fraction(alpha)
-    if not (a > 0 or (a.denominator == 1 and a <= -3)):
-        raise ValueError("alpha must be positive or an integer <= -3")
-    an = a * n
+    if (alpha is None) == (table is None):
+        raise ValueError("give one of alpha and table")
+    if table is None:
+        a = Fraction(alpha)
+        if not (a > 0 or (a.denominator == 1 and a <= -3)):
+            raise ValueError("alpha must be positive or an integer <= -3")
+        # no degree passes 2m, and a loop reads f(d + 1)
+        f = [a + k for k in range(2 * m + 2)] if a > 0 else [-a - k for k in range(1 - int(a))]
+    else:
+        f = [Fraction(x) for x in table]
+        if not f or min(f) < 0:
+            raise ValueError("table must be nonempty and nonnegative")
+    top = len(f) - 1
+    multigraph = mode == "multigraph"
     dist: dict[GraphKey, Fraction] = {(): Fraction(1)}
     for i in range(m):
         nxt: dict[GraphKey, Fraction] = defaultdict(Fraction)
         for key, pr in dist.items():
             deg = degrees_of(key, n)
-            wts = [deg[v] + a for v in range(n)]
-            if mode == "multigraph":
-                norm = (2 * i + an) * (2 * i + an + 1)
-            else:
-                present = set(key)
-                q = 2 * sum(wts[x] * wts[y] for x, y in key) + sum(t * t for t in wts)
-                norm = (2 * i + an) ** 2 - q
+            wts = [f[min(d, top)] for d in deg]
+            present = set(key)
+            terms = []
+            for v in range(n):
+                if multigraph:
+                    terms.append(((v, v), wts[v] * f[min(deg[v] + 1, top)]))
+                for w in range(v + 1, n):
+                    if multigraph or (v, w) not in present:
+                        terms.append(((v, w), 2 * wts[v] * wts[w]))
+            norm = sum(t for _, t in terms)
             if norm == 0:
                 raise ValueError(f"no positive-weight addable pair at step {i + 1} from {key}")
-            for v in range(n):
-                if mode == "multigraph":
-                    nxt[canonical_key(key + ((v, v),))] += pr * wts[v] * (deg[v] + 1 + a) / norm
-                for w in range(v + 1, n):
-                    if mode == "multigraph" or (v, w) not in present:
-                        nxt[canonical_key(key + ((v, w),))] += pr * 2 * wts[v] * wts[w] / norm
-        dist = {k: p for k, p in nxt.items() if p}
+            scale = pr / norm
+            for edge, t in terms:
+                if t:
+                    nxt[canonical_key(key + (edge,))] += scale * t
+        dist = dict(nxt)
     return dist
 
 

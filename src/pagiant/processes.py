@@ -66,14 +66,21 @@ reads five draws: its degree classes are drawn in exact integers, round
 by round, from the class sizes the last round's classes imply
 (_class_draws), and the vertices they move are found by sorting the
 class slots the steps read and write (_class_moves); a possible loop or
-repeated vertex is special (_class_slots).  Either way the edges,
-records, exhaustion, rejection cap and final rng state are stepping's own.
+repeated vertex is special (_class_slots).  A multigraph table affine
+to K (_affine), such as f(d) = d + 1 below degree 32, is the
+LinearAlpha(alpha) urn while every step starts with top degree < K: its
+run is the urn's up to the first step that does not (_first_reach), and
+class batches from there, whose classes list their vertices in order
+(_run_affine); its stepping engine hands over at the same step.  Either
+way the edges, records, exhaustion, rejection cap and final rng state
+are stepping's own.
 
 sample_process_outcomes counts runs edges first too: every path yields
 chunks of endpoint rows, one per run, and one numpy keyer counts them
 (_count_outcomes).  A linear-alpha multigraph step makes four
 rng.random() calls and an r-stub multigraph run only its shuffle's rn, so
-a chunk of such runs is one numpy draw (_urn_endpoints; for r stubs, one
+a chunk of such runs, or of an affine table's runs too short to reach K,
+is one numpy draw (_urn_endpoints; for r stubs, one
 argsort per row, and a chunk whose draws hold a tie goes run by run).
 Linear-alpha simple runs read a chunk of four-draw proposals: the run that
 would start at each proposal is resolved for all of them at once, one lane
@@ -434,6 +441,23 @@ def _scaled(table: Sequence[float]) -> list[int]:
     return [num * (d // den) for num, den in ratios]
 
 
+def _affine(F: Sequence[int]) -> tuple[float, int] | None:
+    """(alpha, K) when the scaled table F (_scaled) is affine to K, F[k] =
+    F[0] + k (F[1] - F[0]) for k <= K with F[1] > F[0] > 0, and alpha =
+    F[0] / (F[1] - F[0]) is a float exactly: f(d) is then d + alpha times
+    a constant for d <= K.  None otherwise."""
+    step = F[1] - F[0]
+    if not 0 < F[0] < F[1]:
+        return None
+    alpha, g = F[0] / step, math.gcd(F[0], step)
+    if alpha.as_integer_ratio() != (F[0] // g, step // g):
+        return None
+    K = 1
+    while K + 1 < len(F) and F[K + 1] - F[K] == step:
+        K += 1
+    return alpha, K
+
+
 def _pick(members: list[list[int]], masses: list[int], total: int, rand) -> int:
     """A uniform member of a class drawn with weight len(members[k]) *
     masses[k], summing to total: for a draw u = U / 2^53, the first class,
@@ -465,28 +489,39 @@ class _DegreeClassEngine:
     Q = sum N_k F_k^2 and L = sum N_k F_k F_{k+1} as it moves a vertex
     between classes.  A draw u = U / 2^53 takes the first class, scanning
     up from degree 0, whose cumulative mass exceeds u T, compared in
-    integers, so no table entry rounds or overflows a mass.
+    integers, so no table entry rounds or overflows a mass.  A multigraph
+    run of a table affine to K (_affine) makes the urn's steps, keeping
+    only the degrees, until a degree reaches K (a loop reads f(d + 1));
+    then it lists the classes in vertex order, as a bulk run does.
     """
 
-    __slots__ = ("g", "simple", "deg", "members", "pos", "F", "T", "Q", "L")
+    __slots__ = ("g", "simple", "deg", "members", "pos", "F", "T", "Q", "L", "urn", "K")
 
     def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool,
                  members: list[list[int]] | None = None):
         self.g = g
         self.simple = simple
         n = g.n
-        if members is None:
-            self.deg = [0] * n
-            self.members = [list(range(n))]
-            self.pos = list(range(n))
-        else:
-            # the classes a bulk run hands over, top class nonempty
-            self.deg, self.pos, self.members = [0] * n, [0] * n, members
-            for k, vs in enumerate(members):
-                for i, x in enumerate(vs):
-                    self.deg[x] = k
-                    self.pos[x] = i
         self.F = _scaled(rule.table)
+        form = None if simple or members is not None else _affine(self.F)
+        self.urn = form and _UrnPairEngine(g, form[0], False)
+        self.K = form[1] if form else 0
+        self.deg = [0] * n
+        if members is not None:
+            # the classes a bulk run hands over, top class nonempty
+            self._take(members)
+        elif self.urn is None:
+            self.members, self.pos = [list(range(n))], list(range(n))
+            self._weigh()
+
+    def _take(self, members: list[list[int]]):
+        """Take the class lists `members`, top class nonempty: each
+        member's degree and index, and the masses."""
+        deg, self.pos, self.members = self.deg, [0] * len(self.deg), members
+        for k, vs in enumerate(members):
+            for i, x in enumerate(vs):
+                deg[x] = k
+                self.pos[x] = i
         self._weigh()
 
     def _weigh(self):
@@ -499,6 +534,8 @@ class _DegreeClassEngine:
         self.L = sum(c * a * b for c, a, b in zip(sizes, F, F[1:]))
 
     def sample(self, rng: random.Random) -> tuple[int, int]:
+        if self.urn is not None:
+            return self.urn.sample(rng)
         members, F, T, L = self.members, self.F, self.T, self.L
         off_diag = T * T - self.Q
         rand = rng.random
@@ -530,7 +567,19 @@ class _DegreeClassEngine:
                                else "rejection budget exhausted")
 
     def sync(self, v: int, w: int):
-        deg, members, pos, F = self.deg, self.members, self.pos, self.F
+        deg = self.deg
+        if self.urn is not None:
+            deg[v] += 1
+            deg[w] += 1
+            if deg[v] >= self.K or deg[w] >= self.K:
+                # the next step may read f(K + 1): list the classes
+                self.urn = None
+                members = [[] for _ in range(max(deg) + 1)]
+                for x, d in enumerate(deg):
+                    members[d].append(x)
+                self._take(members)
+            return
+        members, pos, F = self.members, self.pos, self.F
         # each endpoint moves up one class: a loop moves its vertex twice
         for x in (v, w):
             old = deg[x]
@@ -781,9 +830,9 @@ def _rewind(rng: random.Random, state: tuple, draws: int) -> None:
 
 def _batches(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, stop: int, per: int,
              cap: Callable[[], int], batch: Callable[[int, np.ndarray], int],
-             special: Callable[[int], bool], handover: Callable[[int], tuple]) -> Run:
-    """A bulk run: its first `stop` steps in numpy batches if there are
-    _HANDOVER or more, then stepping (_run_stepped), filling ends.
+             special: Callable[[int], bool], handover: Callable[[int], tuple], j: int = 0) -> Run:
+    """A bulk run from step j: its steps to `stop` in numpy batches if there
+    are _HANDOVER or more, then stepping (_run_stepped), filling ends.
 
     A batch of b steps draws b rows of `per` rng.random() values.
     batch(j, u) makes the steps of rows u from step j on, up to the first
@@ -800,11 +849,11 @@ def _batches(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray, stop: int
     run record and engine state that handover(j) gives.
     """
     # j steps made, `run` of them since the last special step
-    j, run, size = 0, 0, stop
+    run, size, batched = 0, stop, _HANDOVER <= stop - j
     # the state and draw count at which step j's first draw lies; None
     # when it is the next batch's first
     start = None
-    while _HANDOVER <= stop and j < stop:
+    while batched and j < stop:
         b = min(cap(), size, stop - j)
         saved = rng.getstate() if per else None
         k = batch(j, _mt_uniforms(rng, per * b).reshape(b, per) if per else np.empty((b, 0)))
@@ -1026,7 +1075,7 @@ def _class_slots(sizes: Sequence[int], F: list[int], n: int, rng: random.Random)
     itself, over classes of the given sizes whose members are slot codes:
     member j of class k is k n + j.  Raises its ProcessExhausted."""
     engine = _DegreeClassEngine.__new__(_DegreeClassEngine)
-    engine.simple = False
+    engine.simple, engine.urn = False, None
     engine.members = [range(k * n, k * n + c) for k, c in enumerate(sizes)]
     engine.F = F
     engine._weigh()
@@ -1100,7 +1149,8 @@ def _class_moves(flat: np.ndarray, sizes: np.ndarray, n: int, steps: np.ndarray,
     return vertex[:2 * len(steps)], out, new
 
 
-def _run_classes(cfg: ProcessConfig, rng: random.Random) -> Run:
+def _run_classes(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray | None = None,
+                 j: int = 0) -> Run:
     """The general-f multigraph rule in numpy batches (_batches) of five
     draws per step (_class_draws), whose moves _class_moves applies to the
     class lists, kept in one array of the n vertices.  A batch that ends
@@ -1109,12 +1159,16 @@ def _run_classes(cfg: ProcessConfig, rng: random.Random) -> Run:
     costs about as much for one step as for thousands.  A batch holds at
     most _OUTCOME_CHUNK / 2 steps, and n / (classes + 1) steps or
     _HANDOVER, the larger, so that its class sizes take about n entries.
+    The run goes on from step j of ends, its classes listed in vertex
+    order.
     """
     n, m_max = cfg.n, cfg.m_max
     F = _scaled(cfg.weight_rule.table)
-    sizes = np.array([n])  # class k's members are flat[off[k]:off[k] + sizes[k]]
-    flat = np.arange(n)
-    ends = np.empty(2 * m_max, np.int64)
+    if ends is None:
+        ends = np.empty(2 * m_max, np.int64)
+    deg = np.bincount(ends[:2 * j], minlength=n)
+    # class k's members are flat[off[k]:off[k] + sizes[k]]
+    sizes, flat = np.bincount(deg), np.argsort(deg, kind="stable")
     held = None  # a batch that waits for its special step: first step, rows, sizes after them
 
     def move(j: int, steps: np.ndarray, loop: bool = False) -> None:
@@ -1151,14 +1205,56 @@ def _run_classes(cfg: ProcessConfig, rng: random.Random) -> Run:
 
     def handover(j: int) -> tuple:
         # the engine reads the run's edge count, not its endpoints
-        move(*held[:2])
+        if held is not None:
+            move(*held[:2])
         off = np.cumsum(sizes) - sizes
         return (_RunGraph(n, [0] * (2 * j), None),
                 [flat[o:o + c].tolist() for o, c in zip(off.tolist(), sizes.tolist())])
 
     return _batches(cfg, rng, ends, m_max, 5,
                     lambda: min(_OUTCOME_CHUNK // 2, max(_HANDOVER, n // (len(sizes) + 1))),
-                    batch, special, handover)
+                    batch, special, handover, j)
+
+
+def _first_reach(ends: np.ndarray, K: int) -> int | None:
+    """The index of the first endpoint in ends whose vertex occurs there
+    for the K-th time, None when none occurs K times."""
+    count = np.bincount(ends)
+    if count.max() < K:
+        return None
+    at = np.flatnonzero(count[ends] >= K)
+    v = ends[at]
+    order = np.argsort(v, kind="stable")
+    first = np.flatnonzero(np.diff(v[order], prepend=-1))
+    return int(at[order[first + K - 1]].min())
+
+
+def _run_affine(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """The general-f multigraph rule for a table affine to K (_affine): the
+    urn's run (_urn_endpoints) up to step h, the first to start with a
+    degree of K or more, then _run_classes from h's first draw.  The urn
+    is drawn for all steps only when no degree reaches K in the first
+    _HANDOVER K, so an early crossing costs no whole urn run."""
+    n, m = cfg.n, cfg.m_max
+    alpha, K = _affine(_scaled(cfg.weight_rule.table))
+    saved = rng.getstate()
+    steps = min(m, _HANDOVER * K)
+    u = _mt_uniforms(rng, 4 * steps)
+    while True:
+        urn = _urn_endpoints(n, alpha * n, u[None, :])[0]
+        p = _first_reach(urn, K)
+        if p is not None or steps == m:
+            break
+        u = np.concatenate((u, _mt_uniforms(rng, 4 * (m - steps))))
+        steps = m
+    del u
+    h = m if p is None else p // 2 + 1
+    if h == m:
+        return urn, m, None
+    _rewind(rng, saved, 4 * h)
+    ends = np.empty(2 * m, np.int64)
+    ends[:2 * h] = urn[:2 * h]
+    return _run_classes(cfg, rng, ends, h)
 
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
@@ -1166,8 +1262,9 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
     numpy reproduces, the bulk runner of the r-stub rule, linear-alpha
     simple runs and multigraph runs of _HANDOVER steps or more (the
     measured crossover) of the linear-alpha rule and of general f whose
-    class masses start positive (f(0) > 0) and stay below 2^36 (n max F);
-    stepping otherwise, which ends an f(0) = 0 run before any draw."""
+    class masses start positive (f(0) > 0) and stay below 2^36 (n max F),
+    an affine table's from the urn; stepping otherwise, which ends an
+    f(0) = 0 run before any draw."""
     rule = cfg.weight_rule
     if type(rng) is not random.Random:
         return _run_stepped
@@ -1180,7 +1277,9 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
     if isinstance(rule, LinearAlpha):
         return _run_urn_multigraph
     F = _scaled(rule.table)
-    return _run_classes if 0 < F[0] and cfg.n * max(F) < 2 ** 36 else _run_stepped
+    if not (0 < F[0] and cfg.n * max(F) < 2 ** 36):
+        return _run_stepped
+    return _run_affine if _affine(F) else _run_classes
 
 
 def sample_edges(cfg: ProcessConfig, rng: random.Random | None = None
@@ -1304,13 +1403,17 @@ def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,
 def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
           run: Callable[[ProcessConfig, random.Random], Run]) -> np.ndarray:
     """The endpoints of the next `runs` runs of cfg by the runner `run`, one
-    row of 2 m_max per run: a linear-alpha or r-stub multigraph chunk from
-    one numpy draw, any other run made by `run` and stacked.  The first run
-    that exhausts raises ProcessExhausted."""
+    row of 2 m_max per run: a linear-alpha, short affine-table or r-stub
+    multigraph chunk from one numpy draw, any other run made by `run` and
+    stacked.  The first run that exhausts raises ProcessExhausted."""
     n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
+    urn = rule.alpha if isinstance(rule, LinearAlpha) else None
+    form = _affine(_scaled(rule.table)) if isinstance(rule, GeneralF) else None
+    if form and 2 * (m - 1) < form[1]:
+        urn = form[0]  # no step of these runs starts at degree K
     # one draw at every m_max, though _runner steps a short single run
-    if isinstance(rule, LinearAlpha) and cfg.mode == "multigraph" and type(rng) is random.Random:
-        return _urn_endpoints(n, rule.alpha * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
+    if urn is not None and cfg.mode == "multigraph" and type(rng) is random.Random:
+        return _urn_endpoints(n, urn * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
     if run is _run_stub and cfg.mode == "multigraph" and m:
         # one shuffle per run, each read backwards in pairs; a chunk that
         # holds a tie goes run by run, from where it started
@@ -1337,8 +1440,13 @@ def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Itera
     by one at least twice as long, and a run longer than the longest chunk
     is made on its own by the rule's runner.  rng is set back to just after
     the used proposals once, at the end, or before such a run."""
-    n, m = cfg.n, cfg.m_max
-    an = cfg.weight_rule.alpha * n
+    n, m, alpha = cfg.n, cfg.m_max, cfg.weight_rule.alpha
+    an = alpha * n
+    # at step j each of the n(n-1)/2 - j free pairs is proposed with chance
+    # at least 2 (alpha / (2j + an))^2, so a run's expected proposals are
+    # at most `bound`, which sizes the first chunk
+    j = np.arange(m)
+    bound = float((((2 * j + an) / alpha) ** 2 / (n * (n - 1) - 2 * j)).sum())
     # chunks of about this many proposals (a few times it at most) reach no
     # step's rejection cap and keep their lane tables, n + 2 + 2m numbers
     # each and a lane at most per proposal, to a few MB
@@ -1349,7 +1457,7 @@ def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Itera
     state, ahead = rng.getstate(), 0
     while done < runs:
         # 5% over the proposals per run so far, for the runs left
-        per_run = used_total / done if used_total else m
+        per_run = used_total / done if used_total else bound
         size = min(math.ceil(1.05 * per_run * (runs - done)), longest)
         drawn, c = rng.getstate(), len(carried)
         u = np.concatenate((carried, _mt_uniforms(rng, 4 * max(size - c, c)).reshape(-1, 4)))

@@ -164,3 +164,90 @@ def test_rewiring_residual_convention_is_not_stationary():
     rep = oracle.verify_rewiring_stationarity(2, 1, 1, "residual")
     assert not rep.ok
     assert rep.max_deviation > 0
+
+
+def _closed_form_law(n, m, alpha, mode):
+    """The process law with the closed-form normalisers, (2i + an)(2i + an
+    + 1) in multigraph mode and (2i + an)^2 - Q(G_i) in simple mode, as
+    the oracle once computed it: the reference for the sum of terms."""
+    a = F(alpha)
+    dist = {(): F(1)}
+    for i in range(m):
+        nxt = {}
+        for key, pr in dist.items():
+            deg = oracle.degrees_of(key, n)
+            wts = [d + a for d in deg]
+            if mode == "multigraph":
+                norm = (2 * i + a * n) * (2 * i + a * n + 1)
+            else:
+                q = 2 * sum(wts[x] * wts[y] for x, y in key) + sum(t * t for t in wts)
+                norm = (2 * i + a * n) ** 2 - q
+            for v in range(n):
+                terms = [((v, v), wts[v] * (deg[v] + 1 + a))] if mode == "multigraph" else []
+                terms += [((v, w), 2 * wts[v] * wts[w]) for w in range(v + 1, n)
+                          if mode == "multigraph" or (v, w) not in key]
+                for edge, t in terms:
+                    out = oracle.canonical_key(key + (edge,))
+                    nxt[out] = nxt.get(out, 0) + pr * t / norm
+        dist = {k: p for k, p in nxt.items() if p}
+    return dist
+
+
+def test_sum_of_terms_keeps_the_closed_form_laws():
+    # the normaliser is the sum of the step's terms; for weights d + alpha
+    # and r - d that is the closed form, so every law within the bounds is
+    # unchanged
+    for mode in ("multigraph", "simple"):
+        for n in range(1, 5):
+            for m in range(4):
+                if mode == "simple" and m > n * (n - 1) // 2:
+                    continue
+                for a in (F(1, 2), 1, 2, F(7, 4), -3, -4, -5):
+                    try:
+                        law = oracle.enumerate_process(n, m, a, mode)
+                    except ValueError as exc:
+                        assert "step" in str(exc)
+                        with pytest.raises(ZeroDivisionError):
+                            _closed_form_law(n, m, a, mode)
+                        continue
+                    assert law == _closed_form_law(n, m, a, mode), (mode, n, m, a)
+
+
+def test_linear_and_capped_tables_give_the_rule_laws():
+    for mode in ("multigraph", "simple"):
+        assert oracle.enumerate_process(3, 2, table=(1.0, 2.0, 3.0, 4.0, 5.0), mode=mode) == \
+            oracle.enumerate_process(3, 2, 1, mode)
+        assert oracle.enumerate_process(4, 3, table=tuple(k + 0.5 for k in range(8)), mode=mode) == \
+            oracle.enumerate_process(4, 3, F(1, 2), mode)
+        assert oracle.enumerate_process(4, 3, table=(3, 2, 1, 0), mode=mode) == \
+            oracle.enumerate_process(4, 3, -3, mode)
+
+
+def test_general_table_law_by_hand():
+    # f = (1, 2, 0.5) on two vertices: the first step weighs each loop
+    # f(0) f(1) = 2 and the edge 2 f(0)^2 = 2; after the loop at 0 the loop
+    # at 0 weighs f(2) f(3) = 1/4, the loop at 1 weighs 2 and the edge 1
+    law = oracle.enumerate_process(2, 2, table=(1.0, 2.0, 0.5))
+    assert sum(law.values()) == 1
+    assert law[((0, 0), (0, 0))] == THIRD * F(1, 4) / F(13, 4)
+    assert law[((0, 0), (1, 1))] == 2 * THIRD * 2 / F(13, 4)
+    # entries are exact: 0.1 is the Fraction of its double, not 1/10; each
+    # loop weighs f(0) f(1) = x and the edge 2 x^2
+    law = oracle.enumerate_process(2, 1, table=(0.1, 1.0))
+    x = F(*(0.1).as_integer_ratio())
+    assert x != F(1, 10) and law[((0, 1),)] == 2 * x * x / (2 * x + 2 * x * x)
+
+
+def test_zero_weight_tables_raise_at_the_step():
+    # f = (1, 0): the first edge joins two vertices, the second the other
+    # two, and then every weight is zero
+    with pytest.raises(ValueError, match="at step 3 from"):
+        oracle.enumerate_process(4, 3, table=(1.0, 0.0))
+    with pytest.raises(ValueError, match="at step 1 from"):
+        oracle.enumerate_process(3, 1, table=(0.0, 1.0), mode="simple")
+
+
+def test_table_or_alpha_must_be_given_once_and_valid():
+    for kwargs in ({}, {"alpha": 1, "table": (1.0,)}, {"table": ()}, {"table": (1.0, -0.5)}):
+        with pytest.raises(ValueError):
+            oracle.enumerate_process(2, 1, **kwargs)

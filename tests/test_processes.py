@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pagiant import oracle, processes as P, stats as S, theory as T
 
@@ -136,11 +136,11 @@ def _spy_on_batches(monkeypatch) -> list:
     sizes = []
     batches = P._batches
 
-    def counting(cfg, rng, ends, stop, per, cap, batch, special, handover):
+    def counting(cfg, rng, ends, stop, per, cap, batch, special, handover, j=0):
         def spied(j, u):
             sizes.append(len(u))
             return batch(j, u)
-        return batches(cfg, rng, ends, stop, per, cap, spied, special, handover)
+        return batches(cfg, rng, ends, stop, per, cap, spied, special, handover, j)
 
     monkeypatch.setattr(P, "_batches", counting)
     return sizes
@@ -167,7 +167,7 @@ def test_batch_driver_leaves_rng_at_the_draws_it_used(monkeypatch):
             ref.random()
         return ref.getstate()
 
-    def drive(per, stop, cap, kept, special_draws, made):
+    def drive(per, stop, cap, kept, special_draws, made, j=0):
         rng, seen, kept = random.Random("driver"), [], iter(kept)
         handed.clear()
 
@@ -184,7 +184,7 @@ def test_batch_driver_leaves_rng_at_the_draws_it_used(monkeypatch):
 
         run = P._batches(SimpleNamespace(m_max=stop), rng, np.arange(2 * stop), stop, per,
                          lambda: cap, batch, special,
-                         lambda j: (P._RunGraph(10, [0] * (2 * j), None), "state"))
+                         lambda j: (P._RunGraph(10, [0] * (2 * j), None), "state"), j)
         return run[1:], seen, rng.getstate()
 
     # a kept prefix, then a special step of two draws: the next batch's
@@ -209,6 +209,13 @@ def test_batch_driver_leaves_rng_at_the_draws_it_used(monkeypatch):
     # fewer than _HANDOVER steps to batch: handed over at once, no draw made
     run, seen, state = drive(4, P._HANDOVER - 1, 100, [], 0, True)
     assert seen == [] and handed == [(0, advanced(0), "state")]
+    # a run that starts at step 50 batches from there, and one with fewer
+    # than _HANDOVER steps left from its start is handed over at once
+    run, seen, state = drive(3, 200, 100, [100, 50], 0, True, j=50)
+    assert seen == [(50, 100, draws[0]), (150, 50, draws[300])]
+    assert run == (200, None) and state == advanced(450) and not handed
+    run, seen, state = drive(3, 200, 100, [], 0, True, j=200 - P._HANDOVER + 1)
+    assert seen == [] and handed == [(200 - P._HANDOVER + 1, advanced(0), "state")]
 
 
 def _spy_on_handovers(monkeypatch) -> list:
@@ -424,7 +431,7 @@ def test_mt_state_view_is_numpys_state_struct():
                                   P.LinearAlpha(1e6), P.NegativeInteger(3), P.NegativeInteger(4),
                                   P.GeneralF((1.0, 2.0, 0.5))],
                          ids=lambda rule: repr(rule))
-def test_batched_outcomes_match_stepping(rule, monkeypatch):
+def test_batched_outcomes_match_stepping(rule):
     # both sides count with one keyer, so each is also checked against runs
     # made one by one by sample_edges and keyed by the oracle's canonical_key
     cases = [(n, m, runs) for n in (1, 2, 3, 5) for m in (0, 1, 2, 4) for runs in (0, 1, 3, 500)]
@@ -435,22 +442,12 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
     cases_by_mode = {"multigraph": cases}
     if isinstance(rule, P.LinearAlpha):
         # simple runs of n <= 3 past the n(n-1)/2 pairs end in the complete
-        # graph; K4 is reached exactly, and one run of it outgrows its
-        # first chunk of about m proposals
+        # graph; K4 is reached exactly
         cases_by_mode["simple"] = cases + [(4, 6, 1), (4, 6, 500)]
     else:
         # r-stub and general-f simple runs are made one by one by their
         # runner; those of n <= 3 past the pairs end in exhaustion
         cases_by_mode["simple"] = cases
-    chunks = []
-    chunk = P._urn_simple_chunk
-
-    def spy(n, an, m, u, want):
-        ends, used = chunk(n, an, m, u, want)
-        chunks.append((len(u), used))
-        return ends, used
-
-    monkeypatch.setattr(P, "_urn_simple_chunk", spy)
     for mode, mode_cases in cases_by_mode.items():
         for n, m, runs in mode_cases:
             if isinstance(rule, P.NegativeInteger) and m > rule.r * n // 2:
@@ -466,10 +463,6 @@ def test_batched_outcomes_match_stepping(rule, monkeypatch):
             assert batched == stepped == reference, (mode, n, m, runs)
             assert batched_rng.getstate() == stepped_rng.getstate() == reference_rng.getstate(), \
                 (mode, n, m, runs)
-    if isinstance(rule, P.LinearAlpha):
-        # a chunk that holds no whole run is drawn again, twice as long
-        assert any(used == 0 and grown == 2 * size
-                   for (size, used), (grown, _) in zip(chunks, chunks[1:]))
 
 
 def _spy_on_draws(monkeypatch) -> list:
@@ -513,17 +506,41 @@ def test_simple_outcome_chunks_draw_once_each(monkeypatch, n, m, alpha, runs):
 
 
 def test_simple_outcome_chunk_of_carried_proposals(monkeypatch):
-    # the first chunk makes one of two runs from 2 of its 5 proposals, so
-    # the last chunk's estimate, 1.05 x 2 proposals for the run left, is
-    # within the 3 it carries; they hold no whole run (their first run
-    # left the first chunk), so it draws as many again, and its run and
-    # the state rng is set back to are stepping's own
+    # at n = 3 and alpha = 10^6 the first chunk's bound, 3.75 proposals per
+    # run, is the expected count, so a chunk can fall short.  Here the
+    # first chunk makes one of two runs from 3 of its 8 proposals; the last
+    # chunk's estimate, 1.05 x 3 proposals for the run left, is within the
+    # 5 it carries, and they hold no whole run (their first run left the
+    # first chunk), so it draws as many again.  A single run whose first
+    # chunk holds none of it is drawn again, twice as long.  Either way the
+    # runs and the state rng is set back to are stepping's own
+    events = _spy_on_draws(monkeypatch)
+    cfg = lin_cfg(3, 1e6, "simple", 2)
+    cases = ((2, "carried:0", [("draw", 32), ("chunk", 8, 3), ("draw", 20), ("chunk", 10, 7)]),
+             (1, "grown:0", [("draw", 16), ("chunk", 4, 0), ("draw", 16), ("chunk", 8, 6)]))
+    for runs, seed, first in cases:
+        events.clear()
+        batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+        batched = _counts(cfg, runs, batched_rng)
+        assert events[:4] == first
+        assert batched == _counts(cfg, runs, stepped_rng)
+        assert batched_rng.getstate() == stepped_rng.getstate()
+
+
+@pytest.mark.parametrize("runs", [1, 10, 100])
+def test_few_simple_outcome_runs_take_one_chunk(monkeypatch, runs):
+    # the first chunk holds 1.05 times a bound on the runs' expected
+    # proposals: at n = 3, alpha = 0.5 and m = 2, 1.5 + 12.25 per run, where
+    # a run takes about 6, so one chunk serves every run
     events = _spy_on_draws(monkeypatch)
     cfg = lin_cfg(3, 0.5, "simple", 2)
-    batched_rng, stepped_rng = random.Random("carried:5"), _SteppedRandom("carried:5")
-    batched = _counts(cfg, 2, batched_rng)
-    assert events[:4] == [("draw", 20), ("chunk", 5, 2), ("draw", 12), ("chunk", 6, 6)]
-    assert batched == _counts(cfg, 2, stepped_rng)
+    seed = f"few-runs:{runs}"
+    batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
+    batched = _counts(cfg, runs, batched_rng)
+    size = math.ceil(1.05 * 13.75 * runs)
+    assert [e for e in events if e[0] == "chunk"] == [("chunk", size, events[1][2])]
+    assert events[0] == ("draw", 4 * size)
+    assert batched == _counts(cfg, runs, stepped_rng)
     assert batched_rng.getstate() == stepped_rng.getstate()
 
 
@@ -1035,6 +1052,47 @@ def test_general_f_simple_endgame_matches_oracle(monkeypatch):
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
 
 
+@pytest.mark.parametrize("table, mode, n, m, endgame, seed", [
+    # affine to K = 1: the first step is the alpha = 1 urn's, the second a
+    # class step, so this also anchors the hand-over
+    ((1.0, 2.0, 0.5), "multigraph", 3, 2, False, 41),
+    ((1.0, 1.0, 0.0), "multigraph", 3, 2, False, 42),
+    ((1.0, 2.0, 0.5), "simple", 4, 2, False, 43),
+    ((1.0, 1.0, 0.0), "simple", 4, 3, False, 44),
+    ((1.0, 2.0, 0.5), "simple", 4, 2, True, 45),
+    ((1.0, 1.0, 0.0), "simple", 4, 3, True, 46),
+    # affine to K = 2: a run leaves the urn after a loop or at its third step
+    ((1.0, 2.0, 3.0, 0.5), "multigraph", 3, 3, False, 47),
+])
+def test_general_f_law_matches_oracle(monkeypatch, table, mode, n, m, endgame, seed):
+    # the class engine's steps, and the urn's before the hand-over, against
+    # the oracle's law for the table; tiny runs step, and with `endgame`
+    # every simple step is the exact enumeration
+    if endgame:
+        monkeypatch.setattr(P, "_EXACT_AFTER_REJECTIONS", 0)
+    cfg = P.ProcessConfig(n=n, weight_rule=P.GeneralF(table), mode=mode, m_max=m)
+    counts = P.sample_process_outcomes(cfg, 100_000, random.Random(seed))
+    exact = {k: float(v) for k, v in oracle.enumerate_process(n, m, table=table, mode=mode).items()}
+    res = S.chi_square_counts(counts, exact)
+    assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
+
+
+def test_reduced_outcomes_are_the_linear_rule_outcomes(monkeypatch):
+    # f(k) = k + 1 to degree 4: runs of 2 edges never start a step at
+    # degree 4, so their outcome chunk is the alpha = 1 urn's one draw, with
+    # the linear rule's counts, order and final state, and stepping's
+    draws = _spy_on_draws(monkeypatch)
+    cfg = P.ProcessConfig(n=3, weight_rule=P.GeneralF((1.0, 2.0, 3.0, 4.0, 5.0)), m_max=2)
+    seed = "reduced-outcomes"
+    reduced_rng, linear_rng, stepped_rng = random.Random(seed), random.Random(seed), _SteppedRandom(seed)
+    reduced = _counts(cfg, 20_000, reduced_rng)
+    chunks = [P._OUTCOME_CHUNK] * 2 + [20_000 - 2 * P._OUTCOME_CHUNK]
+    assert draws == [("draw", 8 * runs) for runs in chunks]
+    assert reduced == _counts(lin_cfg(3, 1.0, "multigraph", 2), 20_000, linear_rng)
+    assert reduced == _counts(cfg, 20_000, stepped_rng)
+    assert reduced_rng.getstate() == linear_rng.getstate() == stepped_rng.getstate()
+
+
 def test_general_f_simple_endgame_draws_heavy_pairs_exactly(monkeypatch):
     # f = (1, 1e200) on five vertices: the first edge makes two heavy
     # vertices, the second (heavy-light, all but 1e-200 of the mass) a path
@@ -1105,17 +1163,30 @@ def _scaled(table, top):
 @given(table=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=6),
        n=st.integers(1, 40), steps=st.integers(0, 60),
        mode=st.sampled_from(["multigraph", "simple"]), seed=st.integers(0, 2 ** 32))
+@example(table=[1.0, 2.0, 3.0], n=6, steps=40, mode="multigraph", seed=1)
+@example(table=[1.0, 2.0, 3.0], n=6, steps=12, mode="simple", seed=1)
 def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
-    # every vertex sits in the class of its degree, at the index pos says
+    # every vertex sits in the class of its degree, at the index pos says.
+    # A multigraph run of a table affine to K (such as (1, 2, 3), K = 2)
+    # makes the urn's steps, with its degrees only, until a degree reaches
+    # K; from then on it keeps the classes, first listed in vertex order
     state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
                                            mode=mode, m_max=steps))
     engine = state.engine
+    form = P._affine(P._scaled(table)) if mode == "multigraph" else None
     rng = random.Random(seed)
     for _ in range(steps):
+        urn_step = engine.urn is not None
         try:
             state.step(rng)
         except P.ProcessExhausted:
             break
+        assert engine.deg == state.graph.deg
+        assert (engine.urn is not None) == (form is not None and max(state.graph.deg) < form[1])
+        if engine.urn is not None:
+            continue
+        if urn_step:
+            assert all(vs == sorted(vs) for vs in engine.members)
         # one class per degree up to the top one, which is occupied
         assert engine.members[-1] and len(engine.members) == max(state.graph.deg) + 1
         assert sum(len(vs) for vs in engine.members) == n
@@ -1136,6 +1207,7 @@ def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
 def test_general_f_engine_keeps_its_own_degrees(mode):
     # a stepped run's graph keeps no degrees, so the engine's own must follow
     # the graph's, a loop adding 2, and place every vertex in its class
+    # (in multigraph mode, once a degree reaches K = 2 and the urn's steps end)
     n, steps = 8, 28
     state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=(1.0, 2.0, 3.0, 0.5)),
                                            mode=mode, m_max=steps))
@@ -1144,8 +1216,11 @@ def test_general_f_engine_keeps_its_own_degrees(mode):
     for _ in range(steps):
         state.step(rng)
         assert engine.deg == state.graph.deg
+        if engine.urn is not None:
+            continue
         for v in range(n):
             assert engine.members[engine.deg[v]][engine.pos[v]] == v
+    assert engine.urn is None
     assert (state.graph.loops > 0) == (mode == "multigraph")
 
 
@@ -1169,16 +1244,22 @@ def test_class_draw_past_the_end_skips_zero_weight_classes():
 @given(table=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 7.3]), min_size=1, max_size=6),
        n=st.integers(2, 40), steps=st.integers(1, 60),
        mode=st.sampled_from(["multigraph", "simple"]), seed=st.integers(0, 2 ** 32))
+@example(table=[0.5, 1.0, 1.5, 7.3], n=6, steps=40, mode="multigraph", seed=2)
 def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed):
     # the engine's class masses are exact integers f(k) D, so each
     # endpoint's class is the first k whose integer cumulative mass cum_k
     # has cum_k 2^53 > U T, for its draw u = U / 2^53 (float64 cumsums
-    # would round: the scaled 0.1 and 7.3 entries pass 2^53)
+    # would round: the scaled 0.1 and 7.3 entries pass 2^53).  A
+    # multigraph step of a table affine to K (_affine) below top degree K
+    # is the urn's: four draws, resolved as _UrnPairEngine resolves them
     state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
                                            mode=mode, m_max=steps))
     engine, g = state.engine, state.graph
+    form = P._affine(P._scaled(table)) if mode == "multigraph" else None
     source = random.Random(seed)
     for _ in range(steps):
+        urn_step = engine.urn is not None
+        assert urn_step == (form is not None and max(g.deg) < form[1])
         sizes = np.bincount(g.deg).tolist()
         f = _scaled(table, len(sizes))
         draws: list[float] = []
@@ -1196,7 +1277,10 @@ def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed)
             cum = list(accumulate(c * x for c, x in zip(sizes, weights)))
             return next(k for k, c in enumerate(cum) if c * 2 ** 53 > int(u * 2 ** 53) * cum[-1])
 
-        if mode == "multigraph" and v == w:
+        if urn_step:
+            urn = P._UrnPairEngine(g, form[0], False)
+            assert len(draws) == 4 and urn.sample(SimpleNamespace(random=iter(draws).__next__)) == (v, w)
+        elif mode == "multigraph" and v == w:
             # a loop: one draw for the branch, then a class draw with
             # weights f(k) f(k + 1) and a member draw
             assert len(draws) == 3
@@ -1211,9 +1295,10 @@ def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed)
 
 
 @pytest.mark.parametrize("table, n, m_max, path", [
-    # f(d) = d + 1 below degree 32, as in the benchmark, and a capped table
-    # with a zero entry
-    (tuple(range(1, 33)), 2000, 1000, "batched"),
+    # f(d) = d + 1 below degree 32, as in the benchmark: at n = 2000 no
+    # degree reaches 31, so the run is the alpha = 1 urn's; and a capped
+    # table with a zero entry
+    (tuple(range(1, 33)), 2000, 1000, "urn"),
     ((3, 2, 1, 0), 1000, 1400, "batched"),
     # loop-heavy tables: a run of short batches, or none at all
     ((0.5, 3, 1, 7.25), 1000, 3000, "handed over"),
@@ -1222,15 +1307,32 @@ def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed)
     ((1, 1, 0), 200, 300, "handed over"),
     # 0.1 brings a denominator of 2^55: the class masses leave int64
     ((0.1, 1), 1000, 500, "stepped"),
-    # m_max on either side of _HANDOVER
+    # m_max on either side of _HANDOVER; affine to K = 1, (1, 2) leaves
+    # the urn after one step, and its 63 steps left step
     ((1, 2), 1000, 63, "stepped"),
-    ((1, 2), 1000, 64, "batched"),
+    ((1, 2), 1000, 64, "urn, stepped"),
+    # tables that leave the urn for class batches: (1, 2) and (1, 2, 3),
+    # and f(d) = d + 1 to degree 7, whose top degree passes 7
+    ((1, 2), 1000, 200, "urn, batched"),
+    ((1, 2, 3), 1000, 1500, "urn, batched"),
+    (tuple(range(1, 9)), 2000, 1000, "urn, batched"),
+    # the benchmark's table at n = 50 passes degree 31 at m = 82, and the
+    # loops its top vertex then draws hand the batches over at once
+    (tuple(range(1, 33)), 50, 2000, "urn, handed over"),
+    # (0.1, 0.2) is affine to K = 1 with alpha = 1, but its class masses
+    # leave int64: it steps, the urn's first step too
+    ((0.1, 0.2), 1000, 300, "stepped"),
+    # f(d) = 3 + 7d is affine, but alpha = 3/7 is no float
+    ((3, 10, 17), 1000, 1000, "batched"),
 ])
 def test_bulk_general_f_run_matches_stepping(monkeypatch, table, n, m_max, path):
     # the bulk runner's edges, records, exhaustion and rng state are
     # stepping's own, and a run steps on from a short batch
     batches = _spy_on_batches(monkeypatch)
     built = _spy_on_handovers(monkeypatch)
+    urn = []
+    urn_endpoints = P._urn_endpoints
+    monkeypatch.setattr(P, "_urn_endpoints", lambda *args: urn.append(1) or urn_endpoints(*args))
     rule = P.GeneralF(tuple(float(x) for x in table))
     for cps in ((), (0, m_max // 2, m_max), tuple(range(0, m_max + 1, max(1, m_max // 20)))):
         cfg = P.ProcessConfig(n=n, weight_rule=rule, m_max=m_max, checkpoints=cps)
@@ -1239,8 +1341,11 @@ def test_bulk_general_f_run_matches_stepping(monkeypatch, table, n, m_max, path)
         bulk = _outcome(P.run_process, cfg, bulk_rng)
         assert bulk == _outcome(P.run_process, cfg, step_rng), cps
         assert bulk_rng.getstate() == step_rng.getstate(), cps
-    assert (bool(batches), bool(built)) == {"stepped": (False, False), "batched": (True, False),
-                                            "handed over": (True, True)}[path]
+    paths = {"stepped": (False, False, False), "batched": (False, True, False),
+             "handed over": (False, True, True), "urn": (True, False, False),
+             "urn, batched": (True, True, False), "urn, stepped": (True, False, True),
+             "urn, handed over": (True, True, True)}
+    assert (bool(urn), bool(batches), bool(built)) == paths[path]
     if table == (1, 1, 0):
         assert bulk[:3] == ("exhausted", "all step weights are zero", 200)
 
@@ -1303,18 +1408,26 @@ def test_bulk_general_f_leaves_branch_draws_near_the_loop_mass_to_integers():
 
 
 def test_bulk_general_f_run_matches_stepping_at_scale(monkeypatch):
-    # the benchmark's general-f spec: f(d) = d + 1 below degree 32, n = 10^5,
-    # to m = n / 2, in batches with no hand-over
+    # the benchmark's general-f spec, f(d) = d + 1 below degree 32, at
+    # n = 10^5 to m = n / 2: its top degree stays below 31, so it is the
+    # alpha = 1 urn's run, draw for draw.  f(d) = 3 + 7d, whose alpha =
+    # 3/7 is no float, runs in class batches with no hand-over
     batches = _spy_on_batches(monkeypatch)
     built = _spy_on_handovers(monkeypatch)
     n = 100_000
-    cfg = P.ProcessConfig(n=n, weight_rule=P.GeneralF(tuple(float(d + 1) for d in range(32))),
-                          m_max=n // 2, checkpoints=(n // 4, n // 2))
-    bulk_rng, step_rng = random.Random("general-f-scale"), _SteppedRandom("general-f-scale")
-    bulk = _outcome(P.run_process, cfg, bulk_rng)
-    assert batches and not built
-    assert bulk == _outcome(P.run_process, cfg, step_rng)
-    assert bulk_rng.getstate() == step_rng.getstate()
+    for first, step, seed in ((1, 1, "general-f-scale"), (3, 7, "general-f-scale:classes")):
+        batches.clear()
+        cfg = P.ProcessConfig(n=n, weight_rule=P.GeneralF(tuple(float(first + step * d) for d in range(32))),
+                              m_max=n // 2, checkpoints=(n // 4, n // 2))
+        bulk_rng, step_rng = random.Random(seed), _SteppedRandom(seed)
+        bulk = _outcome(P.run_process, cfg, bulk_rng)
+        assert bool(batches) == (step > 1) and not built
+        assert bulk == _outcome(P.run_process, cfg, step_rng)
+        assert bulk_rng.getstate() == step_rng.getstate()
+        if step == 1:
+            urn_rng = random.Random(seed)
+            assert bulk == P.run_process(dataclasses.replace(cfg, weight_rule=P.LinearAlpha(1.0)), urn_rng)
+            assert urn_rng.getstate() == bulk_rng.getstate()
 
 
 def test_general_f_rejects_bad_tables():
