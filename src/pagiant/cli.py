@@ -196,6 +196,9 @@ def parse_spec(data: dict, seed_override: int | None = None,
             cps = tuple(int(round(x)) for x in scaled)
         else:
             cps = tuple(int(x) for x in raw_cps)
+            for i, (x, c) in enumerate(zip(raw_cps, cps)):
+                if x != c:
+                    raise SpecError(f"checkpoints[{i}]: must be an integer, got {x!r}")
         cfg = ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max,
                             checkpoints=cps, seed=int(seed))
         spec = ExperimentSpec(cfg, replicates, *paths, comparison_eps=comparison_eps)

@@ -1,13 +1,14 @@
-"""Multigraph storage and incremental connected-component tracking.
+"""Run records and incremental connected-component tracking.
 
-A MultiGraph keeps a fixed vertex set [0, n) and an edge multiset stored as
-a flat endpoint list, edge i at (ends[2i], ends[2i+1]), so that the
-endpoint list doubles as the draw history of the attachment samplers.  It
-is built edge by edge (add_edge) for the step-level state, ProcessState,
-and for nothing else: runs, configuration-model draws and the rewiring
-chain keep only their endpoints.  A ComponentTracker is a size-weighted
-union-find that maintains the running sum of squared component sizes, from
-which the susceptibility S = sum |C|^2 / n is read off without a rescan.
+A RunGraph is the record of one run that the step engines read: a fixed
+vertex set [0, n), a flat endpoint list, edge i at (ends[2i], ends[2i+1]),
+that doubles as the draw history of the samplers, and the set of its pair
+keys.  A MultiGraph is a RunGraph with degrees, a loop count and add_edge's
+checks, for the step-level state, ProcessState, alone: configuration-model
+draws and the rewiring chain keep only their endpoints.  A ComponentTracker
+is a size-weighted union-find that maintains the running sum of squared
+component sizes, from which the susceptibility S = sum |C|^2 / n is read off
+without a rescan.
 
 merge_labels is the array counterpart for a whole batch of edges at once,
 and size_stats turns any array of component sizes into (L1, L2, sum |C|^2),
@@ -26,61 +27,75 @@ class SimpleGraphViolation(ValueError):
     """A loop or duplicate edge was added while allow_multi is off."""
 
 
-class MultiGraph:
-    """Fixed vertex set, edge multiset with loops and multiplicities.
+class RunGraph:
+    """What a step engine reads of its graph, for one run: n, the run's own
+    endpoint list and the set of its pair keys min*n + max (None where no
+    engine asks for pairs: a multigraph run's own record)."""
 
-    Endpoints of edge i are ends[2i] and ends[2i+1]; a loop contributes 2 to
-    the degree of its endpoint.
+    __slots__ = ("n", "ends", "keys")
+
+    def __init__(self, n: int, ends: list[int], keys: set[int] | None):
+        self.n = n
+        self.ends = ends
+        self.keys = keys
+
+    @property
+    def num_distinct_pairs(self) -> int:
+        return len(self.keys)
+
+    def has_edge(self, v: int, w: int) -> bool:
+        return (v * self.n + w if v < w else w * self.n + v) in self.keys
+
+    def add_edge(self, v: int, w: int) -> None:
+        ends, keys = self.ends, self.keys
+        ends.append(v)
+        ends.append(w)
+        if keys is not None:
+            n = self.n
+            keys.add(v * n + w if v < w else w * n + v)
+
+
+class MultiGraph(RunGraph):
+    """A run record with its degrees and loop count, whose add_edge checks
+    its endpoints and, without allow_multi, rejects loops and duplicates.
+
+    A loop contributes 2 to the degree of its endpoint.
     """
 
-    __slots__ = ("n", "ends", "deg", "loops", "_pairs")
+    __slots__ = ("deg", "loops")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one vertex")
-        self.n = n
-        self.ends: list[int] = []
+        super().__init__(n, [], set())
         self.deg = [0] * n
         self.loops = 0
-        # normalized pair key (min*n + max) -> multiplicity
-        self._pairs: dict[int, int] = {}
 
     @property
     def num_edges(self) -> int:
         return len(self.ends) // 2
 
     @property
-    def num_distinct_pairs(self) -> int:
-        return len(self._pairs)
-
-    @property
     def multi_edges(self) -> int:
         """Edges beyond the first copy of each pair (loops included)."""
-        return self.num_edges - len(self._pairs)
-
-    def has_edge(self, v: int, w: int) -> bool:
-        key = v * self.n + w if v <= w else w * self.n + v
-        return key in self._pairs
+        return self.num_edges - len(self.keys)
 
     def add_edge(self, v: int, w: int, allow_multi: bool = True) -> None:
         n = self.n
         if not (0 <= v < n and 0 <= w < n):
             raise ValueError(f"endpoint out of range: ({v}, {w})")
-        key = v * n + w if v <= w else w * n + v
         if not allow_multi:
             if v == w:
                 raise SimpleGraphViolation(f"loop at {v} rejected in simple mode")
-            if key in self._pairs:
+            if self.has_edge(v, w):
                 raise SimpleGraphViolation(f"duplicate edge ({v}, {w}) rejected in simple mode")
-        self.ends.append(v)
-        self.ends.append(w)
+        super().add_edge(v, w)
         if v == w:
             self.deg[v] += 2
             self.loops += 1
         else:
             self.deg[v] += 1
             self.deg[w] += 1
-        self._pairs[key] = self._pairs.get(key, 0) + 1
 
 
 class ComponentStats(NamedTuple):

@@ -31,57 +31,58 @@ added since the previous checkpoint, and multi-edges from the first copy
 of each pair key, which one unstable argsort finds (_first_counts, which
 also groups the outcomes of sample_process_outcomes).  ProcessConfig
 bounds n by isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.
-_runner picks the path for sample_edges and sample_process_outcomes
-alike: the linear-alpha and r-stub rules, and the general-f rule in
-multigraph mode, run in bulk when rng is a plain random.Random, and every
-other run steps its engine with no union-find
-(_run_stepped) on one run record, _RunGraph: the run's own endpoint list
-and, in simple mode, the set of its pair keys.  numpy's MT19937 draws
-the very same doubles as CPython's random once it holds the same state,
-so the draws of many steps come out of one numpy call and the advanced
-state is handed back to rng (_mt_uniforms).  The state is handed over as
-the words of numpy's state struct, its 624 key words and then pos,
-written and read through a view of that struct (_mt19937), since
-numpy's `state` dict costs more than a small draw.
+_runner picks a run's path, and sample_process_outcomes its chunks', from
+the rule, the mode, the urn form (_urn_form) and whether rng is a plain
+random.Random: the linear-alpha and r-stub rules, and general f in
+multigraph mode, run in bulk from a plain random.Random, and every other
+run steps its engine with no union-find (_run_stepped) on one run record,
+graph_core.RunGraph: its own endpoint list and, in simple mode, pair keys.
+numpy's MT19937 draws the very same doubles as CPython's random once it
+holds the same state, so the draws of many steps come out of one numpy
+call and the advanced state is handed back to rng (_mt_uniforms).  The
+state is handed over as the words of numpy's state struct, its 624 key
+words and then pos, written and read through a view of that struct
+(_mt19937), since numpy's `state` dict costs more than a small draw.
 
-A linear-alpha multigraph step makes exactly four rng.random() calls, so
-a run takes all its draws at once and resolves every endpoint with
+A multigraph run of the linear-alpha rule, or of a table affine to K
+(_affine) such as f(d) = d + 1 below degree 32 while every step starts
+with top degree < K, is a Polya urn (_urn_form: K = inf for the rule),
+made by _run_urn.  An urn step makes exactly four rng.random() calls, so
+a run takes its draws at once and resolves every endpoint with
 _UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints);
 below _HANDOVER steps, the measured crossover, it steps the same draws.
+A table's run is the urn's up to the first step that starts at degree K
+(_first_reach), then class batches listing their vertices in order; its
+stepping engine hands over at the same step.  An r-stub multigraph run
+is one uniform stub matching, its stubs shuffled once, as the order of
+rn draws (_shuffled_stubs), and read backwards in pairs (_run_stub).
 The other bulk runs go through one driver, _batches, in numpy batches.
 A rule's batch makes the steps of its draws up to the first special
 step, which it cannot make from them; rng is set back to the draws those
 steps used, and the rule's special makes that step as stepping does.
 The driver alone sizes the batches, and hands a run whose special steps
-come closer than _HANDOVER apart over to stepping, on a _RunGraph of the
+come closer than _HANDOVER apart over to stepping, on a RunGraph of the
 edges and pair keys made, with rng where stepping takes over.  A
 linear-alpha simple batch resolves four-draw proposals as if all were
 accepted; its special step is a rejection, consumed, after which the
-next batch makes the step again.  The r-stub rule is one uniform stub
-matching revealed pair by pair: its free stubs are shuffled once, as the
-order of rn draws (_shuffled_stubs), and each step proposes the last
-two, so its batches draw nothing; _stub_proposals makes a simple run's
-special step, a loop or repeated pair.  A general-f multigraph step
-reads five draws: its degree classes are drawn in exact integers, round
-by round, from the class sizes the last round's classes imply
-(_class_draws), and the vertices they move are found by sorting the
-class slots the steps read and write (_class_moves); a possible loop or
-repeated vertex is special (_class_slots).  A multigraph table affine
-to K (_affine), such as f(d) = d + 1 below degree 32, is the
-LinearAlpha(alpha) urn while every step starts with top degree < K: its
-run is the urn's up to the first step that does not (_first_reach), and
-class batches from there, whose classes list their vertices in order
-(_run_affine); its stepping engine hands over at the same step.  Either
-way the edges, records, exhaustion, rejection cap and final rng state
-are stepping's own.
+next batch makes the step again.  An r-stub simple run proposes the
+last two of its shuffled stubs, so its batches draw nothing;
+_stub_proposals makes its special step, a loop or repeated pair.  A
+general-f multigraph step reads five draws: its degree classes are
+drawn in exact integers, round by round, from the class sizes the last
+round's classes imply (_class_draws), and the vertices they move are
+found by sorting the class slots the steps read and write
+(_class_moves); a possible loop or repeated vertex is special
+(_class_slots).  Either way the edges, records, exhaustion, rejection
+cap and final rng state are stepping's own.
 
 sample_process_outcomes counts runs edges first too: every path yields
 chunks of endpoint rows, one per run, and one numpy keyer counts them
-(_count_outcomes).  A linear-alpha multigraph step makes four
-rng.random() calls and an r-stub multigraph run only its shuffle's rn, so
-a chunk of such runs, or of an affine table's runs too short to reach K,
-is one numpy draw (_urn_endpoints; for r stubs, one
-argsort per row, and a chunk whose draws hold a tie goes run by run).
+(_count_outcomes).  An urn step makes four rng.random() calls and an
+r-stub multigraph run only its shuffle's rn, so a chunk of urn runs too
+short to reach K, or of r-stub matchings, is one numpy draw
+(_urn_endpoints; for r stubs, one argsort per row, and a chunk whose
+draws hold a tie goes run by run).
 Linear-alpha simple runs read a chunk of four-draw proposals: the run that
 would start at each proposal is resolved for all of them at once, one lane
 per run, each endpoint by one gather from a table of the lane's own
@@ -118,7 +119,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graph_core import ComponentTracker, MultiGraph, merge_labels, size_stats
+from .graph_core import ComponentTracker, MultiGraph, RunGraph, merge_labels, size_stats
 
 _REJECTION_CAP = 10 ** 6
 # enumerate addable pairs once at most this many stubs (r-stub rule) or
@@ -259,13 +260,13 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _check_not_complete(g: MultiGraph):
+def _check_not_complete(g: RunGraph):
     """Simple mode: raise before a rejection loop that no pair can end."""
     if g.num_distinct_pairs == g.n * (g.n - 1) // 2:
         raise ProcessExhausted("graph is complete")
 
 
-def _addable_pairs(g: MultiGraph | _RunGraph, verts: list[int]) -> list[tuple[int, int]]:
+def _addable_pairs(g: RunGraph, verts: list[int]) -> list[tuple[int, int]]:
     """The pairs v < w of the sorted vertices verts that g does not hold, in
     lexicographic order."""
     has_edge = g.has_edge
@@ -295,7 +296,7 @@ class _UrnPairEngine:
 
     __slots__ = ("g", "an", "simple")
 
-    def __init__(self, g: MultiGraph, alpha: float, simple: bool):
+    def __init__(self, g: RunGraph, alpha: float, simple: bool):
         self.g = g
         self.an = alpha * g.n
         self.simple = simple
@@ -351,7 +352,7 @@ def _shuffled_stubs(n: int, r: int, draw: Callable[[int], np.ndarray]) -> np.nda
     return order // r
 
 
-def _stub_proposals(stubs: list[int] | np.ndarray, s: int, g: MultiGraph | _RunGraph,
+def _stub_proposals(stubs: list[int] | np.ndarray, s: int, g: RunGraph,
                     rng: random.Random) -> tuple[int, int]:
     """A simple-mode step on the free stubs stubs[:s], in uniform order:
     propose the last two, and while they form a loop or one of g's pairs,
@@ -385,7 +386,7 @@ class _StubEngine:
 
     __slots__ = ("g", "r", "simple", "stubs", "pairs")
 
-    def __init__(self, g: MultiGraph | _RunGraph, r: int, simple: bool,
+    def __init__(self, g: RunGraph, r: int, simple: bool,
                  stubs: list[int] | None = None):
         self.g = g
         self.r = r
@@ -458,6 +459,19 @@ def _affine(F: Sequence[int]) -> tuple[float, int] | None:
     return alpha, K
 
 
+def _urn_form(cfg: ProcessConfig) -> tuple[float, float] | None:
+    """(alpha, K) when cfg's runs make the LinearAlpha(alpha) multigraph
+    urn's steps while every step starts with top degree < K: K = inf for
+    the linear-alpha rule, and a table's affine range (_affine).  None for
+    a simple run, the r-stub rule, or a table that is not affine."""
+    rule = cfg.weight_rule
+    if cfg.mode == "simple" or isinstance(rule, NegativeInteger):
+        return None
+    if isinstance(rule, LinearAlpha):
+        return rule.alpha, math.inf
+    return _affine(_scaled(rule.table))
+
+
 def _pick(members: list[list[int]], masses: list[int], total: int, rand) -> int:
     """A uniform member of a class drawn with weight len(members[k]) *
     masses[k], summing to total: for a draw u = U / 2^53, the first class,
@@ -497,7 +511,7 @@ class _DegreeClassEngine:
 
     __slots__ = ("g", "simple", "deg", "members", "pos", "F", "T", "Q", "L", "urn", "K")
 
-    def __init__(self, g: MultiGraph | _RunGraph, rule: GeneralF, simple: bool,
+    def __init__(self, g: RunGraph, rule: GeneralF, simple: bool,
                  members: list[list[int]] | None = None):
         self.g = g
         self.simple = simple
@@ -607,7 +621,7 @@ class _DegreeClassEngine:
 # ---------------------------------------------------------------------------
 
 
-def _engine(cfg: ProcessConfig, g: MultiGraph | _RunGraph, state: list | None = None):
+def _engine(cfg: ProcessConfig, g: RunGraph, state: list | None = None):
     """The step engine of cfg's rule, over the graph g and the state a bulk
     run hands over: the r-stub rule's shuffled free stubs (by default every
     stub, shuffled at the first step that needs their order), or general
@@ -761,42 +775,14 @@ def _records(n: int, ends: np.ndarray, checkpoints: Sequence[int]) -> list[Check
 Run = tuple[Sequence[int] | np.ndarray, int, str | None]
 
 
-class _RunGraph:
-    """What a step engine reads of its graph, for one run: n, the run's own
-    endpoint list and, in simple mode, the set of its pair keys min*n + max
-    (None in multigraph mode, where no engine asks for pairs)."""
-
-    __slots__ = ("n", "ends", "keys")
-
-    def __init__(self, n: int, ends: list[int], keys: set[int] | None):
-        self.n = n
-        self.ends = ends
-        self.keys = keys
-
-    @property
-    def num_distinct_pairs(self) -> int:
-        return len(self.keys)
-
-    def has_edge(self, v: int, w: int) -> bool:
-        return (v * self.n + w if v < w else w * self.n + v) in self.keys
-
-    def add_edge(self, v: int, w: int) -> None:
-        ends, keys = self.ends, self.keys
-        ends.append(v)
-        ends.append(w)
-        if keys is not None:
-            n = self.n
-            keys.add(v * n + w if v < w else w * n + v)
-
-
-def _run_stepped(cfg: ProcessConfig, rng: random.Random, g: _RunGraph | None = None,
+def _run_stepped(cfg: ProcessConfig, rng: random.Random, g: RunGraph | None = None,
                  state: list | None = None) -> Run:
     """Any rule, one step at a time with no union-find, on the run record g
     (an empty run by default) to m_max.  The bulk runners hand their tails
     here, with the edges and pair keys they accepted and their engine
     state (_engine)."""
     if g is None:
-        g = _RunGraph(cfg.n, [], set() if cfg.mode == "simple" else None)
+        g = RunGraph(cfg.n, [], set() if cfg.mode == "simple" else None)
     m, m_max = len(g.ends) // 2, cfg.m_max
     engine = _engine(cfg, g, state)
     sample, add_edge, sync = engine.sample, g.add_edge, engine.sync
@@ -809,16 +795,6 @@ def _run_stepped(cfg: ProcessConfig, rng: random.Random, g: _RunGraph | None = N
     except ProcessExhausted as exc:
         return g.ends, m, str(exc)
     return g.ends, m, None
-
-
-def _run_urn_multigraph(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The linear-alpha multigraph rule, without a step loop."""
-    n = cfg.n
-    # no name holds the draws, so they are freed before the record arrays
-    # are allocated (holding them cost about 1 ms per replicate at n = 10^5)
-    ends = _urn_endpoints(n, cfg.weight_rule.alpha * n,
-                          _mt_uniforms(rng, 4 * cfg.m_max)[None, :])[0]
-    return ends, cfg.m_max, None
 
 
 def _rewind(rng: random.Random, state: tuple, draws: int) -> None:
@@ -924,7 +900,7 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
         # vertex, shared by its endpoints, is under half the memory of a
         # list of fresh ints
         prefix = np.arange(n, dtype=object)[ends[:2 * j]].tolist()
-        return _RunGraph(n, prefix, set(keys[:j].tolist())), None
+        return RunGraph(n, prefix, set(keys[:j].tolist())), None
 
     return _batches(cfg, rng, ends, stop, 4, lambda: stop, batch, consume, handover)
 
@@ -932,13 +908,13 @@ def _run_urn_simple(cfg: ProcessConfig, rng: random.Random) -> Run:
 def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
     """The r-stub rule from one shuffled stub list, drawn by numpy.
 
-    The list is read in batches of no draws (_batches): a multigraph run
-    reads it backwards in pairs, and a simple run up to each loop or
-    repeated pair, whose step _stub_proposals makes, as stepping does.
-    Each step takes two stubs off the end, so after j steps the free ones
-    are stubs[:rn - 2j].  A simple run steps on from the exact endgame of
-    the last _EXACT_THRESHOLD stubs; a run with fewer steps to batch steps
-    from the start, shuffling as stepping does.
+    A multigraph run is the list read backwards in pairs.  A simple run
+    reads it in batches of no draws (_batches) up to each loop or repeated
+    pair, whose step _stub_proposals makes, as stepping does.  Each step
+    takes two stubs off the end, so after j steps the free ones are
+    stubs[:rn - 2j].  A simple run steps on from the exact endgame of the
+    last _EXACT_THRESHOLD stubs.  A run with fewer than _HANDOVER steps to
+    make this way steps from the start, shuffling as stepping does.
     """
     n, r, m_max = cfg.n, cfg.weight_rule.r, cfg.m_max
     simple = cfg.mode == "simple"
@@ -947,24 +923,25 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
     if stop < _HANDOVER:
         return _run_stepped(cfg, rng)
     stubs = _shuffled_stubs(n, r, functools.partial(_mt_uniforms, rng))
+    if not simple:
+        return stubs[::-1][:2 * m_max], m_max, None
     ends = np.empty(2 * m_max, np.int64)
-    g = _RunGraph(n, [], set() if simple else None)
+    g = RunGraph(n, [], set())
 
     def batch(j: int, u: np.ndarray) -> int:
         # proposal i pairs the free stubs s - 1 - 2i and s - 2 - 2i; a
-        # simple batch ends before its first loop or pair seen before
+        # batch ends before its first loop or pair seen before
         s, k = r * n - 2 * j, len(u)
         new = stubs[s - 2 * k:s][::-1]
-        if simple:
-            v, w = new[0::2], new[1::2]
-            key = np.minimum(v, w) * n + np.maximum(v, w)
-            listed = key.tolist()
-            bad = (v == w) | (_first_counts(key) == 0)
-            if not g.keys.isdisjoint(listed):
-                bad |= np.isin(key, list(g.keys.intersection(listed)))
-            if bad.any():
-                k = int(np.argmax(bad))
-            g.keys.update(listed[:k])
+        v, w = new[0::2], new[1::2]
+        key = np.minimum(v, w) * n + np.maximum(v, w)
+        listed = key.tolist()
+        bad = (v == w) | (_first_counts(key) == 0)
+        if not g.keys.isdisjoint(listed):
+            bad |= np.isin(key, list(g.keys.intersection(listed)))
+        if bad.any():
+            k = int(np.argmax(bad))
+        g.keys.update(listed[:k])
         ends[2 * j:2 * (j + k)] = new[:2 * k]
         return k
 
@@ -979,7 +956,7 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
         # the array is freed before the stepped tail's endpoint list is
         # built, whose entries the engine does not read, only their count
         free, stubs = stubs[:r * n - 2 * j].tolist(), None
-        return _RunGraph(n, [0] * (2 * j), g.keys), free
+        return RunGraph(n, [0] * (2 * j), g.keys), free
 
     return _batches(cfg, rng, ends, stop, 0, lambda: _OUTCOME_CHUNK, batch, propose, handover)
 
@@ -1208,7 +1185,7 @@ def _run_classes(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray | None
         if held is not None:
             move(*held[:2])
         off = np.cumsum(sizes) - sizes
-        return (_RunGraph(n, [0] * (2 * j), None),
+        return (RunGraph(n, [0] * (2 * j), None),
                 [flat[o:o + c].tolist() for o, c in zip(off.tolist(), sizes.tolist())])
 
     return _batches(cfg, rng, ends, m_max, 5,
@@ -1216,9 +1193,11 @@ def _run_classes(cfg: ProcessConfig, rng: random.Random, ends: np.ndarray | None
                     batch, special, handover, j)
 
 
-def _first_reach(ends: np.ndarray, K: int) -> int | None:
+def _first_reach(ends: np.ndarray, K: float) -> int | None:
     """The index of the first endpoint in ends whose vertex occurs there
     for the K-th time, None when none occurs K times."""
+    if K > len(ends):
+        return None  # with no bincount: K = inf for the linear-alpha rule
     count = np.bincount(ends)
     if count.max() < K:
         return None
@@ -1229,15 +1208,19 @@ def _first_reach(ends: np.ndarray, K: int) -> int | None:
     return int(at[order[first + K - 1]].min())
 
 
-def _run_affine(cfg: ProcessConfig, rng: random.Random) -> Run:
-    """The general-f multigraph rule for a table affine to K (_affine): the
-    urn's run (_urn_endpoints) up to step h, the first to start with a
-    degree of K or more, then _run_classes from h's first draw.  The urn
-    is drawn for all steps only when no degree reaches K in the first
-    _HANDOVER K, so an early crossing costs no whole urn run."""
+def _run_urn(cfg: ProcessConfig, rng: random.Random) -> Run:
+    """A multigraph run of urn form (alpha, K) (_urn_form): the
+    LinearAlpha(alpha) urn's run (_urn_endpoints) up to step h, the first
+    to start with a degree of K or more, then _run_classes from h's first
+    draw.  The urn is drawn for all steps only when no degree reaches K in
+    the first _HANDOVER K, so an early crossing costs no whole urn run.
+    No name holds the draws on return: they are freed before the record
+    arrays are allocated (holding them cost about 1 ms per replicate at
+    n = 10^5)."""
     n, m = cfg.n, cfg.m_max
-    alpha, K = _affine(_scaled(cfg.weight_rule.table))
-    saved = rng.getstate()
+    alpha, K = _urn_form(cfg)
+    # only a run of 2m >= K endpoints can reach K and go back
+    saved = rng.getstate() if K <= 2 * m else None
     steps = min(m, _HANDOVER * K)
     u = _mt_uniforms(rng, 4 * steps)
     while True:
@@ -1263,8 +1246,8 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
     simple runs and multigraph runs of _HANDOVER steps or more (the
     measured crossover) of the linear-alpha rule and of general f whose
     class masses start positive (f(0) > 0) and stay below 2^36 (n max F),
-    an affine table's from the urn; stepping otherwise, which ends an
-    f(0) = 0 run before any draw."""
+    from the urn for an urn form (_urn_form); stepping otherwise, which
+    ends an f(0) = 0 run before any draw."""
     rule = cfg.weight_rule
     if type(rng) is not random.Random:
         return _run_stepped
@@ -1274,12 +1257,11 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
         return _run_urn_simple if isinstance(rule, LinearAlpha) else _run_stepped
     if cfg.m_max < _HANDOVER:
         return _run_stepped
-    if isinstance(rule, LinearAlpha):
-        return _run_urn_multigraph
-    F = _scaled(rule.table)
-    if not (0 < F[0] and cfg.n * max(F) < 2 ** 36):
-        return _run_stepped
-    return _run_affine if _affine(F) else _run_classes
+    if isinstance(rule, GeneralF):
+        F = _scaled(rule.table)
+        if not (0 < F[0] and cfg.n * max(F) < 2 ** 36):
+            return _run_stepped
+    return _run_urn if _urn_form(cfg) else _run_classes
 
 
 def sample_edges(cfg: ProcessConfig, rng: random.Random | None = None
@@ -1400,28 +1382,27 @@ def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,
     return table[chain, base:], int(nxt[chain[-1]]) if len(chain) else 0
 
 
-def _rows(cfg: ProcessConfig, runs: int, rng: random.Random,
-          run: Callable[[ProcessConfig, random.Random], Run]) -> np.ndarray:
-    """The endpoints of the next `runs` runs of cfg by the runner `run`, one
-    row of 2 m_max per run: a linear-alpha, short affine-table or r-stub
-    multigraph chunk from one numpy draw, any other run made by `run` and
-    stacked.  The first run that exhausts raises ProcessExhausted."""
+def _rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> np.ndarray:
+    """The endpoints of the next `runs` runs of cfg, one row of 2 m_max per
+    run: from a plain random.Random, one numpy draw for a multigraph chunk
+    of urn runs that start no step at degree K (_urn_form) or of r-stub
+    matchings, and otherwise _runner's runs, stacked.  The first run that
+    exhausts raises ProcessExhausted."""
     n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
-    urn = rule.alpha if isinstance(rule, LinearAlpha) else None
-    form = _affine(_scaled(rule.table)) if isinstance(rule, GeneralF) else None
-    if form and 2 * (m - 1) < form[1]:
-        urn = form[0]  # no step of these runs starts at degree K
-    # one draw at every m_max, though _runner steps a short single run
-    if urn is not None and cfg.mode == "multigraph" and type(rng) is random.Random:
-        return _urn_endpoints(n, urn * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
-    if run is _run_stub and cfg.mode == "multigraph" and m:
-        # one shuffle per run, each read backwards in pairs; a chunk that
-        # holds a tie goes run by run, from where it started
-        saved = rng.getstate()
-        order = _stub_order(_mt_uniforms(rng, runs * rule.r * n).reshape(runs, rule.r * n))
-        if order is not None:
-            return order[:, ::-1][:, :2 * m] // rule.r
-        rng.setstate(saved)
+    if type(rng) is random.Random and cfg.mode == "multigraph":
+        form = _urn_form(cfg)
+        # one draw at every m_max, though _runner steps a short single run
+        if form and 2 * (m - 1) < form[1]:
+            return _urn_endpoints(n, form[0] * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
+        if isinstance(rule, NegativeInteger) and m:
+            # one shuffle per run, each read backwards in pairs; a chunk that
+            # holds a tie goes run by run, from where it started
+            saved = rng.getstate()
+            order = _stub_order(_mt_uniforms(rng, runs * rule.r * n).reshape(runs, rule.r * n))
+            if order is not None:
+                return order[:, ::-1][:, :2 * m] // rule.r
+            rng.setstate(saved)
+    run = _runner(cfg, rng)
     flat: list[int] = []
     for _ in range(runs):
         ends, _, reason = run(cfg, rng)
@@ -1466,7 +1447,7 @@ def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Itera
         if not used:
             if len(u) >= longest:
                 _rewind(rng, state, ahead)
-                yield _rows(cfg, 1, rng, _run_urn_simple)
+                yield _rows(cfg, 1, rng)
                 done += 1
                 carried = carried[:0]
                 state, ahead = rng.getstate(), 0
@@ -1491,11 +1472,11 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
     if not _is_count(runs, 0):
         raise ValueError(f"runs must be an integer >= 0, got {runs!r}")
     n, m = cfg.n, cfg.m_max
-    run = _runner(cfg, rng)
-    if run is _run_urn_simple and 0 < m <= n * (n - 1) // 2:
+    if (isinstance(cfg.weight_rule, LinearAlpha) and cfg.mode == "simple"
+            and type(rng) is random.Random and 0 < m <= n * (n - 1) // 2):
         chunks = _urn_simple_rows(cfg, runs, rng)
     else:
-        chunks = (_rows(cfg, min(_OUTCOME_CHUNK, runs - done), rng, run)
+        chunks = (_rows(cfg, min(_OUTCOME_CHUNK, runs - done), rng)
                   for done in range(0, runs, _OUTCOME_CHUNK))
     out: Counter = Counter()
     for ends in chunks:

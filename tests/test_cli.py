@@ -121,6 +121,9 @@ def test_parse_spec_gives_a_spec_or_a_spec_error(case, value):
      "outputs.summary_json"),
     ({"outputs": {"trajectory_csv": "t.csv", "degree_csv": "sub/", "summary_json": "s.json"}},
      "outputs.degree_csv"),
+    # absolute checkpoints are edge counts: a fraction is not rounded away
+    ({"checkpoints": [10.7, 20.2]}, "checkpoints[0]"),
+    ({"checkpoints": [10, 10.5]}, "checkpoints[1]"),
 ])
 def test_spec_repros_exit_2_and_write_nothing(tmp_path, capsys, change, field):
     # the quoted numbers go into the file unquoted, as JSON parses 1e999 to inf
@@ -133,6 +136,13 @@ def test_spec_repros_exit_2_and_write_nothing(tmp_path, capsys, change, field):
     assert cli.main(["simulate", "--spec", str(path), "--out", str(out), "--jobs", "1"]) == 2
     assert f"spec error: {field}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integral_float_checkpoints_are_edge_counts():
+    # an integral float such as 2e2 names an edge count; relative entries round
+    assert cli.parse_spec(dict(BASE_SPEC, checkpoints=[0, 2e2, 300.0])).config.checkpoints == (0, 200, 300)
+    rel = cli.parse_spec(dict(BASE_SPEC, checkpoints=[0.8013, 1.2], checkpoints_rel=True)).config
+    assert rel.checkpoints == (160, 240)  # m_c = 200
 
 
 def test_an_n_past_the_pair_key_bound_is_a_spec_error(tmp_path, capsys, monkeypatch):

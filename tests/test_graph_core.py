@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagiant.graph_core import (ComponentTracker, MultiGraph, SimpleGraphViolation, merge_labels,
-                                size_stats)
+from pagiant.graph_core import (ComponentTracker, MultiGraph, RunGraph, SimpleGraphViolation,
+                                merge_labels, size_stats)
 
 
 def test_first_edge_degrees():
@@ -46,6 +46,20 @@ def test_multiplicity_tracking():
     g.add_edge(2, 2)
     assert g.num_distinct_pairs == 2
     assert g.multi_edges == 3
+
+
+def test_multigraph_is_the_run_record_plus_degrees():
+    # the step engines read a MultiGraph as the run record of the same edges
+    rng = random.Random(1)
+    g, record = MultiGraph(6), RunGraph(6, [], set())
+    for _ in range(30):
+        v, w = rng.randrange(6), rng.randrange(6)
+        g.add_edge(v, w)
+        record.add_edge(v, w)
+    assert isinstance(g, RunGraph)
+    assert (g.ends, g.keys, g.num_distinct_pairs) == (record.ends, record.keys, record.num_distinct_pairs)
+    assert all(g.has_edge(v, w) == record.has_edge(v, w) for v in range(6) for w in range(6))
+    assert g.multi_edges == 30 - len(record.keys)
 
 
 def test_endpoint_bounds_checked():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pagiant import oracle, processes as P, stats as S, theory as T
+from pagiant.graph_core import RunGraph
 
 
 def lin_cfg(n, alpha, mode, m_max, checkpoints=(), seed=0):
@@ -82,7 +83,7 @@ def test_bulk_run_matches_stepping(n, m_max, alpha):
                 # the bulk runner itself, which _runner takes only from
                 # _HANDOVER steps on
                 bulk_rng = random.Random(seed)
-                ends, reached, reason = P._run_urn_multigraph(cfg, bulk_rng)
+                ends, reached, reason = P._run_urn(cfg, bulk_rng)
                 assert (reached, reason) == (m, None)
                 assert tuple(P._records(n, ends, cps)) == bulk.records, (m, cps)
                 assert bulk_rng.getstate() == step_rng.getstate(), (m, cps)
@@ -90,16 +91,28 @@ def test_bulk_run_matches_stepping(n, m_max, alpha):
 
 def test_runner_steps_urn_multigraph_runs_below_the_crossover(monkeypatch):
     # a linear-alpha multigraph run of fewer than _HANDOVER = 64 steps
-    # steps, on the draws the bulk runner would take; a simple run's own
-    # runner hands short runs over, and a Random subclass always steps
+    # steps, on the draws the bulk runner would take, and so does a table
+    # affine to K = 31, f(d) = d + 1 below 32, whose longer runs take the
+    # same urn runner; a simple run's own runner hands short runs over,
+    # and a Random subclass always steps
     assert P._HANDOVER == 64
-    for m_max, bulk in ((63, P._run_stepped), (64, P._run_urn_multigraph)):
+    affine = P.GeneralF(tuple(float(d + 1) for d in range(32)))
+    assert P._urn_form(P.ProcessConfig(1000, affine, m_max=64)) == (1.0, 31)
+    for m_max, bulk in ((63, P._run_stepped), (64, P._run_urn)):
         for mode, runner in (("multigraph", bulk), ("simple", P._run_urn_simple)):
             cfg = lin_cfg(1000, 1.0, mode, m_max)
             assert P._runner(cfg, random.Random(0)) is runner, (m_max, mode)
             assert P._runner(cfg, _SteppedRandom(0)) is P._run_stepped, (m_max, mode)
-    # the outcome counts of short runs still draw a chunk of runs at a time
+        table_cfg = P.ProcessConfig(1000, affine, m_max=m_max)
+        assert P._runner(table_cfg, random.Random(0)) is bulk, m_max
+    # a linear-alpha bulk run is one draw of its 4 m draws, and nothing more
     draws = _spy_on_draws(monkeypatch)
+    for m in (64, 5000):
+        draws.clear()
+        P.sample_edges(lin_cfg(1000, 1.0, "multigraph", m), random.Random(m))
+        assert draws == [("draw", 4 * m)], m
+    # the outcome counts of short runs still draw a chunk of runs at a time
+    draws.clear()
     P.sample_process_outcomes(lin_cfg(3, 1.0, "multigraph", 2), 20_000, random.Random(0))
     chunks = [P._OUTCOME_CHUNK] * 2 + [20_000 - 2 * P._OUTCOME_CHUNK]
     assert draws == [("draw", 8 * runs) for runs in chunks]
@@ -131,8 +144,8 @@ def test_bulk_simple_run_hands_dense_runs_to_stepping(monkeypatch, n, m_max, alp
 def _spy_on_batches(monkeypatch) -> list:
     """The sizes of the numpy batches of the bulk runners' one driver, as
     they are made: the speculative proposals of linear-alpha simple runs,
-    the pairs read off an r-stub run's shuffled stubs, and the steps of a
-    general-f multigraph batch."""
+    the pairs read off an r-stub simple run's shuffled stubs, and the steps
+    of a general-f multigraph batch."""
     sizes = []
     batches = P._batches
 
@@ -184,7 +197,7 @@ def test_batch_driver_leaves_rng_at_the_draws_it_used(monkeypatch):
 
         run = P._batches(SimpleNamespace(m_max=stop), rng, np.arange(2 * stop), stop, per,
                          lambda: cap, batch, special,
-                         lambda j: (P._RunGraph(10, [0] * (2 * j), None), "state"), j)
+                         lambda j: (RunGraph(10, [0] * (2 * j), None), "state"), j)
         return run[1:], seen, rng.getstate()
 
     # a kept prefix, then a special step of two draws: the next batch's
@@ -248,6 +261,7 @@ def test_bulk_stub_run_matches_stepping(monkeypatch, r, n, m_max):
     batches = _spy_on_batches(monkeypatch)
     dense = tuple(range(0, m_max + 1, max(1, m_max // 20)))
     for mode in ("multigraph", "simple"):
+        batches.clear()
         for m, cps in ((m_max, ()), (m_max, (0,)), (m_max, dense), (m_max, (m_max,)),
                        (0, ()), (0, (0,))):
             cfg = stub_cfg(n, r, mode, m, cps)
@@ -262,8 +276,11 @@ def test_bulk_stub_run_matches_stepping(monkeypatch, r, n, m_max):
                 assert bulk[0] == "exhausted" and bulk[2] < m
             elif r == 30 and m:
                 assert bulk[:3] == ("exhausted", "graph is complete", 190)
-    # the runs of 64 steps or more went through the batches
-    assert bool(batches) == (m_max >= P._HANDOVER)
+        # a simple run with 64 steps or more to make before the endgame of
+        # the last 64 stubs goes through the batches; a multigraph run is
+        # its reversed shuffle, and never does
+        batchable = min(m_max, (r * n - P._EXACT_THRESHOLD + 1) // 2)
+        assert bool(batches) == (mode == "simple" and batchable >= P._HANDOVER), mode
 
 
 @pytest.mark.parametrize("mode", ["multigraph", "simple"])
@@ -321,7 +338,7 @@ def test_stub_rejection_leaves_the_order_uniform(monkeypatch):
     # stubs before it are in uniform order, and the list is then again a
     # uniform permutation; with a cap of one proposal, it is kept
     monkeypatch.setattr(P, "_REJECTION_CAP", 1)
-    g = P._RunGraph(4, [], {0 * 4 + 1})  # (0, 1) is an edge, so (1, 0) is rejected
+    g = RunGraph(4, [], {0 * 4 + 1})  # (0, 1) is an edge, so (1, 0) is rejected
     rng = random.Random(31)
     counts = Counter()
     for _ in range(24_000):
@@ -611,7 +628,7 @@ def test_bulk_run_final_record_matches_oracle(alpha):
     # the bulk runner itself: _runner steps runs this short
     rng = random.Random(20_260_500 + int(alpha * 4))
     cfg = lin_cfg(3, float(alpha), "multigraph", 2, checkpoints=(2,))
-    counts = Counter(_record_key(P._records(3, P._run_urn_multigraph(cfg, rng)[0], [2])[0])
+    counts = Counter(_record_key(P._records(3, P._run_urn(cfg, rng)[0], [2])[0])
                      for _ in range(4000))
     res = S.chi_square_counts(counts, dict(exact))
     assert res.pvalue > 1e-3, f"law mismatch: chi2={res.stat:.1f} dof={res.dof} p={res.pvalue:.2e}"
@@ -788,7 +805,7 @@ def test_record_builder_matches_the_step_state(rule, mode, n, m_max):
             state.step(rng)
     assert P._records(n, np.array(state.graph.ends, np.int64), cps) == expected
     # run_process makes the same run from the same stream, in bulk or
-    # stepped (on a _RunGraph, which keeps no degrees), and
+    # stepped (on a RunGraph, which keeps no degrees), and
     # leaves rng where ProcessState.step does
     again = random.Random(f"builder:{rule}:{mode}:{n}")
     assert P.run_process(cfg, again).records == tuple(expected)
@@ -1170,10 +1187,10 @@ def test_degree_classes_track_the_graph(table, n, steps, mode, seed):
     # A multigraph run of a table affine to K (such as (1, 2, 3), K = 2)
     # makes the urn's steps, with its degrees only, until a degree reaches
     # K; from then on it keeps the classes, first listed in vertex order
-    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
-                                           mode=mode, m_max=steps))
+    cfg = P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)), mode=mode, m_max=steps)
+    state = P.ProcessState(cfg)
     engine = state.engine
-    form = P._affine(P._scaled(table)) if mode == "multigraph" else None
+    form = P._urn_form(cfg)
     rng = random.Random(seed)
     for _ in range(steps):
         urn_step = engine.urn is not None
@@ -1250,12 +1267,12 @@ def test_class_draws_follow_the_degree_order_cumsum(table, n, steps, mode, seed)
     # endpoint's class is the first k whose integer cumulative mass cum_k
     # has cum_k 2^53 > U T, for its draw u = U / 2^53 (float64 cumsums
     # would round: the scaled 0.1 and 7.3 entries pass 2^53).  A
-    # multigraph step of a table affine to K (_affine) below top degree K
+    # multigraph step of a table affine to K (_urn_form) below top degree K
     # is the urn's: four draws, resolved as _UrnPairEngine resolves them
-    state = P.ProcessState(P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)),
-                                           mode=mode, m_max=steps))
+    cfg = P.ProcessConfig(n=n, weight_rule=P.GeneralF(table=tuple(table)), mode=mode, m_max=steps)
+    state = P.ProcessState(cfg)
     engine, g = state.engine, state.graph
-    form = P._affine(P._scaled(table)) if mode == "multigraph" else None
+    form = P._urn_form(cfg)
     source = random.Random(seed)
     for _ in range(steps):
         urn_step = engine.urn is not None
