@@ -125,11 +125,25 @@ def _need(d: dict, key: str, kind, path: str):
     val = d[key]
     if kind is float:
         return _number(val, f"{path}{key}")
-    if not isinstance(val, kind) or isinstance(val, bool):
+    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
         raise SpecError(f"{path}{key}: expected {kind.__name__}, got {type(val).__name__}")
     if kind is int:
         _number(val, f"{path}{key}")
     return val
+
+
+def _optional(d: dict, key: str, kind, default):
+    """The top-level field key as _need reads it; `default` if absent or null."""
+    return default if d.get(key) is None else _need(d, key, kind, "")
+
+
+def _seed(data: dict) -> int:
+    """A spec's seed, else the PAGIANT_SEED environment variable's, else 0."""
+    seed, env = _optional(data, "seed", int, None), os.environ.get(ENV_SEED, "0")
+    try:
+        return int(env) if seed is None else seed
+    except ValueError:
+        raise SpecError(f"{ENV_SEED}: expected an integer, got {env!r}") from None
 
 
 def parse_weight_rule(d: dict, path: str = "weight_rule."):
@@ -165,21 +179,10 @@ def parse_spec(data: dict, seed_override: int | None = None,
     for i, x in enumerate(raw_cps):
         if not math.isfinite(_number(x, f"checkpoints[{i}]")):
             raise SpecError(f"checkpoints[{i}]: must be finite")
-    seed = seed_override
-    if seed is None and data.get("seed") is not None:
-        seed = _need(data, "seed", int, "")
-    if seed is None:
-        env = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise SpecError(f"{ENV_SEED}: expected an integer, got {env!r}") from None
-    comparison_eps = None
-    if data.get("comparison") is not None:
-        comparison_eps = _need(_need(data, "comparison", dict, ""), "eps", float, "comparison.")
-    relative = data.get("checkpoints_rel", False)
-    if not isinstance(relative, bool):
-        raise SpecError(f"checkpoints_rel: expected a boolean, got {type(relative).__name__}")
+    seed = _seed(data) if seed_override is None else seed_override
+    comparison = _optional(data, "comparison", dict, None)
+    comparison_eps = None if comparison is None else _need(comparison, "eps", float, "comparison.")
+    relative = _optional(data, "checkpoints_rel", bool, False)
     outputs = _need(data, "outputs", dict, "")
     replicates = _need(data, "replicates", int, "")
     paths = [_need(outputs, key, str, "outputs.")
@@ -410,8 +413,8 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     n = _need(sweep, "n", int, "")
     alpha = _need(sweep, "alpha", float, "")
     replicates = _need(sweep, "replicates", int, "")
-    seed = _need(sweep, "seed", int, "") if "seed" in sweep else 0
-    mode = sweep.get("mode", "multigraph")
+    seed = _seed(sweep)
+    mode = _optional(sweep, "mode", str, "multigraph")
     grid = _need(sweep, kind.grid_key, list, "")
     if replicates < 1:
         raise SpecError("replicates: must be >= 1")
@@ -705,14 +708,18 @@ def _output_error(exc: OSError) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
+    if args.command in ("simulate", "sweep"):
         try:
-            spec = load_spec(args.spec, args.seed, args.checkpoints_rel)
+            if args.command == "simulate":
+                cmd_simulate(load_spec(args.spec, args.seed, args.checkpoints_rel), args.out, args.jobs)
+            else:
+                cmd_sweep(_load_json(args.spec), args.out, args.jobs)
         except SpecError as exc:
             print(f"spec error: {exc}", file=sys.stderr)
             return 2
-        try:
-            cmd_simulate(spec, args.out, args.jobs)
+        except ProcessExhausted as exc:
+            print(f"exhausted: {exc}", file=sys.stderr)
+            return 2
         except MemoryError as exc:
             return _memory_error(exc)
         except OSError as exc:
@@ -728,20 +735,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"solver error: {exc}", file=sys.stderr)
             return 2
         print(_json_dumps(pred.to_json_dict()), end="")
-        return 0
-    if args.command == "sweep":
-        try:
-            cmd_sweep(_load_json(args.spec), args.out, args.jobs)
-        except SpecError as exc:
-            print(f"spec error: {exc}", file=sys.stderr)
-            return 2
-        except ProcessExhausted as exc:
-            print(f"exhausted: {exc}", file=sys.stderr)
-            return 2
-        except MemoryError as exc:
-            return _memory_error(exc)
-        except OSError as exc:
-            return _output_error(exc)
         return 0
     if args.command == "verify":
         started = time.monotonic()

@@ -31,8 +31,8 @@ added since the previous checkpoint, and multi-edges from the first copy
 of each pair key, which one unstable argsort finds (_first_counts, which
 also groups the outcomes of sample_process_outcomes).  ProcessConfig
 bounds n by isqrt(2^63 - 1), so a pair key min*n + max fits in an int64.
-_runner picks a run's path, and sample_process_outcomes its chunks', from
-the rule, the mode, the urn form (_urn_form) and whether rng is a plain
+_runner picks a run's path, and _rows the outcome chunks', from the
+rule, the mode, the urn form (_urn_form) and whether rng is a plain
 random.Random: the linear-alpha and r-stub rules, and general f in
 multigraph mode, run in bulk from a plain random.Random, and every other
 run steps its engine with no union-find (_run_stepped) on one run record,
@@ -53,9 +53,10 @@ _UrnPairEngine.sample's float operations (_urn_pick, _urn_endpoints);
 below _HANDOVER steps, the measured crossover, it steps the same draws.
 A table's run is the urn's up to the first step that starts at degree K
 (_first_reach), then class batches listing their vertices in order; its
-stepping engine hands over at the same step.  An r-stub multigraph run
-is one uniform stub matching, its stubs shuffled once, as the order of
-rn draws (_shuffled_stubs), and read backwards in pairs (_run_stub).
+stepping engine hands over at the same step.  An r-stub run costs its
+shuffle, the order of rn draws (_shuffled_stubs), whatever m is, so it
+starts in bulk (_run_stub) with a step to make and rn >= 8 _HANDOVER;
+a multigraph run is that stub matching, read backwards in pairs.
 The other bulk runs go through one driver, _batches, in numpy batches.
 A rule's batch makes the steps of its draws up to the first special
 step, which it cannot make from them; rng is set back to the draws those
@@ -76,13 +77,14 @@ found by sorting the class slots the steps read and write
 (_class_slots).  Either way the edges, records, exhaustion, rejection
 cap and final rng state are stepping's own.
 
-sample_process_outcomes counts runs edges first too: every path yields
-chunks of endpoint rows, one per run, and one numpy keyer counts them
-(_count_outcomes).  An urn step makes four rng.random() calls and an
-r-stub multigraph run only its shuffle's rn, so a chunk of urn runs too
-short to reach K, or of r-stub matchings, is one numpy draw
-(_urn_endpoints; for r stubs, one argsort per row, and a chunk whose
-draws hold a tie goes run by run).
+sample_process_outcomes counts runs edges first too: _rows alone picks
+how each chunk of endpoint rows, one per run, is made, and one numpy
+keyer counts them (_count_outcomes).  An urn step makes four
+rng.random() calls and an r-stub multigraph run only its shuffle's rn,
+so a chunk of urn runs too short to reach K, or of r-stub matchings, is
+one numpy draw (_urn_endpoints; for r stubs, one argsort per row, and a
+row whose draws hold a tie is dropped for one more row at the end, as
+stepping draws that run's shuffle again).
 Linear-alpha simple runs read a chunk of four-draw proposals: the run that
 would start at each proposal is resolved for all of them at once, one lane
 per run, each endpoint by one gather from a table of the lane's own
@@ -90,9 +92,9 @@ endpoints, and the runs from the first proposal on follow one another,
 found by pointer doubling (_urn_simple_chunk).  The proposals a chunk
 leaves unused open the next chunk, and rng is set back once, at the end,
 to just after the last run's proposals (_urn_simple_rows).
-Every other run is made by _runner's runner and stacked (_rows).  The
-float operations are the step engines' own, so the outcome counts, their
-order of first appearance and the final rng state equal stepping.
+Every other chunk is _runner's runs, stacked (_stacked).  The float
+operations are the step engines' own, so the outcome counts, their order
+of first appearance and the final rng state equal stepping.
 
 The degree-sequence samplers are exact too: iid NB(alpha, p) conditioned
 on its sum 2m is Dirichlet-multinomial, the degree count of a Polya urn,
@@ -331,25 +333,23 @@ class _UrnPairEngine:
         pass
 
 
-def _stub_order(u: np.ndarray) -> np.ndarray | None:
-    """The order that sorts each row of the draws u, or None when a row
-    holds two equal draws: the order of distinct draws is a uniform
-    permutation, and draws with a tie are made again."""
-    order = u.argsort(axis=-1)
-    # a stepped run's one row is gathered directly, at a third of the cost
-    ranked = u[order] if u.ndim == 1 else np.take_along_axis(u, order, -1)
-    if (ranked[..., 1:] == ranked[..., :-1]).any():
-        return None
-    return order
-
-
-def _shuffled_stubs(n: int, r: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The stubs of every vertex, r each, as their vertices, in uniformly
-    random order: stub t, of vertex t // r, sorted by the t-th of r n
-    draws, which draw(r n) makes again while they hold a tie."""
-    while (order := _stub_order(draw(r * n))) is None:
-        pass
-    return order // r
+def _shuffled_stubs(n: int, r: int, runs: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """`runs` rows of the stubs of every vertex, r each, as their vertices,
+    in uniformly random order: stub t, of vertex t // r, sorted by the t-th
+    of its row's r n draws.  A row whose draws hold a tie is dropped, the
+    rows after it move up, and more are drawn until `runs` are kept: the
+    rows and stream of stepping, which draws a tied run's shuffle again."""
+    rn = r * n
+    u = draw(runs * rn)
+    while True:
+        order = u.reshape(runs, rn).argsort()
+        # a stepped run's one row is gathered directly, at a third of the cost
+        ranked = u[order if runs == 1 else order + rn * np.arange(runs)[:, None]]
+        tie = ranked[:, 1:] == ranked[:, :-1]
+        if not tie.any():
+            return order // r
+        kept = u.reshape(runs, rn)[~tie.any(axis=1)].ravel()
+        u = np.concatenate((kept, draw(runs * rn - len(kept))))
 
 
 def _stub_proposals(stubs: list[int] | np.ndarray, s: int, g: RunGraph,
@@ -405,8 +405,8 @@ class _StubEngine:
             if simple and r * n <= _EXACT_THRESHOLD:
                 stubs = list(range(n)) * r
             else:
-                rand = rng.random
-                stubs = _shuffled_stubs(n, r, lambda k: np.array([rand() for _ in range(k)])).tolist()
+                draws = iter(rng.random, None)  # rng.random() values, without end
+                stubs = _shuffled_stubs(n, r, 1, lambda k: np.fromiter(draws, np.float64, k))[0].tolist()
             self.stubs = stubs
         s = len(stubs)
         if s < 2:
@@ -913,16 +913,13 @@ def _run_stub(cfg: ProcessConfig, rng: random.Random) -> Run:
     pair, whose step _stub_proposals makes, as stepping does.  Each step
     takes two stubs off the end, so after j steps the free ones are
     stubs[:rn - 2j].  A simple run steps on from the exact endgame of the
-    last _EXACT_THRESHOLD stubs.  A run with fewer than _HANDOVER steps to
-    make this way steps from the start, shuffling as stepping does.
+    last _EXACT_THRESHOLD stubs.  _runner sends it runs of m >= 1, rn >= 512.
     """
     n, r, m_max = cfg.n, cfg.weight_rule.r, cfg.m_max
     simple = cfg.mode == "simple"
     # a simple run's endgame starts at the first step with at most _EXACT_THRESHOLD free stubs
     stop = min(m_max, (r * n - _EXACT_THRESHOLD + 1) // 2) if simple else m_max
-    if stop < _HANDOVER:
-        return _run_stepped(cfg, rng)
-    stubs = _shuffled_stubs(n, r, functools.partial(_mt_uniforms, rng))
+    stubs = _shuffled_stubs(n, r, 1, functools.partial(_mt_uniforms, rng))[0]
     if not simple:
         return stubs[::-1][:2 * m_max], m_max, None
     ends = np.empty(2 * m_max, np.int64)
@@ -1242,7 +1239,8 @@ def _run_urn(cfg: ProcessConfig, rng: random.Random) -> Run:
 
 def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, random.Random], Run]:
     """The runner of cfg: when rng is a plain random.Random, whose random()
-    numpy reproduces, the bulk runner of the r-stub rule, linear-alpha
+    numpy reproduces, the bulk runner of r-stub runs with a step to make
+    and rn >= 8 _HANDOVER draws to shuffle, whatever m is, linear-alpha
     simple runs and multigraph runs of _HANDOVER steps or more (the
     measured crossover) of the linear-alpha rule and of general f whose
     class masses start positive (f(0) > 0) and stay below 2^36 (n max F),
@@ -1252,7 +1250,7 @@ def _runner(cfg: ProcessConfig, rng: random.Random) -> Callable[[ProcessConfig, 
     if type(rng) is not random.Random:
         return _run_stepped
     if isinstance(rule, NegativeInteger):
-        return _run_stub
+        return _run_stub if cfg.m_max and rule.r * cfg.n >= 8 * _HANDOVER else _run_stepped
     if cfg.mode == "simple":
         return _run_urn_simple if isinstance(rule, LinearAlpha) else _run_stepped
     if cfg.m_max < _HANDOVER:
@@ -1382,26 +1380,10 @@ def _urn_simple_chunk(n: int, an: float, m: int, u: np.ndarray,
     return table[chain, base:], int(nxt[chain[-1]]) if len(chain) else 0
 
 
-def _rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> np.ndarray:
-    """The endpoints of the next `runs` runs of cfg, one row of 2 m_max per
-    run: from a plain random.Random, one numpy draw for a multigraph chunk
-    of urn runs that start no step at degree K (_urn_form) or of r-stub
-    matchings, and otherwise _runner's runs, stacked.  The first run that
-    exhausts raises ProcessExhausted."""
-    n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
-    if type(rng) is random.Random and cfg.mode == "multigraph":
-        form = _urn_form(cfg)
-        # one draw at every m_max, though _runner steps a short single run
-        if form and 2 * (m - 1) < form[1]:
-            return _urn_endpoints(n, form[0] * n, _mt_uniforms(rng, runs * 4 * m).reshape(runs, 4 * m))
-        if isinstance(rule, NegativeInteger) and m:
-            # one shuffle per run, each read backwards in pairs; a chunk that
-            # holds a tie goes run by run, from where it started
-            saved = rng.getstate()
-            order = _stub_order(_mt_uniforms(rng, runs * rule.r * n).reshape(runs, rule.r * n))
-            if order is not None:
-                return order[:, ::-1][:, :2 * m] // rule.r
-            rng.setstate(saved)
+def _stacked(cfg: ProcessConfig, runs: int, rng: random.Random) -> np.ndarray:
+    """The endpoints of the next `runs` runs of cfg, made by _runner's
+    runner, one row of 2 m_max per run.  The first run that exhausts
+    raises ProcessExhausted."""
     run = _runner(cfg, rng)
     flat: list[int] = []
     for _ in range(runs):
@@ -1409,7 +1391,32 @@ def _rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> np.ndarray:
         if reason is not None:
             raise ProcessExhausted(reason)
         flat.extend(ends)
-    return np.array(flat, np.int64).reshape(runs, 2 * m)
+    return np.array(flat, np.int64).reshape(runs, 2 * cfg.m_max)
+
+
+def _rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Iterator[np.ndarray]:
+    """The endpoints of `runs` runs of cfg, in chunks of one row of 2 m_max
+    per run.  From a plain random.Random, linear-alpha simple runs of 1 <=
+    m_max <= n(n-1)/2 edges come in lanes (_urn_simple_rows), and a
+    multigraph chunk of _OUTCOME_CHUNK runs at most is one draw for urn
+    runs that start no step at degree K (_urn_form), or one shuffle of a
+    row per r-stub run of m_max >= 1, read backwards in pairs.  Every other
+    chunk is _runner's runs, stacked (_stacked)."""
+    n, m, rule = cfg.n, cfg.m_max, cfg.weight_rule
+    plain, simple = type(rng) is random.Random, cfg.mode == "simple"
+    if plain and simple and isinstance(rule, LinearAlpha) and 0 < m <= n * (n - 1) // 2:
+        yield from _urn_simple_rows(cfg, runs, rng)
+        return
+    form = plain and _urn_form(cfg)
+    for done in range(0, runs, _OUTCOME_CHUNK):
+        k = min(_OUTCOME_CHUNK, runs - done)
+        # one draw at every m_max, though _runner steps a short single run
+        if form and 2 * (m - 1) < form[1]:
+            yield _urn_endpoints(n, form[0] * n, _mt_uniforms(rng, k * 4 * m).reshape(k, 4 * m))
+        elif plain and not simple and isinstance(rule, NegativeInteger) and m:
+            yield _shuffled_stubs(n, rule.r, k, functools.partial(_mt_uniforms, rng))[:, ::-1][:, :2 * m]
+        else:
+            yield _stacked(cfg, k, rng)
 
 
 def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Iterator[np.ndarray]:
@@ -1447,7 +1454,7 @@ def _urn_simple_rows(cfg: ProcessConfig, runs: int, rng: random.Random) -> Itera
         if not used:
             if len(u) >= longest:
                 _rewind(rng, state, ahead)
-                yield _rows(cfg, 1, rng)
+                yield _stacked(cfg, 1, rng)
                 done += 1
                 carried = carried[:0]
                 state, ahead = rng.getstate(), 0
@@ -1463,24 +1470,16 @@ def sample_process_outcomes(cfg: ProcessConfig, runs: int, rng: random.Random) -
     """Repeatedly run a tiny process and count final edge multisets.
 
     Used by the statistical equivalence suites; outcomes are keyed as
-    oracle.canonical_key keys the oracle's exact laws.  Linear-alpha simple
-    runs come in chunks of proposals, save a run that asks for more edges
-    than there are pairs (its first run ends in ProcessExhausted), and every
-    other case in chunks of _OUTCOME_CHUNK runs (_rows).
+    oracle.canonical_key keys the oracle's exact laws.  The runs come in
+    the chunks that _rows makes; the first run that exhausts raises
+    ProcessExhausted.
     """
     cfg.validate()
     if not _is_count(runs, 0):
         raise ValueError(f"runs must be an integer >= 0, got {runs!r}")
-    n, m = cfg.n, cfg.m_max
-    if (isinstance(cfg.weight_rule, LinearAlpha) and cfg.mode == "simple"
-            and type(rng) is random.Random and 0 < m <= n * (n - 1) // 2):
-        chunks = _urn_simple_rows(cfg, runs, rng)
-    else:
-        chunks = (_rows(cfg, min(_OUTCOME_CHUNK, runs - done), rng)
-                  for done in range(0, runs, _OUTCOME_CHUNK))
     out: Counter = Counter()
-    for ends in chunks:
-        _count_outcomes(ends, n, out)
+    for ends in _rows(cfg, runs, rng):
+        _count_outcomes(ends, cfg.n, out)
     return out
 
 

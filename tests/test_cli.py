@@ -461,10 +461,16 @@ def _sweep_rows(tmp_path, sweep, name="grid.csv"):
 def test_sweep_rows_are_the_simulate_summary(tmp_path, sweep, stat):
     # replicate r of a sweep is simulate's replicate r for the same seed:
     # one run to the largest grid m, with a checkpoint at every grid m
+    _assert_rows_are_the_simulate_summary(tmp_path, sweep, stat)
+
+
+def _assert_rows_are_the_simulate_summary(tmp_path, sweep, stat):
+    """The sweep's rows equal the statistic of simulate's summary for the
+    spec of the same runs, seedless when the sweep is."""
     rows = _sweep_rows(tmp_path, sweep)
     ms = [int(row[1]) for row in rows]
     data = dict(BASE_SPEC, n=sweep["n"], mode=sweep.get("mode", "multigraph"), m_max=max(ms),
-                checkpoints=ms, seed=sweep["seed"], replicates=sweep["replicates"],
+                checkpoints=ms, seed=sweep.get("seed"), replicates=sweep["replicates"],
                 weight_rule={"kind": "linear_alpha", "alpha": sweep["alpha"]})
     out = tmp_path / "sim"
     assert cli.main(["simulate", "--spec", write_spec(tmp_path, data), "--out", str(out),
@@ -473,6 +479,43 @@ def test_sweep_rows_are_the_simulate_summary(tmp_path, sweep, stat):
     assert summary["mc"]["checkpoints"] == ms
     expected = [[cli._fmt(s["mean"]), cli._fmt(s["stderr"])] for s in summary["mc"]["stats"][stat]]
     assert [row[2:4] for row in rows] == expected
+    return rows
+
+
+def test_a_seedless_sweep_takes_the_env_seed_as_simulate_does(tmp_path, monkeypatch, capsys):
+    # a seedless sweep once ran seed 0 whatever PAGIANT_SEED said; it now
+    # takes its seed as simulate does, and a bad one is a spec error
+    sweep = {"kind": "susceptibility_vs_t", "alpha": 2.0, "t": [0.05, 0.15], "n": 2000,
+             "replicates": 2}
+    monkeypatch.setenv(cli.ENV_SEED, "5")
+    rows = _assert_rows_are_the_simulate_summary(tmp_path, sweep, "S")
+    assert rows == _sweep_rows(tmp_path, dict(sweep, seed=5), "seeded.csv")
+    assert rows != _sweep_rows(tmp_path, dict(sweep, seed=0), "zero.csv")
+    monkeypatch.setenv(cli.ENV_SEED, "five")
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", "--spec", write_spec(tmp_path, sweep, "bad.json"), "--out", str(out)]) == 2
+    assert f"spec error: {cli.ENV_SEED}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["seed", "mode"])
+def test_a_null_sweep_field_is_absent(tmp_path, monkeypatch, field):
+    # "seed": null and "mode": null were spec errors in a sweep
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    sweep = {"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.05, 0.15], "n": 2000,
+             "replicates": 2}
+    assert _sweep_rows(tmp_path, dict(sweep, **{field: None})) == _sweep_rows(tmp_path, sweep, "absent.csv")
+
+
+def test_a_null_checkpoints_rel_is_absent(tmp_path):
+    # simulate read a null seed and comparison as absent, but a null
+    # checkpoints_rel was a spec error
+    data = dict(BASE_SPEC, checkpoints_rel=None, replicates=1)
+    assert cli.parse_spec(data) == cli.parse_spec(dict(BASE_SPEC, replicates=1))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--spec", write_spec(tmp_path, data), "--out", str(out),
+                     "--jobs", "1"]) == 0
+    assert (out / "summary.json").exists()
 
 
 def test_sweep_rows_follow_the_grid_order(tmp_path):

@@ -276,11 +276,32 @@ def test_bulk_stub_run_matches_stepping(monkeypatch, r, n, m_max):
                 assert bulk[0] == "exhausted" and bulk[2] < m
             elif r == 30 and m:
                 assert bulk[:3] == ("exhausted", "graph is complete", 190)
-        # a simple run with 64 steps or more to make before the endgame of
-        # the last 64 stubs goes through the batches; a multigraph run is
-        # its reversed shuffle, and never does
+        # a simple run starts in bulk when it has a step to make and r n >=
+        # 8 _HANDOVER = 512 stubs to shuffle, and goes through the batches
+        # when it also has 64 steps or more to make before the endgame of
+        # the last 64 stubs; a multigraph run is its reversed shuffle, and
+        # never does
         batchable = min(m_max, (r * n - P._EXACT_THRESHOLD + 1) // 2)
-        assert bool(batches) == (mode == "simple" and batchable >= P._HANDOVER), mode
+        bulk = m_max >= 1 and r * n >= 8 * P._HANDOVER
+        assert bool(batches) == (mode == "simple" and bulk and batchable >= P._HANDOVER), mode
+
+
+@pytest.mark.parametrize("mode", ["multigraph", "simple"])
+def test_stub_runs_start_in_bulk_from_512_stubs(monkeypatch, mode):
+    # a shuffle costs its r n draws whatever m is, so a run with a step to
+    # make draws it in one numpy call from r n = 8 _HANDOVER = 512 stubs
+    # on, and steps below; a run of no steps draws nothing
+    assert P._HANDOVER == 64
+    draws = _spy_on_draws(monkeypatch)
+    for n, m, calls in ((127, 10, []), (128, 10, [("draw", 512)]), (10_000, 0, [])):
+        cfg = stub_cfg(n, 4, mode, m, (m,))
+        bulk_rng, step_rng = random.Random(n), _SteppedRandom(n)
+        draws.clear()
+        bulk = _outcome(P.run_process, cfg, bulk_rng)
+        assert draws == calls, (n, m)
+        assert bulk == _outcome(P.run_process, cfg, step_rng), (n, m)
+        assert bulk_rng.getstate() == step_rng.getstate(), (n, m)
+    assert bulk_rng.getstate() == random.Random(10_000).getstate()
 
 
 @pytest.mark.parametrize("mode", ["multigraph", "simple"])
@@ -350,27 +371,40 @@ def test_stub_rejection_leaves_the_order_uniform(monkeypatch):
     assert res.pvalue > 1e-3, f"repaired order not uniform: chi2={res.stat:.1f} p={res.pvalue:.2e}"
 
 
-def test_stub_order_reports_a_tie():
-    # the order of distinct draws sorts them; a tie in any row is reported
-    u = np.array([[0.5, 0.25, 0.75], [0.125, 0.375, 0.0]])
-    assert P._stub_order(u).tolist() == [[1, 0, 2], [2, 0, 1]]
-    assert P._stub_order(u[1]).tolist() == [2, 0, 1]
-    u[1, 2] = 0.375
-    assert P._stub_order(u) is None and P._stub_order(u[1]) is None
-    assert P._stub_order(u[0]) is not None
+def test_stub_shuffle_drops_a_tied_row():
+    # distinct draws sort each row; a row that holds a tie is dropped, the
+    # rows after it move up, and one more row is drawn in its place
+    script = [[[0.125, 0.375, 0.375], [0.5, 0.25, 0.75]], [[0.625, 0.0, 0.5]]]
+    calls = []
+
+    def draw(k):
+        calls.append(k)
+        return np.array(script.pop(0)).ravel()
+
+    assert P._shuffled_stubs(3, 1, 2, draw).tolist() == [[1, 0, 2], [1, 2, 0]]
+    assert calls == [6, 3]
+    # one row, drawn again while it holds a tie, and r stubs per vertex
+    script = [[[0.5, 0.5, 0.25, 0.75]], [[0.5, 0.25, 0.75, 0.0]]]
+    assert P._shuffled_stubs(2, 2, 1, draw).tolist() == [[1, 0, 0, 1]]
+    assert calls == [6, 3, 4, 4]
 
 
 def _tie_at(monkeypatch, draw: float) -> list:
-    """Make the shuffle's order helper report a tie in every row of draws
-    that holds `draw`; returns, call by call, whether it did."""
+    """Make every row of a stub shuffle's draws that holds `draw` a tie, all
+    of its entries `draw`; returns, row by row, whether it did."""
     ties = []
-    order = P._stub_order
+    shuffled = P._shuffled_stubs
 
-    def tied(u):
-        ties.append(bool((u == draw).any()))
-        return None if ties[-1] else order(u)
+    def tied(n, r, runs, draws):
+        def drawing(k):
+            u = draws(k).reshape(-1, r * n)
+            hit = (u == draw).any(axis=1)
+            ties.extend(hit.tolist())
+            u[hit] = draw
+            return u.ravel()
+        return shuffled(n, r, runs, drawing)
 
-    monkeypatch.setattr(P, "_stub_order", tied)
+    monkeypatch.setattr(P, "_shuffled_stubs", tied)
     return ties
 
 
@@ -396,9 +430,10 @@ def test_bulk_stub_run_draws_again_on_a_tie(monkeypatch, mode):
         assert bulk_rng.getstate() == ref.getstate()
 
 
-def test_batched_stub_outcomes_go_run_by_run_on_a_tie(monkeypatch):
-    # a chunk of tiny multigraph runs that holds a tie goes run by run, and
-    # the tied run draws again; the next chunk is drawn at once
+def test_batched_stub_outcomes_draw_one_more_row_on_a_tie(monkeypatch):
+    # a chunk of tiny multigraph runs drops a tied run's row and draws one
+    # more row at its end, which makes the runs that stepping makes: the
+    # tied run draws again; the next chunk is drawn at once
     n, r, m = 3, 3, 2
     runs = P._OUTCOME_CHUNK + 300
     cfg = stub_cfg(n, r, "multigraph", m)
@@ -406,16 +441,29 @@ def test_batched_stub_outcomes_go_run_by_run_on_a_tie(monkeypatch):
     ref = random.Random(seed)
     draws = [ref.random() for _ in range(8 * r * n)]
     ties = _tie_at(monkeypatch, draws[7 * r * n])
+    made = _spy_on_draws(monkeypatch)
     batched_rng, stepped_rng = random.Random(seed), _SteppedRandom(seed)
     batched = _counts(cfg, runs, batched_rng)
-    # the chunk, then its runs one by one (the eighth twice), then the next chunk
-    assert ties == [True] + [False] * 7 + [True] + [False] * (P._OUTCOME_CHUNK - 7) + [False]
+    # the chunk's rows with the eighth tied, the one more row, then the next chunk
+    assert ties == [False] * 7 + [True] + [False] * (P._OUTCOME_CHUNK - 8) + [False] + [False] * 300
+    assert made == [("draw", P._OUTCOME_CHUNK * r * n), ("draw", r * n), ("draw", 300 * r * n)]
     assert batched == _counts(cfg, runs, stepped_rng) == _reference_counts(cfg, runs, _SteppedRandom(seed))
     assert batched_rng.getstate() == stepped_rng.getstate()
     ref = random.Random(seed)
     for _ in range((runs + 1) * r * n):
         ref.random()
     assert batched_rng.getstate() == ref.getstate()
+
+
+def test_outcomes_of_a_random_subclass_step(monkeypatch):
+    # the one dispatcher of outcome chunks keys on a plain random.Random:
+    # a subclass may override random(), so none of its runs draws in numpy
+    draws = _spy_on_draws(monkeypatch)
+    for cfg in (lin_cfg(3, 1.0, "multigraph", 2), lin_cfg(3, 1.0, "simple", 2),
+                stub_cfg(3, 3, "multigraph", 2), stub_cfg(200, 3, "multigraph", 2),
+                stub_cfg(200, 3, "simple", 100), P.ProcessConfig(200, P.GeneralF((1.0, 2.0, 3.0)), m_max=64)):
+        P.sample_process_outcomes(cfg, 3, _SteppedRandom(0))
+    assert draws == []
 
 
 def test_numpy_draws_continue_the_python_stream():
