@@ -18,7 +18,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -101,10 +101,12 @@ class ExperimentSpec:
     @functools.cached_property
     def theory_record(self) -> dict | None:
         """summary.json's theory record, made once per spec: parse_spec checks
-        the theory's domain with it, and cmd_simulate writes it."""
-        shape = _theory_shape(self.config.weight_rule)
-        if self.comparison_eps is None or shape is None:
+        the theory's domain with it, and cmd_simulate writes it.  A general-f
+        rule has no theory shape, so its summary has no theory record."""
+        rule = self.config.weight_rule
+        if self.comparison_eps is None or isinstance(rule, GeneralF):
             return None
+        shape = _theory_shape(rule, "comparison", "theory records")
         return theory.predict(shape, eps=self.comparison_eps, n=self.config.n).to_json_dict()
 
 
@@ -158,42 +160,54 @@ def parse_weight_rule(d: dict, path: str = "weight_rule."):
     raise SpecError(f"{path}kind: unknown weight rule {kind!r}")
 
 
-def _theory_shape(rule) -> float | None:
-    """The theory's shape parameter for a rule: alpha, -r, or None for general f."""
+def _theory_shape(rule, field: str, use: str) -> float:
+    """The theory's shape parameter for a rule, alpha or -r; for general f,
+    which the theory does not cover, a spec error naming field."""
     if isinstance(rule, LinearAlpha):
         return rule.alpha
     if isinstance(rule, NegativeInteger):
         return -rule.r
-    return None
+    raise SpecError(f"{field}: {use} need a linear or negative-integer rule")
+
+
+def _read_runs(data, seed_override: int | None = None) -> tuple[ProcessConfig, int]:
+    """The run fields that simulate and sweep share: n, weight_rule, mode
+    (multigraph when absent or null) and seed as a validated config with no
+    edges, and the replicate count, at least 1."""
+    if not isinstance(data, dict):
+        raise SpecError(": top level must be an object")
+    cfg = ProcessConfig(n=_need(data, "n", int, ""),
+                        weight_rule=parse_weight_rule(_need(data, "weight_rule", dict, "")),
+                        mode=_optional(data, "mode", str, "multigraph"),
+                        seed=_seed(data) if seed_override is None else seed_override)
+    replicates = _need(data, "replicates", int, "")
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    if replicates < 1:
+        raise SpecError("replicates: must be >= 1")
+    return cfg, replicates
 
 
 def parse_spec(data: dict, seed_override: int | None = None,
                checkpoints_rel: bool = False) -> ExperimentSpec:
-    if not isinstance(data, dict):
-        raise SpecError(": top level must be an object")
-    n = _need(data, "n", int, "")
-    rule = parse_weight_rule(_need(data, "weight_rule", dict, ""))
-    mode = _need(data, "mode", str, "")
+    runs, replicates = _read_runs(data, seed_override)
     m_max = _need(data, "m_max", int, "")
     raw_cps = _need(data, "checkpoints", list, "")
     for i, x in enumerate(raw_cps):
         if not math.isfinite(_number(x, f"checkpoints[{i}]")):
             raise SpecError(f"checkpoints[{i}]: must be finite")
-    seed = _seed(data) if seed_override is None else seed_override
     comparison = _optional(data, "comparison", dict, None)
     comparison_eps = None if comparison is None else _need(comparison, "eps", float, "comparison.")
     relative = _optional(data, "checkpoints_rel", bool, False)
     outputs = _need(data, "outputs", dict, "")
-    replicates = _need(data, "replicates", int, "")
     paths = [_need(outputs, key, str, "outputs.")
              for key in ("trajectory_csv", "degree_csv", "summary_json")]
     try:
-        rule.validate()  # before m_crit, so a bad shape names its field
         if relative or checkpoints_rel:
-            shape = _theory_shape(rule)
-            if shape is None:
-                raise SpecError("checkpoints: relative checkpoints need a linear or negative-integer rule")
-            scaled = [x * theory.m_crit(shape, n) for x in raw_cps]
+            shape = _theory_shape(runs.weight_rule, "checkpoints", "relative checkpoints")
+            scaled = [x * theory.m_crit(shape, runs.n) for x in raw_cps]
             if not all(math.isfinite(x) for x in scaled):
                 raise SpecError("checkpoints: relative entries times m_c must be finite")
             cps = tuple(int(round(x)) for x in scaled)
@@ -202,9 +216,8 @@ def parse_spec(data: dict, seed_override: int | None = None,
             for i, (x, c) in enumerate(zip(raw_cps, cps)):
                 if x != c:
                     raise SpecError(f"checkpoints[{i}]: must be an integer, got {x!r}")
-        cfg = ProcessConfig(n=n, weight_rule=rule, mode=mode, m_max=m_max,
-                            checkpoints=cps, seed=int(seed))
-        spec = ExperimentSpec(cfg, replicates, *paths, comparison_eps=comparison_eps)
+        spec = ExperimentSpec(replace(runs, m_max=m_max, checkpoints=cps), replicates, *paths,
+                              comparison_eps=comparison_eps)
         spec.validate()
     except ValueError as exc:
         raise SpecError(str(exc)) from None
@@ -223,11 +236,6 @@ def _load_json(path: str):
         raise SpecError(f"{path}: invalid JSON ({exc})") from None
     except OSError as exc:
         raise SpecError(f"{path}: {exc.strerror}") from None
-
-
-def load_spec(path: str, seed_override: int | None = None,
-              checkpoints_rel: bool = False) -> ExperimentSpec:
-    return parse_spec(_load_json(path), seed_override, checkpoints_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +385,9 @@ def cmd_simulate(spec: ExperimentSpec, out_dir: str = ".", jobs: int = 1) -> dic
 class _SweepKind:
     grid_key: str
     header: str
-    m_of: Callable[[float, int, float], float]  # (x, n, alpha) -> edge count
+    m_of: Callable[[float, int, float], float]  # (x, n, shape) -> edge count
     value: Callable[[CheckpointRecord, int], float]  # (record, n) -> statistic
-    predict: Callable[[float, float], float]  # (alpha, x) -> theory value
+    predict: Callable[[float, float], float]  # (shape, x) -> theory value
 
 
 _SWEEP_KINDS = {
@@ -398,46 +406,37 @@ def cmd_sweep(sweep: dict, out_path: str, jobs: int = 1) -> list[str]:
     """Grid sweep: one CSV row per grid point with simulation and theory
     side by side.  Kinds: rho_vs_eps, susceptibility_vs_t.
 
-    Every grid point and its theory value is checked before any simulation
-    runs.  Each replicate is then one run, as simulate makes it with the
-    same seed, to the largest grid m with a checkpoint at every grid m, and
-    each row is read from the replicates' records at its m: rows share
-    replicate paths.  A replicate that stops short of a row's m raises
-    ProcessExhausted, and no CSV is written."""
-    if not isinstance(sweep, dict):
-        raise SpecError(": top level must be an object")
+    The run fields are read as simulate reads them (_read_runs).  The rule
+    must have a theory shape, alpha or -r, at which the theory column is
+    predicted, so a general-f sweep is a spec error.  Every grid point and
+    its theory value is checked before any simulation runs.  Each replicate is then one run, as
+    simulate makes it with the same seed, to the largest grid m with a
+    checkpoint at every grid m, and each row is read from the replicates'
+    records at its m: rows share replicate paths.  A replicate that stops
+    short of a row's m raises ProcessExhausted, and no CSV is written."""
+    runs, replicates = _read_runs(sweep)
+    n, mode = runs.n, runs.mode
+    shape = _theory_shape(runs.weight_rule, "weight_rule", "sweeps")
     kind_name = _need(sweep, "kind", str, "")
     kind = _SWEEP_KINDS.get(kind_name)
     if kind is None:
         raise SpecError(f"kind: unknown sweep kind {kind_name!r}")
-    n = _need(sweep, "n", int, "")
-    alpha = _need(sweep, "alpha", float, "")
-    replicates = _need(sweep, "replicates", int, "")
-    seed = _seed(sweep)
-    mode = _optional(sweep, "mode", str, "multigraph")
     grid = _need(sweep, kind.grid_key, list, "")
-    if replicates < 1:
-        raise SpecError("replicates: must be >= 1")
     _check_outputs([Path(out_path)])
-    try:
-        ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode).validate()
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
     points = []
     for i, x in enumerate(grid):
         field = f"{kind.grid_key}[{i}]"
         x = _number(x, field)
         try:
-            m = int(round(kind.m_of(x, n, alpha)))
+            m = int(round(kind.m_of(x, n, shape)))
             if m < 0 or mode == "simple" and m > n * (n - 1) // 2:
                 raise ValueError(f"m = {m} cannot be the edge count of a {mode} run on {n} vertices")
-            points.append((field, x, m, kind.predict(alpha, x)))
+            points.append((field, x, m, kind.predict(shape, x)))
         except (TypeError, ValueError, OverflowError, theory.SolverError) as exc:
             raise SpecError(f"{field}: {exc}") from None
     cps = tuple(sorted({m for _, _, m, _ in points}))
-    cfg = ProcessConfig(n=n, weight_rule=LinearAlpha(alpha), mode=mode,
-                        m_max=max(cps, default=0), checkpoints=cps, seed=seed)
-    trajectories = run_replicates(cfg, seed, replicates, jobs) if cps else []
+    cfg = replace(runs, m_max=max(cps, default=0), checkpoints=cps)
+    trajectories = run_replicates(cfg, cfg.seed, replicates, jobs) if cps else []
     lines = [kind.header]
     for field, x, m, predicted in points:
         for r, t in enumerate(trajectories):
@@ -647,12 +646,6 @@ def cmd_verify(level: str = "quick", seed: int = 0) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_alpha(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _jobs(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -673,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="interpret spec checkpoints as multiples of m_c")
 
     theo = sub.add_parser("theory", help="print the prediction record as JSON")
-    theo.add_argument("--alpha", required=True, type=_parse_alpha)
+    theo.add_argument("--alpha", required=True, type=float)
     theo.add_argument("--eps", type=float, default=None)
     theo.add_argument("--m", type=float, default=None)
     theo.add_argument("--n", type=int, default=None)
@@ -691,13 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _memory_error(exc: MemoryError) -> int:
-    """One line on stderr and exit code 2 for a run too large for memory;
-    the commands write their outputs only after every run, so none exists."""
-    print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
-    return 2
-
-
 def _output_error(exc: OSError) -> int:
     """One line on stderr and exit code 2 for an output path that cannot be
     written; _write_files has left no output file."""
@@ -711,7 +697,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command in ("simulate", "sweep"):
         try:
             if args.command == "simulate":
-                cmd_simulate(load_spec(args.spec, args.seed, args.checkpoints_rel), args.out, args.jobs)
+                cmd_simulate(parse_spec(_load_json(args.spec), args.seed, args.checkpoints_rel),
+                             args.out, args.jobs)
             else:
                 cmd_sweep(_load_json(args.spec), args.out, args.jobs)
         except SpecError as exc:
@@ -721,7 +708,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"exhausted: {exc}", file=sys.stderr)
             return 2
         except MemoryError as exc:
-            return _memory_error(exc)
+            # outputs are written only after every run, so none exists
+            print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 2
         except OSError as exc:
             return _output_error(exc)
         return 0

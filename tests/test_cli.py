@@ -309,6 +309,12 @@ def test_theory_command(capsys):
     assert record["rho"] == 0.0 and record["edd2"] == 0.0
 
 
+def test_theory_command_reads_alpha_as_float_does(capsys):
+    # float() reads inf in any case and with surrounding blanks
+    assert cli.main(["theory", "--alpha", " Infinity ", "--eps", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == "inf"
+
+
 def test_theory_command_domain_error(capsys):
     assert cli.main(["theory", "--alpha", "-1", "--eps", "0.5"]) == 2
     assert "domain error" in capsys.readouterr().err
@@ -354,7 +360,7 @@ def test_theory_command_reports_solver_errors(capsys, monkeypatch):
 def test_sweep_rho_grid(tmp_path):
     sweep = {
         "kind": "rho_vs_eps",
-        "alpha": 1.0,
+        "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
         "eps": [0.2, 0.5, 1.0],
         "n": 20_000,
         "replicates": 3,
@@ -400,7 +406,7 @@ def test_simulate_ci_contains_theory_value(tmp_path):
 def test_sweep_tracks_uniform_limit(tmp_path):
     sweep = {
         "kind": "rho_vs_eps",
-        "alpha": 1e6,
+        "weight_rule": {"kind": "linear_alpha", "alpha": 1e6},
         "eps": [0.5, 1.0],
         "n": 20_000,
         "replicates": 3,
@@ -418,8 +424,8 @@ def test_sweep_tracks_uniform_limit(tmp_path):
 
 
 def test_sweep_csv_does_not_depend_on_jobs(tmp_path):
-    sweep = {"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, 0.5, 1.0], "n": 2000,
-             "replicates": 2, "seed": 3}
+    sweep = {"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+             "eps": [0.2, 0.5, 1.0], "n": 2000, "replicates": 2, "seed": 3}
     spec_path = write_spec(tmp_path, sweep, "sweep.json")
     for jobs in ("1", "2"):
         assert cli.main(["sweep", "--spec", spec_path, "--out", str(tmp_path / f"{jobs}.csv"),
@@ -430,7 +436,7 @@ def test_sweep_csv_does_not_depend_on_jobs(tmp_path):
 def test_sweep_susceptibility_grid(tmp_path):
     sweep = {
         "kind": "susceptibility_vs_t",
-        "alpha": 1.0,
+        "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
         "t": [0.05, 0.15],
         "n": 50_000,
         "replicates": 3,
@@ -453,10 +459,13 @@ def _sweep_rows(tmp_path, sweep, name="grid.csv"):
 
 
 @pytest.mark.parametrize("sweep, stat", [
-    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, 0.5, 1.0], "n": 2000, "replicates": 3,
-      "mode": "simple", "seed": 3}, "L1_over_n"),
-    ({"kind": "susceptibility_vs_t", "alpha": 2.0, "t": [0.05, 0.15], "n": 2000,
-      "replicates": 2, "seed": 4}, "S"),
+    ({"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+      "eps": [0.2, 0.5, 1.0], "n": 2000, "replicates": 3, "mode": "simple", "seed": 3},
+     "L1_over_n"),
+    ({"kind": "susceptibility_vs_t", "weight_rule": {"kind": "linear_alpha", "alpha": 2.0},
+      "t": [0.05, 0.15], "n": 2000, "replicates": 2, "seed": 4}, "S"),
+    ({"kind": "rho_vs_eps", "weight_rule": {"kind": "negative_integer", "r": 3},
+      "eps": [0.2, 0.5], "n": 2000, "replicates": 2, "seed": 5}, "L1_over_n"),
 ])
 def test_sweep_rows_are_the_simulate_summary(tmp_path, sweep, stat):
     # replicate r of a sweep is simulate's replicate r for the same seed:
@@ -471,7 +480,7 @@ def _assert_rows_are_the_simulate_summary(tmp_path, sweep, stat):
     ms = [int(row[1]) for row in rows]
     data = dict(BASE_SPEC, n=sweep["n"], mode=sweep.get("mode", "multigraph"), m_max=max(ms),
                 checkpoints=ms, seed=sweep.get("seed"), replicates=sweep["replicates"],
-                weight_rule={"kind": "linear_alpha", "alpha": sweep["alpha"]})
+                weight_rule=sweep["weight_rule"])
     out = tmp_path / "sim"
     assert cli.main(["simulate", "--spec", write_spec(tmp_path, data), "--out", str(out),
                      "--jobs", "1"]) == 0
@@ -482,11 +491,37 @@ def _assert_rows_are_the_simulate_summary(tmp_path, sweep, stat):
     return rows
 
 
+def test_an_r3_sweep_meets_the_bounded_degree_target(tmp_path):
+    # C09's gate at eps = 0.2, now along a sweep's grid
+    sweep = {"kind": "rho_vs_eps", "weight_rule": {"kind": "negative_integer", "r": 3},
+             "eps": [0.2], "n": 100_000, "replicates": 4, "mode": "simple", "seed": 909}
+    [row] = _sweep_rows(tmp_path, sweep)
+    assert float(row[4]) == T.rho(-3.0, 0.2)
+    assert abs(float(row[2]) - T.rho(-3.0, 0.2)) < 0.02
+
+
+@pytest.mark.parametrize("rule, err", [
+    ({"weight_rule": {"kind": "general_f", "table": [1.0, 2.0]}},
+     "weight_rule: sweeps need a linear or negative-integer rule"),
+    # the sweep's old top-level alpha is not read
+    ({"alpha": 1.0}, "weight_rule: missing"),
+])
+def test_a_sweep_without_a_theory_shape_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                rule, err):
+    monkeypatch.setattr(cli, "run_replicates", _no_compute)
+    sweep = dict({"kind": "rho_vs_eps", "eps": [0.2], "n": 2000, "replicates": 2}, **rule)
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", "--spec", write_spec(tmp_path, sweep, "sweep.json"),
+                     "--out", str(out), "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == f"spec error: {err}\n"
+    assert not out.exists()
+
+
 def test_a_seedless_sweep_takes_the_env_seed_as_simulate_does(tmp_path, monkeypatch, capsys):
     # a seedless sweep once ran seed 0 whatever PAGIANT_SEED said; it now
     # takes its seed as simulate does, and a bad one is a spec error
-    sweep = {"kind": "susceptibility_vs_t", "alpha": 2.0, "t": [0.05, 0.15], "n": 2000,
-             "replicates": 2}
+    sweep = {"kind": "susceptibility_vs_t", "weight_rule": {"kind": "linear_alpha", "alpha": 2.0},
+             "t": [0.05, 0.15], "n": 2000, "replicates": 2}
     monkeypatch.setenv(cli.ENV_SEED, "5")
     rows = _assert_rows_are_the_simulate_summary(tmp_path, sweep, "S")
     assert rows == _sweep_rows(tmp_path, dict(sweep, seed=5), "seeded.csv")
@@ -502,8 +537,8 @@ def test_a_seedless_sweep_takes_the_env_seed_as_simulate_does(tmp_path, monkeypa
 def test_a_null_sweep_field_is_absent(tmp_path, monkeypatch, field):
     # "seed": null and "mode": null were spec errors in a sweep
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    sweep = {"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.05, 0.15], "n": 2000,
-             "replicates": 2}
+    sweep = {"kind": "susceptibility_vs_t", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+             "t": [0.05, 0.15], "n": 2000, "replicates": 2}
     assert _sweep_rows(tmp_path, dict(sweep, **{field: None})) == _sweep_rows(tmp_path, sweep, "absent.csv")
 
 
@@ -518,10 +553,19 @@ def test_a_null_checkpoints_rel_is_absent(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_an_absent_or_null_mode_is_multigraph():
+    # simulate once required mode; it now reads it as a sweep does
+    data = dict(BASE_SPEC)
+    del data["mode"]
+    assert cli.parse_spec(data) == cli.parse_spec(BASE_SPEC)
+    assert cli.parse_spec(dict(BASE_SPEC, mode=None)) == cli.parse_spec(BASE_SPEC)
+
+
 def test_sweep_rows_follow_the_grid_order(tmp_path):
     # unsorted and repeated entries share their checkpoints: each row is
     # the row of its entry in the sorted grid
-    base = {"kind": "rho_vs_eps", "alpha": 1.0, "n": 2000, "replicates": 2, "seed": 3}
+    base = {"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+            "n": 2000, "replicates": 2, "seed": 3}
     by_eps = {row[0]: row for row in _sweep_rows(tmp_path, dict(base, eps=[0.2, 0.5, 1.0]))}
     rows = _sweep_rows(tmp_path, dict(base, eps=[1.0, 0.2, 1.0, 0.5, 0.2]), "shuffled.csv")
     assert [row[0] for row in rows] == ["1.0", "0.2", "1.0", "0.5", "0.2"]
@@ -529,8 +573,9 @@ def test_sweep_rows_follow_the_grid_order(tmp_path):
 
 
 def test_a_one_replicate_sweep_has_zero_stderr(tmp_path):
-    rows = _sweep_rows(tmp_path, {"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.05, 0.15],
-                                  "n": 2000, "replicates": 1})
+    rows = _sweep_rows(tmp_path, {"kind": "susceptibility_vs_t",
+                                  "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+                                  "t": [0.05, 0.15], "n": 2000, "replicates": 1})
     assert [row[3] for row in rows] == ["0.0", "0.0"]
 
 
@@ -539,8 +584,9 @@ def test_an_empty_grid_writes_only_the_header(tmp_path, monkeypatch):
         raise AssertionError("an empty grid ran a simulation")
 
     monkeypatch.setattr(cli, "run_replicates", no_runs)
-    spec = write_spec(tmp_path, {"kind": "rho_vs_eps", "alpha": 1.0, "eps": [], "n": 2000,
-                                 "replicates": 2}, "sweep.json")
+    spec = write_spec(tmp_path, {"kind": "rho_vs_eps",
+                                 "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+                                 "eps": [], "n": 2000, "replicates": 2}, "sweep.json")
     out = tmp_path / "grid.csv"
     assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
     assert out.read_text() == "eps,m,l1_over_n_mean,l1_over_n_stderr,rho_theory\n"
@@ -550,8 +596,8 @@ def test_an_exhausted_sweep_replicate_exits_2_and_writes_nothing(tmp_path, capsy
     # at alpha = 1e-7 nearly every proposal after the first edge repeats it
     # or is a loop on its ends, so both replicates spend the rejection
     # budget at m = 1 of the row's 9
-    sweep = {"kind": "rho_vs_eps", "alpha": 1e-7, "eps": [3e7], "n": 6, "replicates": 2,
-             "mode": "simple"}
+    sweep = {"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1e-7},
+             "eps": [3e7], "n": 6, "replicates": 2, "mode": "simple"}
     spec = write_spec(tmp_path, sweep, "sweep.json")
     out = tmp_path / "grid.csv"
     assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
@@ -563,15 +609,15 @@ def test_an_exhausted_sweep_replicate_exits_2_and_writes_nothing(tmp_path, capsy
 
 
 @pytest.mark.parametrize("sweep, field", [
-    ({"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.1, 0.3], "n": 200,
-      "replicates": 2}, "t[1]"),
-    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [20], "n": 4, "replicates": 2,
-      "mode": "simple"}, "eps[0]"),
+    ({"kind": "susceptibility_vs_t", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+      "t": [0.1, 0.3], "n": 200, "replicates": 2}, "t[1]"),
+    ({"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+      "eps": [20], "n": 4, "replicates": 2, "mode": "simple"}, "eps[0]"),
     # a grid entry is a spec number: strings and booleans once ran as floats
-    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, "0.5"], "n": 200,
-      "replicates": 2}, "eps[1]: expected a number, got str"),
-    ({"kind": "rho_vs_eps", "alpha": 1.0, "eps": [True], "n": 200,
-      "replicates": 2}, "eps[0]: expected a number, got bool"),
+    ({"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+      "eps": [0.2, "0.5"], "n": 200, "replicates": 2}, "eps[1]: expected a number, got str"),
+    ({"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+      "eps": [True], "n": 200, "replicates": 2}, "eps[0]: expected a number, got bool"),
 ])
 def test_sweep_rejects_bad_grid_before_compute(tmp_path, capsys, monkeypatch, sweep, field):
     def no_runs(*args):
@@ -586,13 +632,16 @@ def test_sweep_rejects_bad_grid_before_compute(tmp_path, capsys, monkeypatch, sw
 
 
 SWEEPS = [
-    {"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.2, 0.5], "n": 2000, "replicates": 2,
-     "mode": "simple", "seed": 3},
-    {"kind": "susceptibility_vs_t", "alpha": 1.0, "t": [0.05, 0.15], "n": 2000,
-     "replicates": 2},
+    {"kind": "rho_vs_eps", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+     "eps": [0.2, 0.5], "n": 2000, "replicates": 2, "mode": "simple", "seed": 3},
+    {"kind": "susceptibility_vs_t", "weight_rule": {"kind": "linear_alpha", "alpha": 1.0},
+     "t": [0.05, 0.15], "n": 2000, "replicates": 2},
+    {"kind": "rho_vs_eps", "weight_rule": {"kind": "negative_integer", "r": 3},
+     "eps": [0.2, 0.5], "n": 2000, "replicates": 2, "mode": "simple", "seed": 3},
 ]
 SWEEP_FIELDS = [(sweep, field) for sweep in SWEEPS
-                for field in [(key,) for key in sweep] + [("eps" if "eps" in sweep else "t", 1)]]
+                for field in [(key,) for key in sweep] + [("eps" if "eps" in sweep else "t", 1)]
+                + [("weight_rule", key) for key in sweep["weight_rule"]]]
 _MISSING = object()
 
 
@@ -627,8 +676,9 @@ def test_sweep_gives_a_csv_or_a_spec_error(case, value):
 
 
 @pytest.mark.parametrize("text", ['{"kind": "rho_vs_eps", "eps": [0.1', "[1, 2]",
-                                  '{"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.5], '
-                                  '"n": 100, "replicates": 1, "seed": "x"}'])
+                                  '{"kind": "rho_vs_eps", '
+                                  '"weight_rule": {"kind": "linear_alpha", "alpha": 1.0}, '
+                                  '"eps": [0.5], "n": 100, "replicates": 1, "seed": "x"}'])
 def test_sweep_rejects_malformed_spec(tmp_path, capsys, text):
     path = tmp_path / "sweep.json"
     path.write_text(text, encoding="utf-8")
@@ -695,6 +745,14 @@ def test_an_output_path_that_is_a_directory_exits_2_before_any_compute(tmp_path,
     assert cli.main(["simulate", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
     assert capsys.readouterr().err == f"output error: {out / 'sub'}: is a directory\n"
     assert [p.name for p in out.iterdir()] == ["sub"]
+
+
+def test_a_sweep_reports_a_run_field_error_before_an_output_error(tmp_path, capsys, monkeypatch):
+    # as simulate does: the sweep once checked --out before n
+    monkeypatch.setattr(cli, "run_replicates", _no_compute)
+    spec = write_spec(tmp_path, dict(SWEEPS[1], n=0), "sweep.json")
+    assert cli.main(["sweep", "--spec", spec, "--out", str(tmp_path), "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == "spec error: n: must be an integer >= 1, got 0\n"
 
 
 def test_missing_output_directories_are_made(tmp_path):
