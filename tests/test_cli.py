@@ -676,6 +676,9 @@ def test_sweep_gives_a_csv_or_a_spec_error(case, value):
 
 
 @pytest.mark.parametrize("text", ['{"kind": "rho_vs_eps", "eps": [0.1', "[1, 2]",
+                                  # the old top-level alpha: no weight_rule, and a bad seed
+                                  '{"kind": "rho_vs_eps", "alpha": 1.0, "eps": [0.5], '
+                                  '"n": 100, "replicates": 1, "seed": "x"}',
                                   '{"kind": "rho_vs_eps", '
                                   '"weight_rule": {"kind": "linear_alpha", "alpha": 1.0}, '
                                   '"eps": [0.5], "n": 100, "replicates": 1, "seed": "x"}'])
